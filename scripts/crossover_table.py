@@ -14,19 +14,17 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lo", type=int, default=22)
     ap.add_argument("--hi", type=int, default=120)
-    ap.add_argument("--parity", choices=("even", "odd", "both"), default="both")
+    ap.add_argument("--parity", choices=(*P.CROSSOVER, "both"), default="both")
     args = ap.parse_args()
 
-    parities = ("even", "odd") if args.parity == "both" else (args.parity,)
+    parities = tuple(P.CROSSOVER) if args.parity == "both" else (args.parity,)
     for parity in parities:
-        cone = P.cone_star_matching_even if parity == "even" else P.cone_star_matching_odd
-        t = 1 if parity == "even" else 2
-        print(f"\n== {parity} sizes: apex-join cone vs pendant split (t={t}) ==")
-        rep = P.crossover_scan(cone, lambda m: P.split_pendant_poly(m, t), parity,
-                               (args.lo, args.hi))
+        cx = P.CROSSOVER[parity]
+        print(f"\n== {parity} sizes: apex-join cone vs pendant split (t={cx.split_t}) ==")
+        rep = P.crossover_scan(cx.cone, cx.split, parity, (args.lo, args.hi))
         for m, order in rep.orders:
-            lc, _ = P.largest_real_root(cone(m))
-            rc, _ = P.largest_real_root(P.split_pendant_poly(m, t))
+            lc, _ = P.largest_real_root(cx.cone(m))
+            rc, _ = P.largest_real_root(cx.split(m))
             mark = {"gt": "cone", "lt": "split", "indistinguishable": "tie?"}[order]
             print(f"m={m:4d}  cone={lc:.12f}  split={rc:.12f}  winner={mark}")
         print(f"flips: {list(rep.flips) or 'none in range'}")

@@ -121,29 +121,8 @@ def _parse_blocks(text: str, n: int) -> list[list[int]]:
 
 
 def cmd_family(args) -> int:
-    params = _parse_params(args.params)
-    order = {
-        "complete": ("n",), "complete_bipartite": ("a", "b"), "star": ("n",),
-        "path": ("n",), "cycle": ("n",), "complete_split": ("n", "k"),
-        "book": ("m",), "split_pendant": ("n", "k", "t"),
-        "split_pendant_size": ("m", "t"), "star_matching": ("n", "k"),
-        "theta": ("p", "q", "r"), "r_chain": ("k",), "double_star": ("a", "b"),
-        "kminus": ("s", "t"), "kplus": ("s", "t"),
-        "k1_join_star_edge": ("m", "r"), "k1_join_candidate": ("m",),
-        "hts0_r_chain": ("t", "k"), "star_diamond_k4": ("m",),
-        "generalized_theta": None,
-    }
-    if args.name not in order:
-        return _usage_error(f"unknown family {args.name!r}; known: {sorted(order)}")
-    if order[args.name] is None:
-        tup = tuple(params[k] for k in sorted(params))
-    else:
-        missing = [k for k in order[args.name] if k not in params]
-        if missing:
-            return _usage_error(f"{args.name} needs parameters {order[args.name]}")
-        tup = tuple(params[k] for k in order[args.name])
     try:
-        g = families.build(families.FamilySpec(args.name, tup))
+        g = families.build(families.spec_from_params(args.name, _parse_params(args.params)))
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.format == "graph6":
@@ -233,17 +212,8 @@ def cmd_poly(args) -> int:
 
 def cmd_crossover(args) -> int:
     lo, hi = _parse_range(args.range)
-    if args.pair == "even":
-        left = polynomials.cone_star_matching_even
-        right = lambda m: polynomials.split_pendant_poly(m, 1)  # noqa: E731
-        parity = "even"
-    elif args.pair == "odd":
-        left = polynomials.cone_star_matching_odd
-        right = lambda m: polynomials.split_pendant_poly(m, 2)  # noqa: E731
-        parity = "odd"
-    else:
-        return _usage_error("--pair must be even or odd")
-    rep = polynomials.crossover_scan(left, right, parity, (lo, hi))
+    cx = polynomials.CROSSOVER[args.pair]
+    rep = polynomials.crossover_scan(cx.cone, cx.split, args.pair, (lo, hi))
     payload = {
         "pair": args.pair,
         "runs": [list(r) for r in rep.runs],
@@ -299,10 +269,12 @@ def cmd_verify(args) -> int:
     if args.m is None and args.range is None:
         return _usage_error("pass --m or --range")
     ms = [args.m] if args.m is not None else list(range(*_add1(_parse_range(args.range))))
+    jobs = int(_setting(args.jobs, "BHT_JOBS", "jobs", 1))
+    cache_dir = _setting(None, "BHT_CACHE_DIR", "cache_dir", None)
     failed = False
     for thm in thms:
         for m in ms:
-            rep = search.verify_theorem(thm, m, jobs=args.jobs or 1)
+            rep = search.verify_theorem(thm, m, jobs=jobs, cache_dir=cache_dir)
             if rep.status == "fail":
                 failed = True
             if args.json:
@@ -313,15 +285,9 @@ def cmd_verify(args) -> int:
                 )
                 print(f"{thm} m={m}: {rep.status}  [{detail}]")
         if thm == "c6_runner_up" and len(ms) > 1:
-            for parity in ("even", "odd"):
-                pair_lo = max(min(ms), 22)
-                rep2 = polynomials.crossover_scan(
-                    polynomials.cone_star_matching_even if parity == "even"
-                    else polynomials.cone_star_matching_odd,
-                    (lambda m: polynomials.split_pendant_poly(m, 1)) if parity == "even"
-                    else (lambda m: polynomials.split_pendant_poly(m, 2)),
-                    parity, (pair_lo, max(ms)),
-                )
+            pair_lo = max(min(ms), search.CLAIMS[thm].start)
+            for parity, cx in polynomials.CROSSOVER.items():
+                rep2 = polynomials.crossover_scan(cx.cone, cx.split, parity, (pair_lo, max(ms)))
                 line = {"schema": 1, "crossover": parity, "flips": [list(f) for f in rep2.flips]}
                 print(json.dumps(line) if args.json else
                       f"crossover ({parity}): flips at {rep2.flips}")
@@ -395,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("crossover", help="largest-root ordering scans over m")
-    p.add_argument("--pair", required=True, choices=("even", "odd"))
+    p.add_argument("--pair", required=True, choices=tuple(polynomials.CROSSOVER))
     p.add_argument("--range", required=True, help="lo:hi")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_crossover)

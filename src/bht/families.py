@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Callable
 
 from .graphs import Graph, bits, components, disjoint_union, from_edge_list, join
 
@@ -248,49 +249,61 @@ def k1_join_candidate(m: int) -> Graph:
     return k1_join_star_edge(m, (m - 3) // 2)
 
 
+def star_diamond_k4(m: int) -> Graph:
+    """K_4 with its first vertex joined to every vertex of a star; m edges.
+
+    Layout: the K_4 on 0..3, then the star centre 4 and its leaves.
+    """
+    if m % 2 == 0 or m < 9:
+        raise ValueError(f"star_diamond_k4 needs odd m >= 9, got {m}")
+    return diamond_join(star((m - 7) // 2 + 1), complete(4))
+
+
+# name -> (constructor, the CLI's parameter names in argument order);
+# generalized_theta takes any number of path lengths
+FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...] | None]] = {
+    "complete": (complete, ("n",)),
+    "complete_bipartite": (complete_bipartite, ("a", "b")),
+    "star": (star, ("n",)),
+    "path": (path, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "complete_split": (complete_split, ("n", "k")),
+    "book": (book, ("m",)),
+    "split_pendant": (split_pendant, ("n", "k", "t")),
+    "split_pendant_size": (split_pendant_for_size, ("m", "t")),
+    "star_matching": (star_matching, ("n", "k")),
+    "theta": (theta, ("p", "q", "r")),
+    "generalized_theta": (lambda *lengths: generalized_theta(list(lengths)), None),
+    "r_chain": (r_chain, ("k",)),
+    "double_star": (double_star, ("a", "b")),
+    "kminus": (kminus, ("s", "t")),
+    "kplus": (kplus, ("s", "t")),
+    "k1_join_star_edge": (k1_join_star_edge, ("m", "r")),
+    "k1_join_candidate": (k1_join_candidate, ("m",)),
+    "hts0_r_chain": (lambda t, k: hts_circ(empty(t), list(range(t)), r_chain(k)), ("t", "k")),
+    "star_diamond_k4": (star_diamond_k4, ("m",)),
+}
+
+
+def _family(name: str) -> tuple[Callable[..., Graph], tuple[str, ...] | None]:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
+    return FAMILIES[name]
+
+
+def spec_from_params(name: str, params: dict[str, int]) -> FamilySpec:
+    """The FamilySpec for named parameters (generalized_theta: in key order)."""
+    names = _family(name)[1]
+    if names is None:
+        return FamilySpec(name, tuple(params[k] for k in sorted(params)))
+    if any(k not in params for k in names):
+        raise ValueError(f"{name} needs parameters {names}")
+    return FamilySpec(name, tuple(params[k] for k in names))
+
+
 def build(spec: FamilySpec) -> Graph:
     """Materialise a FamilySpec (the names accepted by the CLI)."""
-    name, p = spec.name, spec.params
-    makers = {
-        "complete": lambda: complete(*p),
-        "complete_bipartite": lambda: complete_bipartite(*p),
-        "star": lambda: star(*p),
-        "path": lambda: path(*p),
-        "cycle": lambda: cycle(*p),
-        "complete_split": lambda: complete_split(*p),
-        "book": lambda: book(*p),
-        "split_pendant": lambda: split_pendant(*p),
-        "split_pendant_size": lambda: split_pendant_for_size(*p),
-        "star_matching": lambda: star_matching(*p),
-        "theta": lambda: theta(*p),
-        "generalized_theta": lambda: generalized_theta(list(p)),
-        "r_chain": lambda: r_chain(*p),
-        "double_star": lambda: double_star(*p),
-        "kminus": lambda: kminus(*p),
-        "kplus": lambda: kplus(*p),
-        "k1_join_star_edge": lambda: k1_join_star_edge(*p),
-        "k1_join_candidate": lambda: k1_join_candidate(*p),
-        "hts0_r_chain": lambda: hts_circ(empty(p[0]), list(range(p[0])), r_chain(p[1])),
-        "star_diamond_k4": lambda: diamond_join(star((p[0] - 7) // 2 + 1), complete(4))
-        if p[0] % 2 and p[0] >= 9
-        else _bad_diamond(p[0]),
-    }
-    if name not in makers:
-        raise ValueError(f"unknown family {name!r}")
-    return makers[name]()
-
-
-def _bad_diamond(m: int) -> Graph:
-    raise ValueError(f"star_diamond_k4 needs odd m >= 9, got {m}")
-
-
-FAMILY_NAMES = (
-    "complete", "complete_bipartite", "star", "path", "cycle",
-    "complete_split", "book", "split_pendant", "split_pendant_size",
-    "star_matching", "theta", "generalized_theta", "r_chain",
-    "double_star", "kminus", "kplus", "k1_join_star_edge",
-    "k1_join_candidate", "hts0_r_chain", "star_diamond_k4",
-)
+    return _family(spec.name)[0](*spec.params)
 
 
 def expected_size(spec: FamilySpec) -> int | None:

@@ -152,11 +152,8 @@ def split_pendant_partition(m: int, t: int) -> tuple[Graph, Blocks]:
 
 def diamond_k4_partition(m: int) -> tuple[Graph, Blocks]:
     """Star joined onto K4: blocks (K4 rim, hub, star leaves, star centre)."""
-    if m % 2 == 0 or m < 9:
-        raise ValueError(f"need odd m >= 9, got {m}")
-    leaves = (m - 7) // 2
-    g = families.diamond_join(families.star(leaves + 1), families.complete(4))
-    blocks = ((1, 2, 3), (0,), tuple(range(5, 5 + leaves)), (4,))
+    g = families.star_diamond_k4(m)
+    blocks = ((1, 2, 3), (0,), tuple(range(5, g.n)), (4,))
     return g, blocks
 
 

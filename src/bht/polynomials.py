@@ -271,13 +271,19 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
 def _sign_at(p: Polynomial, x) -> int:
     if not p.coeffs:
         return 0
-    if x == POS_INF:
-        lead = p.leading
-        return (lead > 0) - (lead < 0)
-    if x == NEG_INF:
+    if isinstance(x, str):
         lead = p.leading
         s = (lead > 0) - (lead < 0)
-        return s if p.degree % 2 == 0 else -s
+        return -s if x == NEG_INF and p.degree % 2 else s
+    if isinstance(x, Fraction):
+        # den * b^degree * p(a/b) is an integer with the sign of p(a/b)
+        a, b = x.numerator, x.denominator
+        den = math.lcm(*(c.denominator for c in p.coeffs))
+        acc, b_pow = 0, 1
+        for c in reversed(p.coeffs):
+            acc = acc * a + c.numerator * (den // c.denominator) * b_pow
+            b_pow *= b
+        return (acc > 0) - (acc < 0)
     val = p(x)
     if isinstance(val, Quad):
         return val.sign()
@@ -365,10 +371,6 @@ def _bisect(sf: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> tupl
     return lo, hi
 
 
-def refine_bracket(p: Polynomial, bracket: RootBracket, width: Fraction) -> RootBracket:
-    return RootBracket(*_bisect(p.squarefree(), bracket.lo, bracket.hi, width))
-
-
 @dataclass(frozen=True)
 class RootComparison:
     order: str  # "lt", "gt" or "indistinguishable"
@@ -400,23 +402,21 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def c5_extremal(m: int) -> Polynomial:
-    """Quartic bounding the C5-free case; branches on the parity of m."""
+    """Quartic bounding the C5-free case: the pendant split with m's pendant count."""
     _require(m >= 4, f"need m >= 4, got {m}")
-    if m % 2 == 0:
-        return Polynomial([Fraction(m, 2) - 1, -(m - 2), -m, 0, 1])
-    return Polynomial([m - 3, -(m - 3), -m, 0, 1])
+    return split_pendant_poly(m, crossover_at(m).split_t)
 
 
 def c6_extremal(m: int) -> Polynomial:
-    """C6-free bound; degree and shape change across the crossover."""
+    """C6-free bound: the cone polynomial up to the crossover, the C5 quartic after."""
     _require(m >= 22, f"defined for m >= 22, got {m}")
-    if m % 2 == 0:
-        if m <= 72:
-            return Polynomial([m - 6, -(m - 3), -2, 1])
-        return c5_extremal(m)
-    if m <= 71:
-        return cone_star_matching_odd(m)
-    return c5_extremal(m)
+    cx = crossover_at(m)
+    if m > cx.last_cone:
+        return cx.split(m)
+    if m % 2:
+        return cx.cone(m)
+    # the even cone quartic is (x + 1) times this cubic
+    return Polynomial([m - 6, -(m - 3), -2, 1])
 
 
 def split_pendant_poly(m: int, t: int) -> Polynomial:
@@ -485,6 +485,35 @@ def cone_double_star_poly(m: int) -> Polynomial:
 def cone_double_star_alt_poly(m: int) -> Polynomial:
     _require(m >= 7 and m % 2 == 1, f"need odd m >= 7, got {m}")
     return Polynomial([0, m - 3, -(m - 3), -m, 0, 1])
+
+
+@dataclass(frozen=True)
+class Crossover:
+    """One parity class of the C6 runner-up crossover.
+
+    The apex-join cone's largest root beats the split with ``split_t``
+    pendants for every m <= ``last_cone`` of this parity; the split wins
+    after that, by a root comparison up to ``last_window`` and by an exact
+    bracket certificate beyond it.
+    """
+
+    cone: Callable[[int], Polynomial]
+    split_t: int
+    last_cone: int
+    last_window: int
+
+    def split(self, m: int) -> Polynomial:
+        return split_pendant_poly(m, self.split_t)
+
+
+CROSSOVER = {
+    "even": Crossover(cone_star_matching_even, 1, 72, 88),
+    "odd": Crossover(cone_star_matching_odd, 2, 71, 87),
+}
+
+
+def crossover_at(m: int) -> Crossover:
+    return CROSSOVER["odd" if m % 2 else "even"]
 
 
 _INSTANTIATORS: dict[str, Callable[..., Polynomial]] = {
@@ -630,6 +659,7 @@ def inequality_certificates(m: int) -> list[Certificate]:
         raise ValueError("certificates start at m = 22")
     certs: list[Certificate] = []
     g7 = gate(m, 7)
+    cx = crossover_at(m)
 
     def add(name: str, statement: str, holds: bool, detail: str = "") -> None:
         certs.append(Certificate(name, statement, holds, detail))
@@ -644,7 +674,7 @@ def inequality_certificates(m: int) -> list[Certificate]:
         f"value = {v2}")
 
     if m % 2 == 0:
-        g1 = cone_star_matching_even(m)
+        g1 = cx.cone(m)
         add("split1_neg_gate5", "s1 < 0 at (1+sqrt(4m-5))/2", sign_at(s1, gate(m, 5)) < 0)
         add("split1_pos_ray_gate4", "s1 > 0 for x >= (1+sqrt(4m-4))/2",
             positive_on_ray(s1, gate(m, 4)))
@@ -652,19 +682,19 @@ def inequality_certificates(m: int) -> list[Certificate]:
             sign_at(g1, g7) < 0)
         add("cone_even_pos_ray_gate3", "cone quartic > 0 for x >= (1+sqrt(4m-3))/2",
             positive_on_ray(g1, gate(m, 3)))
-        if 22 <= m <= 72:
+        if m <= cx.last_cone:
             add("cone_beats_split_even", "s1 - g1 > 0 on the even bracket",
                 positive_on_open_interval(s1 - g1, gate(m, 5), gate(m, 4)))
-        if 74 <= m <= 88:
+        elif m <= cx.last_window:
             cmp = compare_largest_roots(s1, g1)
             add("split_beats_cone_window_even",
                 "largest split root exceeds the cone root (gap window)",
                 cmp.order == "gt", f"split in ({cmp.left.lo}, {cmp.left.hi}]")
-        if m >= 90:
+        else:
             add("split_beats_cone_even", "g1 - s1 > 0 on the even bracket",
                 positive_on_open_interval(g1 - s1, g7, gate(m, 3)))
     else:
-        g2 = cone_star_matching_odd(m)
+        g2 = cx.cone(m)
         xs2 = X * s2
         add("xsplit2_neg_gate7", "x*s2 < 0 at (1+sqrt(4m-7))/2", sign_at(xs2, g7) < 0)
         add("xsplit2_pos_ray_gate6", "x*s2 > 0 for x >= (1+sqrt(4m-6))/2",
@@ -673,15 +703,15 @@ def inequality_certificates(m: int) -> list[Certificate]:
             sign_at(g2, g7) < 0)
         add("cone_odd_pos_ray_gate5", "cone quintic > 0 for x >= (1+sqrt(4m-5))/2",
             positive_on_ray(g2, gate(m, 5)))
-        if 23 <= m <= 71:
+        if m <= cx.last_cone:
             add("cone_beats_split_odd", "x*s2 - g2 > 0 on the odd bracket",
                 positive_on_open_interval(xs2 - g2, g7, gate(m, 6)))
-        if 73 <= m <= 87:
+        elif m <= cx.last_window:
             cmp = compare_largest_roots(s2, g2)
             add("split_beats_cone_window_odd",
                 "largest split root exceeds the cone root (gap window)",
                 cmp.order == "gt", f"split in ({cmp.left.lo}, {cmp.left.hi}]")
-        if m >= 89:
+        else:
             add("split_beats_cone_odd", "g2 - x*s2 > 0 on the odd bracket",
                 positive_on_open_interval(g2 - xs2, g7, gate(m, 5)))
 
@@ -710,8 +740,8 @@ def inequality_certificates(m: int) -> list[Certificate]:
     # apex/star-edge quintic versus the pendant-split quartics: positive on
     # the bounded window holding both largest roots (the difference has
     # negative leading term, so a ray claim would be false)
-    st = s1 if m % 2 == 0 else s2
-    tag = "split1" if m % 2 == 0 else "split2"
+    st = cx.split(m)
+    tag = f"split{cx.split_t}"
     upper_gate = gate(m, 4) if m % 2 == 0 else gate(m, 6)
     for r in range(3, 8):
         if m >= 4 * r + 12:

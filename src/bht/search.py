@@ -21,10 +21,19 @@ import time
 from dataclasses import dataclass, field
 from math import comb, sqrt
 from pathlib import Path
+from typing import Callable
 
 from . import families, forbidden
 from .graphs import Graph, bits, canonical_form, disjoint_union, from_graph6, to_graph6
-from .polynomials import book_lambda, largest_real_root
+from .polynomials import (
+    Polynomial,
+    book_lambda,
+    c5_extremal,
+    c6_extremal,
+    crossover_at,
+    largest_real_root,
+    star_matching_cubic,
+)
 from .spectral import spectral_radius
 
 TIE_TOL = 1e-9
@@ -153,26 +162,40 @@ def _pattern_name(p: Graph | str) -> str:
     return p if isinstance(p, str) else f"graph6:{to_graph6(p)}"
 
 
-def _layer_scan(n: int, m: int, patterns, exclusions: frozenset[bytes]):
-    """Best lambda and near-ties among admissible graphs of one layer."""
+def _admit(best: float, tied: list, cand: tuple[Graph, bytes, float]) -> float:
+    """Fold one (graph, canon, lambda) candidate into the running best.
+
+    ``tied`` is updated in place and keeps every candidate within TIE_TOL
+    of the returned best.
+    """
+    lam = cand[2]
+    if lam > best + TIE_TOL:
+        best = lam
+        tied[:] = [cand]
+    elif lam > best - TIE_TOL:
+        tied.append(cand)
+    return best
+
+
+def _scan(graphs, patterns, exclusions: frozenset[bytes]):
+    """Best lambda and near-ties among the admissible graphs of a stream."""
     best = -1.0
     tied: list[tuple[Graph, bytes, float]] = []
     enumerated = free = 0
-    for g in connected_layer(n, m):
+    for g in graphs:
         enumerated += 1
         if not forbidden.is_free(g, patterns):
             continue
         free += 1
         canon = canonical_form(g)
-        if canon in exclusions:
-            continue
-        lam = spectral_radius(g).lam
-        if lam > best + TIE_TOL:
-            best = lam
-            tied = [(g, canon, lam)]
-        elif lam > best - TIE_TOL:
-            tied.append((g, canon, lam))
-    return n, best, tied, enumerated, free
+        if canon not in exclusions:
+            best = _admit(best, tied, (g, canon, spectral_radius(g).lam))
+    return best, tied, enumerated, free
+
+
+def _layer_scan(n: int, m: int, patterns, exclusions: frozenset[bytes]):
+    """`_scan` over the connected graphs of one layer, tagged with n."""
+    return (n, *_scan(connected_layer(n, m), patterns, exclusions))
 
 
 def _checkpoint_path(cache_dir: str | Path, m: int, patterns, exclusions, connected_only: bool) -> Path:
@@ -218,137 +241,95 @@ def extremal_search(
         e if isinstance(e, bytes) else canonical_form(e) for e in exclusions
     )
     t0 = time.perf_counter()
+    pruned = 0
 
     if not connected_only:
         # sanity-scale widened search, no pruning
-        best = -1.0
-        tied: list[tuple[Graph, bytes, float]] = []
-        enumerated = free = 0
-        for g in enumerate_isolate_free(m, n_max):
-            enumerated += 1
-            if not forbidden.is_free(g, patterns):
-                continue
-            free += 1
-            canon = canonical_form(g)
-            if canon in excl:
-                continue
-            lam = spectral_radius(g).lam
-            if lam > best + TIE_TOL:
-                best, tied = lam, [(g, canon, lam)]
-            elif lam > best - TIE_TOL:
-                tied.append((g, canon, lam))
-        maxim = sorted(((g, c) for g, c, lam in tied if lam > best - TIE_TOL), key=lambda t: (t[0].n, t[1]))
-        return SearchReport(
-            m, tuple(_pattern_name(p) for p in patterns), tuple(sorted(excl)),
-            best, maxim,
-            {"enumerated": enumerated, "free": free, "pruned": 0},
-            time.perf_counter() - t0, connected_only=False,
-        )
-
-    # seed the running best with the closed-form candidates so sparse
-    # layers prune immediately
-    best = -1.0
-    if prune and m >= 4:
-        for _, g in families.theorem_candidates(m):
-            if forbidden.is_free(g, patterns) and canonical_form(g) not in excl:
-                best = max(best, spectral_radius(g).lam)
-
-    top = m + 1 if n_max is None else min(n_max, m + 1)
-    layer_ns = [n for n in range(2, top + 1) if n - 1 <= m <= comb(n, 2)]
-
-    checkpoint: dict[str, dict] = {}
-    ckpt_path: Path | None = None
-    if cache_dir is not None:
-        ckpt_path = _checkpoint_path(cache_dir, m, patterns, excl, connected_only)
-        if ckpt_path.exists():
-            checkpoint = json.loads(ckpt_path.read_text())
-
-    enumerated = free = pruned = 0
-    tied = []
-
-    def consume(n: int, layer_best: float, layer_tied, layer_enum: int, layer_free: int) -> None:
-        nonlocal best, tied, enumerated, free
-        enumerated += layer_enum
-        free += layer_free
-        for g, canon, lam in layer_tied:
-            if lam > best + TIE_TOL:
-                best = lam
-                tied = [(g, canon, lam)]
-            elif lam > best - TIE_TOL:
-                tied.append((g, canon, lam))
-
-    def load_or_scan(n: int):
-        key = str(n)
-        if key in checkpoint:
-            entry = checkpoint[key]
-            layer_tied = [
-                (from_graph6(s), bytes.fromhex(c), lam)
-                for s, c, lam in entry["tied"]
-            ]
-            return n, entry["best"], layer_tied, entry["enumerated"], entry["free"]
-        result = _layer_scan(n, m, patterns, excl)
-        if ckpt_path is not None:
-            checkpoint[str(n)] = {
-                "best": result[1],
-                "tied": [[to_graph6(g), c.hex(), lam] for g, c, lam in result[2]],
-                "enumerated": result[3],
-                "free": result[4],
-            }
-            ckpt_path.parent.mkdir(parents=True, exist_ok=True)
-            ckpt_path.write_text(json.dumps(checkpoint))
-        return result
-
-    if jobs > 1:
-        # parallel layers cannot share the running best; prune from the seed
-        from multiprocessing import Pool
-
-        todo = []
-        for n in layer_ns:
-            if prune and sqrt(2 * m - n + 1) < best - TIE_TOL:
-                pruned += 1
-            else:
-                todo.append(n)
-        with Pool(jobs) as pool:
-            results = pool.starmap(
-                _layer_scan, [(n, m, patterns, excl) for n in todo]
-            )
-        for result in sorted(results, key=lambda r: r[0]):
-            consume(*result)
+        best, tied, enumerated, free = _scan(enumerate_isolate_free(m, n_max), patterns, excl)
     else:
-        for n in layer_ns:
-            if prune and sqrt(2 * m - n + 1) < best - TIE_TOL:
-                pruned += 1
-                continue
-            consume(*load_or_scan(n))
+        # seed the running best with the closed-form candidates so sparse
+        # layers prune immediately
+        best = -1.0
+        if prune and m >= 4:
+            for _, g in families.theorem_candidates(m):
+                if forbidden.is_free(g, patterns) and canonical_form(g) not in excl:
+                    best = max(best, spectral_radius(g).lam)
 
-    maximizers = sorted(
-        ((g, c) for g, c, lam in tied if lam > best - TIE_TOL),
-        key=lambda t: (t[0].n, t[1]),
-    )
+        top = m + 1 if n_max is None else min(n_max, m + 1)
+        layer_ns = [n for n in range(2, top + 1) if n - 1 <= m <= comb(n, 2)]
+
+        checkpoint: dict[str, dict] = {}
+        ckpt_path: Path | None = None
+        if cache_dir is not None:
+            ckpt_path = _checkpoint_path(cache_dir, m, patterns, excl, connected_only)
+            if ckpt_path.exists():
+                checkpoint = json.loads(ckpt_path.read_text())
+
+        def load_or_scan(n: int):
+            key = str(n)
+            if key in checkpoint:
+                entry = checkpoint[key]
+                layer_tied = [
+                    (from_graph6(s), bytes.fromhex(c), lam)
+                    for s, c, lam in entry["tied"]
+                ]
+                return n, entry["best"], layer_tied, entry["enumerated"], entry["free"]
+            result = _layer_scan(n, m, patterns, excl)
+            if ckpt_path is not None:
+                checkpoint[str(n)] = {
+                    "best": result[1],
+                    "tied": [[to_graph6(g), c.hex(), lam] for g, c, lam in result[2]],
+                    "enumerated": result[3],
+                    "free": result[4],
+                }
+                ckpt_path.parent.mkdir(parents=True, exist_ok=True)
+                ckpt_path.write_text(json.dumps(checkpoint))
+            return result
+
+        def unpruned():
+            # reads the running best at each step, so a lazy consumer
+            # prunes against every layer merged so far
+            nonlocal pruned
+            for n in layer_ns:
+                if prune and sqrt(2 * m - n + 1) < best - TIE_TOL:
+                    pruned += 1
+                else:
+                    yield n
+
+        if jobs > 1:
+            # parallel layers cannot share the running best; prune from the seed
+            from multiprocessing import Pool
+
+            with Pool(jobs) as pool:
+                results = pool.starmap(
+                    _layer_scan, [(n, m, patterns, excl) for n in unpruned()]
+                )
+        else:
+            results = map(load_or_scan, unpruned())
+
+        enumerated = free = 0
+        tied = []
+        for _, _, layer_tied, layer_enum, layer_free in results:
+            enumerated += layer_enum
+            free += layer_free
+            for cand in layer_tied:
+                best = _admit(best, tied, cand)
+
     return SearchReport(
         m,
         tuple(_pattern_name(p) for p in patterns),
         tuple(sorted(excl)),
         best,
-        maximizers,
+        sorted(((g, c) for g, c, _ in tied), key=lambda t: (t[0].n, t[1])),
         {"enumerated": enumerated, "free": free, "pruned": pruned},
         time.perf_counter() - t0,
-        connected_only=True,
+        connected_only,
     )
 
 
 # ---------------------------------------------------------------------------
 # theorem verification
 # ---------------------------------------------------------------------------
-
-THEOREM_IDS = (
-    "theta123",
-    "theta124",
-    "c5_runner_up",
-    "c6_runner_up",
-    "theta_pair_runner_up",
-)
-
 
 @dataclass
 class VerificationReport:
@@ -382,41 +363,49 @@ def _complete_bipartite_exclusions(m: int) -> list[bytes]:
     return out
 
 
-def _theorem_setup(theorem: str, m: int):
-    """Patterns, exclusions, claimed graph and claimed-lambda poly per claim."""
-    if theorem in ("theta123", "theta124"):
-        lo = 8 if theorem == "theta123" else 22
-        pattern = "theta123" if theorem == "theta123" else "theta124"
-        claimed = families.book(m) if m % 2 else None
-        from .polynomials import Polynomial
+def _book_exclusion(m: int) -> list[bytes]:
+    return [canonical_form(families.book(m))] if m % 2 else []
 
-        return lo, [pattern], [], claimed, Polynomial([-(m - 1), -1, 1])
-    if theorem == "c5_runner_up":
-        from .polynomials import c5_extremal
 
-        claimed = families.split_pendant_for_size(m, 1 if m % 2 == 0 else 2)
-        excl = [canonical_form(families.book(m))] if m % 2 else []
-        return 22, ["c5"], excl, claimed, c5_extremal(m) if m >= 22 else None
-    if theorem == "c6_runner_up":
-        from .polynomials import c6_extremal
+def _c6_regimes(m: int) -> tuple[Graph, Graph]:
+    """(claimed, alternative): the cone up to the crossover, the split after."""
+    cx = crossover_at(m)
+    cone = families.k1_join_candidate(m)
+    split = families.split_pendant_for_size(m, cx.split_t)
+    return (cone, split) if m <= cx.last_cone else (split, cone)
 
-        if m % 2 == 0:
-            claimed = families.k1_join_candidate(m) if m <= 72 else families.split_pendant_for_size(m, 1)
-        else:
-            claimed = families.k1_join_candidate(m) if m <= 71 else families.split_pendant_for_size(m, 2)
-        excl = [canonical_form(families.book(m))] if m % 2 else []
-        return 22, ["c6"], excl, claimed, c6_extremal(m) if m >= 22 else None
-    if theorem == "theta_pair_runner_up":
-        from .polynomials import star_matching_cubic
 
-        return (
-            26,
-            ["theta122", "theta123"],
-            _complete_bipartite_exclusions(m),
-            families.star_matching(m, 1),
-            star_matching_cubic(m) if m >= 4 else None,
-        )
-    raise ValueError(f"unknown theorem id {theorem!r}; known: {THEOREM_IDS}")
+@dataclass(frozen=True)
+class Claim:
+    """One maximality claim; the callables take m and run only inside its range."""
+
+    start: int
+    patterns: tuple[str, ...]
+    exclusions: Callable[[int], list[bytes]]
+    graph: Callable[[int], Graph | None]
+    poly: Callable[[int], Polynomial]
+
+
+def _book_claim(start: int, pattern: str) -> Claim:
+    return Claim(start, (pattern,), lambda m: [],
+                 lambda m: families.book(m) if m % 2 else None,
+                 lambda m: Polynomial([-(m - 1), -1, 1]))
+
+
+CLAIMS = {
+    "theta123": _book_claim(8, "theta123"),
+    "theta124": _book_claim(22, "theta124"),
+    "c5_runner_up": Claim(
+        22, ("c5",), _book_exclusion,
+        lambda m: families.split_pendant_for_size(m, crossover_at(m).split_t), c5_extremal),
+    "c6_runner_up": Claim(
+        22, ("c6",), _book_exclusion, lambda m: _c6_regimes(m)[0], c6_extremal),
+    "theta_pair_runner_up": Claim(
+        26, ("theta122", "theta123"), _complete_bipartite_exclusions,
+        lambda m: families.star_matching(m, 1), star_matching_cubic),
+}
+
+THEOREM_IDS = tuple(CLAIMS)
 
 
 def verify_theorem(theorem: str, m: int, *, oracle_cap: int = DEFAULT_CAP,
@@ -429,43 +418,39 @@ def verify_theorem(theorem: str, m: int, *, oracle_cap: int = DEFAULT_CAP,
     (m small enough to enumerate) additionally asserts that no competitor
     exceeds the claimed value and that the maximizer set is as claimed.
     """
-    lo, patterns, exclusions, claimed, poly = _theorem_setup(theorem, m)
+    if theorem not in CLAIMS:
+        raise ValueError(f"unknown theorem id {theorem!r}; known: {THEOREM_IDS}")
+    claim = CLAIMS[theorem]
     report = VerificationReport(theorem, m, "pass")
-    if m < lo:
+    if m < claim.start:
         report.status = "not_claimed"
-        report.notes.append(f"claim covers m >= {lo}; m={m} is outside it")
+        report.notes.append(f"claim covers m >= {claim.start}; m={m} is outside it")
         return report
+    patterns, exclusions = list(claim.patterns), claim.exclusions(m)
+    claimed, poly = claim.graph(m), claim.poly(m)
 
     bound = book_lambda(m)
-    if theorem in ("theta123", "theta124"):
-        if claimed is not None:
-            lam = spectral_radius(claimed).lam
-            report.record("edge_count", claimed.m == m, f"edges={claimed.m}")
-            report.record("pattern_free", forbidden.is_free(claimed, patterns))
-            report.record("lambda_closed_form", abs(lam - bound) <= 1e-9,
-                          f"lambda={lam!r} vs (1+sqrt(4m-3))/2={bound!r}")
-            root, _ = largest_real_root(poly)
-            report.record("lambda_poly_root", abs(lam - root) <= 1e-9)
-        else:
-            report.notes.append("even m: the bound is claimed strict (no equality graph)")
+    if claimed is None:
+        report.notes.append("even m: the bound is claimed strict (no equality graph)")
     else:
-        assert claimed is not None and poly is not None
         lam = spectral_radius(claimed).lam
         root, _ = largest_real_root(poly)
         report.record("edge_count", claimed.m == m, f"edges={claimed.m}")
         report.record("pattern_free", forbidden.is_free(claimed, patterns))
-        report.record(
-            "not_excluded", canonical_form(claimed) not in set(exclusions)
-        )
-        report.record("lambda_poly_root", abs(lam - root) <= 1e-9,
-                      f"lambda={lam!r} root={root!r}")
-        report.record("below_book_bound", lam < bound + 1e-9,
-                      f"claimed lambda {lam!r} vs book bound {bound!r}")
+        if theorem in ("theta123", "theta124"):
+            report.record("lambda_closed_form", abs(lam - bound) <= 1e-9,
+                          f"lambda={lam!r} vs (1+sqrt(4m-3))/2={bound!r}")
+            report.record("lambda_poly_root", abs(lam - root) <= 1e-9)
+        else:
+            report.record(
+                "not_excluded", canonical_form(claimed) not in set(exclusions)
+            )
+            report.record("lambda_poly_root", abs(lam - root) <= 1e-9,
+                          f"lambda={lam!r} root={root!r}")
+            report.record("below_book_bound", lam < bound + 1e-9,
+                          f"claimed lambda {lam!r} vs book bound {bound!r}")
         if theorem == "c6_runner_up":
-            alt = (families.split_pendant_for_size(m, 1 if m % 2 == 0 else 2)
-                   if (m <= 72 if m % 2 == 0 else m <= 71)
-                   else families.k1_join_candidate(m))
-            lam_alt = spectral_radius(alt).lam
+            lam_alt = spectral_radius(_c6_regimes(m)[1]).lam
             report.record("beats_other_regime", lam > lam_alt - 1e-12,
                           f"claimed {lam!r} vs alternative {lam_alt!r}")
 

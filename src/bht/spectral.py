@@ -33,7 +33,6 @@ class SpectralResult:
     lam: float
     perron: tuple[float, ...]
     residual: float
-    iterations: int
 
     def as_array(self) -> np.ndarray:
         return np.array(self.perron)
@@ -77,7 +76,7 @@ def spectral_radius(g: Graph) -> SpectralResult:
     x = np.zeros(g.n)
     x[vs] = vec
     x /= np.linalg.norm(x)
-    return SpectralResult(lam, tuple(float(v) for v in x), residual, 0)
+    return SpectralResult(lam, tuple(float(v) for v in x), residual)
 
 
 def extremal_vertex(g: Graph, result: SpectralResult | None = None) -> int:

@@ -170,6 +170,23 @@ def test_verify_command(capsys):
     assert code == 2
 
 
+def test_verify_reads_jobs_from_env(capsys, monkeypatch):
+    from bht import search
+
+    seen = {}
+    real = search.verify_theorem
+
+    def spy(thm, m, **kwargs):
+        seen.update(kwargs)
+        return real(thm, m)
+
+    monkeypatch.setenv("BHT_JOBS", "2")
+    monkeypatch.setattr(search, "verify_theorem", spy)
+    code, _, _ = run(capsys, "verify", "--thm", "theta124", "--m", "10")
+    assert code == 0
+    assert seen["jobs"] == 2
+
+
 def test_verify_range_reports_crossovers(capsys):
     code, out, _ = run(capsys, "verify", "--thm", "c6_runner_up",
                        "--range", "70:75", "--json")

@@ -31,6 +31,15 @@ def test_squarefree():
     assert sf.degree == 2 and P.sign_at(sf, Fraction(2)) == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(max_denominator=50), min_size=1, max_size=6),
+       st.fractions(max_denominator=2**20))
+def test_sign_at_rational_matches_fraction_value(coeffs, x):
+    p = P.Polynomial(coeffs)
+    val = p(x)
+    assert P.sign_at(p, x) == (val > 0) - (val < 0)
+
+
 # -- quadratic field values --------------------------------------------------
 
 
@@ -237,6 +246,13 @@ def test_crossover_even_and_odd():
         P.cone_star_matching_odd, lambda m: P.split_pendant_poly(m, 2), "odd", (22, 121)
     )
     assert rep.flips == ((71, 73),)
+
+
+@pytest.mark.parametrize("parity", sorted(P.CROSSOVER))
+def test_crossover_table_matches_scan(parity):
+    cx = P.CROSSOVER[parity]
+    rep = P.crossover_scan(cx.cone, cx.split, parity, (22, 120))
+    assert rep.flips == ((cx.last_cone, cx.last_cone + 2),)
 
 
 def test_crossover_trivial_no_flips():

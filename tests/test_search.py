@@ -287,5 +287,8 @@ def test_verify_theorem_construction_modes():
         rep = SR.verify_theorem(thm, m)
         assert rep.status == "pass", (thm, m, rep.checks)
     assert SR.verify_theorem("theta_pair_runner_up", 20).status == "not_claimed"
+    # below its start a claim builds nothing, even where its graphs do not exist
+    for thm in SR.THEOREM_IDS:
+        assert SR.verify_theorem(thm, 2).status == "not_claimed", thm
     with pytest.raises(ValueError):
         SR.verify_theorem("bogus", 9)
