@@ -24,12 +24,11 @@ PATTERN_SETS = [
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-m", type=int, default=10)
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     for m in range(4, args.max_m + 1):
         for tag, patterns in PATTERN_SETS:
-            rep = search.extremal_search(m, patterns, jobs=args.jobs)
+            rep = search.extremal_search(m, patterns)
             print(json.dumps({
                 "m": m,
                 "patterns": tag,

@@ -7,7 +7,7 @@ each carrying ``schema: 1``) sits behind ``--json``; the default output
 is a small human-readable table.
 
 Configuration precedence is flags, then environment variables
-(BHT_CACHE_DIR, BHT_SEARCH_CAP, BHT_JOBS), then a ``bht.conf`` file of
+(BHT_CACHE_DIR, BHT_SEARCH_CAP), then a ``bht.conf`` file of
 ``key=value`` lines in the working directory.
 """
 
@@ -233,7 +233,6 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_search(args) -> int:
     cap = int(_setting(args.cap, "BHT_SEARCH_CAP", "cap", search.DEFAULT_CAP))
-    jobs = int(_setting(args.jobs, "BHT_JOBS", "jobs", 1))
     cache_dir = _setting(args.cache_dir, "BHT_CACHE_DIR", "cache_dir", None)
     patterns = [p.strip() for p in args.forbid.split(",") if p.strip()]
     for p in patterns:
@@ -247,7 +246,7 @@ def cmd_search(args) -> int:
     try:
         rep = search.extremal_search(
             args.m, patterns, exclusions, cap=cap, force=args.force,
-            jobs=jobs, connected_only=not args.widen, cache_dir=cache_dir,
+            connected_only=not args.widen, cache_dir=cache_dir,
         )
     except ValueError as exc:
         return _usage_error(str(exc))
@@ -269,12 +268,11 @@ def cmd_verify(args) -> int:
     if args.m is None and args.range is None:
         return _usage_error("pass --m or --range")
     ms = [args.m] if args.m is not None else list(range(*_add1(_parse_range(args.range))))
-    jobs = int(_setting(args.jobs, "BHT_JOBS", "jobs", 1))
     cache_dir = _setting(None, "BHT_CACHE_DIR", "cache_dir", None)
     failed = False
     for thm in thms:
         for m in ms:
-            rep = search.verify_theorem(thm, m, jobs=jobs, cache_dir=cache_dir)
+            rep = search.verify_theorem(thm, m, cache_dir=cache_dir)
             if rep.status == "fail":
                 failed = True
             if args.json:
@@ -371,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", required=True, help="comma list of pattern names")
     p.add_argument("--exclude-book", action="store_true")
     p.add_argument("--cap", type=int)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--force", action="store_true")
     p.add_argument("--widen", action="store_true",
                    help="include disconnected isolate-free graphs (tiny m)")
@@ -384,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of {search.THEOREM_IDS} or 'all'")
     p.add_argument("--m", type=int)
     p.add_argument("--range", help="lo:hi")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -17,6 +17,8 @@ test suite.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from math import comb, sqrt
@@ -193,11 +195,6 @@ def _scan(graphs, patterns, exclusions: frozenset[bytes]):
     return best, tied, enumerated, free
 
 
-def _layer_scan(n: int, m: int, patterns, exclusions: frozenset[bytes]):
-    """`_scan` over the connected graphs of one layer, tagged with n."""
-    return (n, *_scan(connected_layer(n, m), patterns, exclusions))
-
-
 def _checkpoint_path(cache_dir: str | Path, m: int, patterns, exclusions, connected_only: bool) -> Path:
     import hashlib
 
@@ -211,6 +208,34 @@ def _checkpoint_path(cache_dir: str | Path, m: int, patterns, exclusions, connec
     return Path(cache_dir) / f"search_m{m}_{digest}.json"
 
 
+_LAYER_KEYS = {"best", "tied", "enumerated", "free"}
+
+
+def _load_checkpoint(path: Path) -> dict[str, dict]:
+    """Per-layer summaries saved by an earlier run, keyed by str(n)."""
+    if not path.exists():
+        return {}
+    try:
+        data = json.loads(path.read_text())
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        for key, entry in data.items():
+            if not isinstance(entry, dict) or not _LAYER_KEYS <= entry.keys():
+                raise ValueError(f"layer {key!r} lacks one of {sorted(_LAYER_KEYS)}")
+    except ValueError as exc:
+        raise ValueError(f"corrupt checkpoint {path}: {exc}") from None
+    return data
+
+
+def _save_checkpoint(path: Path, checkpoint: dict[str, dict]) -> None:
+    """Replace the file in one step, so an interrupted save leaves the old one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    with os.fdopen(fd, "w") as fh:
+        fh.write(json.dumps(checkpoint))
+    os.replace(tmp, path)
+
+
 def extremal_search(
     m: int,
     patterns,
@@ -219,7 +244,6 @@ def extremal_search(
     n_max: int | None = None,
     cap: int = DEFAULT_CAP,
     force: bool = False,
-    jobs: int = 1,
     prune: bool = True,
     connected_only: bool = True,
     cache_dir: str | Path | None = None,
@@ -229,8 +253,8 @@ def extremal_search(
     ``patterns`` are forbidden subgraphs (names or graphs); ``exclusions``
     are canonical forms (or graphs) removed from the candidate set after
     filtering.  Results are exact over the enumerated universe; see the
-    module notes on pruning.  Disk checkpointing applies to sequential
-    runs; parallel runs recompute their layers.
+    module notes on pruning.  With ``cache_dir`` set, each scanned layer
+    of a connected search is checkpointed there and reused by later runs.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -255,65 +279,37 @@ def extremal_search(
                 if forbidden.is_free(g, patterns) and canonical_form(g) not in excl:
                     best = max(best, spectral_radius(g).lam)
 
-        top = m + 1 if n_max is None else min(n_max, m + 1)
-        layer_ns = [n for n in range(2, top + 1) if n - 1 <= m <= comb(n, 2)]
-
-        checkpoint: dict[str, dict] = {}
-        ckpt_path: Path | None = None
-        if cache_dir is not None:
-            ckpt_path = _checkpoint_path(cache_dir, m, patterns, excl, connected_only)
-            if ckpt_path.exists():
-                checkpoint = json.loads(ckpt_path.read_text())
-
-        def load_or_scan(n: int):
-            key = str(n)
-            if key in checkpoint:
-                entry = checkpoint[key]
-                layer_tied = [
-                    (from_graph6(s), bytes.fromhex(c), lam)
-                    for s, c, lam in entry["tied"]
-                ]
-                return n, entry["best"], layer_tied, entry["enumerated"], entry["free"]
-            result = _layer_scan(n, m, patterns, excl)
-            if ckpt_path is not None:
-                checkpoint[str(n)] = {
-                    "best": result[1],
-                    "tied": [[to_graph6(g), c.hex(), lam] for g, c, lam in result[2]],
-                    "enumerated": result[3],
-                    "free": result[4],
-                }
-                ckpt_path.parent.mkdir(parents=True, exist_ok=True)
-                ckpt_path.write_text(json.dumps(checkpoint))
-            return result
-
-        def unpruned():
-            # reads the running best at each step, so a lazy consumer
-            # prunes against every layer merged so far
-            nonlocal pruned
-            for n in layer_ns:
-                if prune and sqrt(2 * m - n + 1) < best - TIE_TOL:
-                    pruned += 1
-                else:
-                    yield n
-
-        if jobs > 1:
-            # parallel layers cannot share the running best; prune from the seed
-            from multiprocessing import Pool
-
-            with Pool(jobs) as pool:
-                results = pool.starmap(
-                    _layer_scan, [(n, m, patterns, excl) for n in unpruned()]
-                )
-        else:
-            results = map(load_or_scan, unpruned())
+        ckpt_path = None if cache_dir is None else _checkpoint_path(
+            cache_dir, m, patterns, excl, connected_only)
+        checkpoint = {} if ckpt_path is None else _load_checkpoint(ckpt_path)
 
         enumerated = free = 0
         tied = []
-        for _, _, layer_tied, layer_enum, layer_free in results:
-            enumerated += layer_enum
-            free += layer_free
-            for cand in layer_tied:
-                best = _admit(best, tied, cand)
+        top = m + 1 if n_max is None else min(n_max, m + 1)
+        for n in range(2, top + 1):
+            if not n - 1 <= m <= comb(n, 2):
+                continue
+            if prune and sqrt(2 * m - n + 1) < best - TIE_TOL:
+                pruned += 1
+                continue
+            key = str(n)
+            if key not in checkpoint:
+                layer_best, layer_tied, layer_enum, layer_free = _scan(
+                    connected_layer(n, m), patterns, excl
+                )
+                checkpoint[key] = {
+                    "best": layer_best,
+                    "tied": [[to_graph6(g), c.hex(), lam] for g, c, lam in layer_tied],
+                    "enumerated": layer_enum,
+                    "free": layer_free,
+                }
+                if ckpt_path is not None:
+                    _save_checkpoint(ckpt_path, checkpoint)
+            entry = checkpoint[key]
+            enumerated += entry["enumerated"]
+            free += entry["free"]
+            for g6, canon, lam in entry["tied"]:
+                best = _admit(best, tied, (from_graph6(g6), bytes.fromhex(canon), lam))
 
     return SearchReport(
         m,
@@ -409,7 +405,7 @@ THEOREM_IDS = tuple(CLAIMS)
 
 
 def verify_theorem(theorem: str, m: int, *, oracle_cap: int = DEFAULT_CAP,
-                   jobs: int = 1, cache_dir=None) -> VerificationReport:
+                   cache_dir=None) -> VerificationReport:
     """Check one maximality claim at a given size.
 
     Construction mode (any m in the claim's range) checks the claimed
@@ -455,7 +451,7 @@ def verify_theorem(theorem: str, m: int, *, oracle_cap: int = DEFAULT_CAP,
                           f"claimed {lam!r} vs alternative {lam_alt!r}")
 
     if m <= oracle_cap:
-        result = extremal_search(m, patterns, exclusions, jobs=jobs, cache_dir=cache_dir)
+        result = extremal_search(m, patterns, exclusions, cache_dir=cache_dir)
         report.notes.append(
             f"oracle mode: enumerated {result.counts['enumerated']} classes"
         )
@@ -478,7 +474,7 @@ def verify_theorem(theorem: str, m: int, *, oracle_cap: int = DEFAULT_CAP,
             report.record(
                 "oracle_maximizer",
                 [c for _, c in result.maximizers] == [canonical_form(claimed)]
-                and abs(result.best_lambda - spectral_radius(claimed).lam) <= 1e-9,
+                and abs(result.best_lambda - lam) <= 1e-9,
                 f"best={result.best_lambda!r}",
             )
     else:

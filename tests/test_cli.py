@@ -170,21 +170,24 @@ def test_verify_command(capsys):
     assert code == 2
 
 
-def test_verify_reads_jobs_from_env(capsys, monkeypatch):
-    from bht import search
-
-    seen = {}
-    real = search.verify_theorem
-
-    def spy(thm, m, **kwargs):
-        seen.update(kwargs)
-        return real(thm, m)
-
-    monkeypatch.setenv("BHT_JOBS", "2")
-    monkeypatch.setattr(search, "verify_theorem", spy)
-    code, _, _ = run(capsys, "verify", "--thm", "theta124", "--m", "10")
+def test_verify_reads_cache_dir_from_env(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("BHT_CACHE_DIR", str(tmp_path))
+    code, _, _ = run(capsys, "verify", "--thm", "theta123", "--m", "9")
     assert code == 0
-    assert seen["jobs"] == 2
+    assert len(list(tmp_path.glob("search_m9_*.json"))) == 1
+
+
+def test_search_rejects_malformed_checkpoint(capsys, tmp_path):
+    args = ("search", "--m", "7", "--forbid", "c5", "--cache-dir", str(tmp_path))
+    code, _, _ = run(capsys, *args)
+    assert code == 0
+    (path,) = tmp_path.glob("search_m7_*.json")
+    good = path.read_text()
+    for bad in ("[]", json.dumps({"5": {"best": 1.0}}), good[: len(good) // 2]):
+        path.write_text(bad)
+        code, _, err = run(capsys, *args)
+        assert code == 2, bad
+        assert "corrupt checkpoint" in err and str(path) in err, err
 
 
 def test_verify_range_reports_crossovers(capsys):
