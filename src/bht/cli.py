@@ -6,9 +6,9 @@ succeeds and every asserted claim holds, 1 when some claim is violated,
 each carrying ``schema: 1``) sits behind ``--json``; the default output
 is a small human-readable table.
 
-Configuration precedence is flags, then environment variables
-(BHT_CACHE_DIR, BHT_SEARCH_CAP), then a ``bht.conf`` file of
-``key=value`` lines in the working directory.
+Exhaustive search runs up to ``search.DEFAULT_CAP`` edges unless
+``--force`` is given.  Checkpoints go to ``--cache-dir`` when given, else
+to ``BHT_CACHE_DIR``; ``verify`` reads only ``BHT_CACHE_DIR``.
 """
 
 from __future__ import annotations
@@ -29,33 +29,6 @@ from .graphs import (
     to_graph6,
 )
 from .spectral import spectral_radius
-
-CONFIG_FILE = "bht.conf"
-
-
-def _config_file() -> dict[str, str]:
-    path = Path(CONFIG_FILE)
-    if not path.is_file():
-        return {}
-    out = {}
-    for line in path.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if "=" in line:
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
-    return out
-
-
-def _setting(flag_value, env_key: str, file_key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if env_key in os.environ:
-        return os.environ[env_key]
-    cfg = _config_file()
-    if file_key in cfg:
-        return cfg[file_key]
-    return default
-
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
@@ -232,8 +205,6 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_search(args) -> int:
-    cap = int(_setting(args.cap, "BHT_SEARCH_CAP", "cap", search.DEFAULT_CAP))
-    cache_dir = _setting(args.cache_dir, "BHT_CACHE_DIR", "cache_dir", None)
     patterns = [p.strip() for p in args.forbid.split(",") if p.strip()]
     for p in patterns:
         if p not in forbidden.NAMED_PATTERNS:
@@ -245,8 +216,8 @@ def cmd_search(args) -> int:
         exclusions.append(canonical_form(families.book(args.m)))
     try:
         rep = search.extremal_search(
-            args.m, patterns, exclusions, cap=cap, force=args.force,
-            connected_only=not args.widen, cache_dir=cache_dir,
+            args.m, patterns, exclusions, force=args.force,
+            connected_only=not args.widen, cache_dir=args.cache_dir,
         )
     except ValueError as exc:
         return _usage_error(str(exc))
@@ -267,12 +238,12 @@ def cmd_verify(args) -> int:
             return _usage_error(f"unknown theorem id {t!r}; known: {search.THEOREM_IDS}")
     if args.m is None and args.range is None:
         return _usage_error("pass --m or --range")
-    ms = [args.m] if args.m is not None else list(range(*_add1(_parse_range(args.range))))
-    cache_dir = _setting(None, "BHT_CACHE_DIR", "cache_dir", None)
+    lo, hi = (args.m, args.m) if args.m is not None else _parse_range(args.range)
+    ms = list(range(lo, hi + 1))
     failed = False
     for thm in thms:
         for m in ms:
-            rep = search.verify_theorem(thm, m, cache_dir=cache_dir)
+            rep = search.verify_theorem(thm, m, cache_dir=os.environ.get("BHT_CACHE_DIR"))
             if rep.status == "fail":
                 failed = True
             if args.json:
@@ -290,10 +261,6 @@ def cmd_verify(args) -> int:
                 print(json.dumps(line) if args.json else
                       f"crossover ({parity}): flips at {rep2.flips}")
     return 1 if failed else 0
-
-
-def _add1(rng: tuple[int, int]) -> tuple[int, int]:
-    return rng[0], rng[1] + 1
 
 
 def cmd_certify(args) -> int:
@@ -368,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--forbid", required=True, help="comma list of pattern names")
     p.add_argument("--exclude-book", action="store_true")
-    p.add_argument("--cap", type=int)
     p.add_argument("--force", action="store_true")
     p.add_argument("--widen", action="store_true",
                    help="include disconnected isolate-free graphs (tiny m)")
-    p.add_argument("--cache-dir")
+    p.add_argument("--cache-dir", default=os.environ.get("BHT_CACHE_DIR"),
+                   help="checkpoint directory (default: $BHT_CACHE_DIR)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 

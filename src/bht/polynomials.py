@@ -337,18 +337,20 @@ def largest_real_root(p: Polynomial, refine_to: Fraction = Fraction(1, 10**13)) 
     """
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    sf = p.squarefree()
-    chain = sturm_chain(sf)
+    chain = sturm_chain(p)
+    sf = chain[0]
     bound = cauchy_bound(sf)
     lo, hi = -bound, bound
-    total = count_roots(sf, lo, hi, chain)
-    if total == 0:
+    above = count_roots(sf, lo, POS_INF, chain)
+    if above == 0:
         raise ValueError(f"no real root of {p} in [-{bound}, {bound}]")
-    # shrink until (lo, hi] isolates the largest root
-    while count_roots(sf, lo, hi, chain) > 1 or count_roots(sf, lo, POS_INF, chain) != 1:
+    # no root lies above hi, so (lo, hi] isolates the largest root once
+    # exactly one root lies above lo
+    while above != 1:
         mid = (lo + hi) / 2
-        if count_roots(sf, mid, POS_INF, chain) >= 1:
-            lo = mid
+        count = count_roots(sf, mid, POS_INF, chain)
+        if count >= 1:
+            lo, above = mid, count
         else:
             hi = mid
     lo, hi = _bisect(sf, lo, hi, refine_to)
@@ -415,8 +417,8 @@ def c6_extremal(m: int) -> Polynomial:
         return cx.split(m)
     if m % 2:
         return cx.cone(m)
-    # the even cone quartic is (x + 1) times this cubic
-    return Polynomial([m - 6, -(m - 3), -2, 1])
+    # the even cone quartic is (x + 1) times the cubic that bounds this case
+    return cx.cone(m).divmod(Polynomial([1, 1]))[0]
 
 
 def split_pendant_poly(m: int, t: int) -> Polynomial:
@@ -494,21 +496,24 @@ class Crossover:
     The apex-join cone's largest root beats the split with ``split_t``
     pendants for every m <= ``last_cone`` of this parity; the split wins
     after that, by a root comparison up to ``last_window`` and by an exact
-    bracket certificate beyond it.
+    bracket certificate beyond it.  ``gates`` holds the c of the gates
+    (1+sqrt(4m-c))/2 that the certificates use: where the split side is
+    negative, where its positive ray starts, and where the cone's does.
     """
 
     cone: Callable[[int], Polynomial]
     split_t: int
     last_cone: int
     last_window: int
+    gates: tuple[int, int, int]
 
     def split(self, m: int) -> Polynomial:
         return split_pendant_poly(m, self.split_t)
 
 
 CROSSOVER = {
-    "even": Crossover(cone_star_matching_even, 1, 72, 88),
-    "odd": Crossover(cone_star_matching_odd, 2, 71, 87),
+    "even": Crossover(cone_star_matching_even, 1, 72, 88, (5, 4, 3)),
+    "odd": Crossover(cone_star_matching_odd, 2, 71, 87, (7, 6, 5)),
 }
 
 
@@ -673,48 +678,34 @@ def inequality_certificates(m: int) -> list[Certificate]:
     add("split2_below_gate7", "s2 at (1+sqrt(4m-7))/2 is negative", v2.sign() < 0,
         f"value = {v2}")
 
-    if m % 2 == 0:
-        g1 = cx.cone(m)
-        add("split1_neg_gate5", "s1 < 0 at (1+sqrt(4m-5))/2", sign_at(s1, gate(m, 5)) < 0)
-        add("split1_pos_ray_gate4", "s1 > 0 for x >= (1+sqrt(4m-4))/2",
-            positive_on_ray(s1, gate(m, 4)))
-        add("cone_even_neg_gate7", "cone quartic < 0 at (1+sqrt(4m-7))/2",
-            sign_at(g1, g7) < 0)
-        add("cone_even_pos_ray_gate3", "cone quartic > 0 for x >= (1+sqrt(4m-3))/2",
-            positive_on_ray(g1, gate(m, 3)))
-        if m <= cx.last_cone:
-            add("cone_beats_split_even", "s1 - g1 > 0 on the even bracket",
-                positive_on_open_interval(s1 - g1, gate(m, 5), gate(m, 4)))
-        elif m <= cx.last_window:
-            cmp = compare_largest_roots(s1, g1)
-            add("split_beats_cone_window_even",
-                "largest split root exceeds the cone root (gap window)",
-                cmp.order == "gt", f"split in ({cmp.left.lo}, {cmp.left.hi}]")
-        else:
-            add("split_beats_cone_even", "g1 - s1 > 0 on the even bracket",
-                positive_on_open_interval(g1 - s1, g7, gate(m, 3)))
+    # cone versus split side; against the odd cone quintic the split side
+    # is x*s2, so both sides have degree five
+    t, st, cone = cx.split_t, cx.split(m), cx.cone(m)
+    neg_c, ray_c, cone_c = cx.gates
+    parity, shape = ("odd", "quintic") if m % 2 else ("even", "quartic")
+    side, tag, sym = (X * st, f"xsplit{t}", f"x*s{t}") if m % 2 else (st, f"split{t}", f"s{t}")
+    add(f"{tag}_neg_gate{neg_c}", f"{sym} < 0 at (1+sqrt(4m-{neg_c}))/2",
+        sign_at(side, gate(m, neg_c)) < 0)
+    add(f"{tag}_pos_ray_gate{ray_c}", f"{sym} > 0 for x >= (1+sqrt(4m-{ray_c}))/2",
+        positive_on_ray(side, gate(m, ray_c)))
+    add(f"cone_{parity}_neg_gate7", f"cone {shape} < 0 at (1+sqrt(4m-7))/2",
+        sign_at(cone, g7) < 0)
+    add(f"cone_{parity}_pos_ray_gate{cone_c}",
+        f"cone {shape} > 0 for x >= (1+sqrt(4m-{cone_c}))/2",
+        positive_on_ray(cone, gate(m, cone_c)))
+    if m <= cx.last_cone:
+        add(f"cone_beats_split_{parity}", f"{sym} - g{t} > 0 on the {parity} bracket",
+            positive_on_open_interval(side - cone, gate(m, neg_c), gate(m, ray_c)))
+    elif m <= cx.last_window:
+        cmp = compare_largest_roots(st, cone)
+        add(f"split_beats_cone_window_{parity}",
+            "largest split root exceeds the cone root (gap window)",
+            cmp.order == "gt", f"split in ({cmp.left.lo}, {cmp.left.hi}]")
     else:
-        g2 = cx.cone(m)
-        xs2 = X * s2
-        add("xsplit2_neg_gate7", "x*s2 < 0 at (1+sqrt(4m-7))/2", sign_at(xs2, g7) < 0)
-        add("xsplit2_pos_ray_gate6", "x*s2 > 0 for x >= (1+sqrt(4m-6))/2",
-            positive_on_ray(xs2, gate(m, 6)))
-        add("cone_odd_neg_gate7", "cone quintic < 0 at (1+sqrt(4m-7))/2",
-            sign_at(g2, g7) < 0)
-        add("cone_odd_pos_ray_gate5", "cone quintic > 0 for x >= (1+sqrt(4m-5))/2",
-            positive_on_ray(g2, gate(m, 5)))
-        if m <= cx.last_cone:
-            add("cone_beats_split_odd", "x*s2 - g2 > 0 on the odd bracket",
-                positive_on_open_interval(xs2 - g2, g7, gate(m, 6)))
-        elif m <= cx.last_window:
-            cmp = compare_largest_roots(s2, g2)
-            add("split_beats_cone_window_odd",
-                "largest split root exceeds the cone root (gap window)",
-                cmp.order == "gt", f"split in ({cmp.left.lo}, {cmp.left.hi}]")
-        else:
-            add("split_beats_cone_odd", "g2 - x*s2 > 0 on the odd bracket",
-                positive_on_open_interval(g2 - xs2, g7, gate(m, 5)))
+        add(f"split_beats_cone_{parity}", f"g{t} - {sym} > 0 on the {parity} bracket",
+            positive_on_open_interval(cone - side, g7, gate(m, cone_c)))
 
+    if m % 2:
         # the diamond-over-K4 chain (the graph needs odd m)
         if m >= 9:
             ell = diamond_k4_poly(m)
@@ -740,17 +731,14 @@ def inequality_certificates(m: int) -> list[Certificate]:
     # apex/star-edge quintic versus the pendant-split quartics: positive on
     # the bounded window holding both largest roots (the difference has
     # negative leading term, so a ray claim would be false)
-    st = cx.split(m)
-    tag = f"split{cx.split_t}"
-    upper_gate = gate(m, 4) if m % 2 == 0 else gate(m, 6)
     for r in range(3, 8):
         if m >= 4 * r + 12:
             fr = cone_star_edge_poly(m, r)
-            add(f"cone_star_edge_r{r}_vs_{tag}",
-                f"f_r - x*{tag} > 0 on the root window (r={r})",
-                positive_on_open_interval(fr - X * st, g7, upper_gate))
-            add(f"cone_star_edge_r{r}_below_{tag}",
-                f"largest root of f_r below that of {tag} (r={r})",
+            add(f"cone_star_edge_r{r}_vs_split{t}",
+                f"f_r - x*split{t} > 0 on the root window (r={r})",
+                positive_on_open_interval(fr - X * st, g7, gate(m, ray_c)))
+            add(f"cone_star_edge_r{r}_below_split{t}",
+                f"largest root of f_r below that of split{t} (r={r})",
                 compare_largest_roots(fr, st).order == "lt")
 
     # monotonicity of the star-edge quintics in r: f_r - f_{r+1}

@@ -84,16 +84,15 @@ def connected_layer(n: int, m: int) -> list[Graph]:
     return _LAYERS[key]
 
 
-def enumerate_connected(m: int, n_max: int | None = None):
+def enumerate_connected(m: int):
     """Stream one representative per isomorphism class, by (n, canonical form)."""
     if m < 1:
         raise ValueError("need m >= 1")
-    top = m + 1 if n_max is None else min(n_max, m + 1)
-    for n in range(2, top + 1):
+    for n in range(2, m + 2):
         yield from connected_layer(n, m)
 
 
-def enumerate_isolate_free(m: int, n_max: int | None = None):
+def enumerate_isolate_free(m: int):
     """Widened stream: every isolate-free graph with m edges (tiny m only).
 
     Multisets of connected components are produced in nondecreasing
@@ -102,7 +101,6 @@ def enumerate_isolate_free(m: int, n_max: int | None = None):
     """
     if m > 10:
         raise ValueError("the widened enumeration is meant for tiny m")
-    top = 2 * m if n_max is None else n_max
     pool: list[tuple[tuple[int, bytes], Graph]] = []
     for k in range(1, m + 1):
         for n in range(2, k + 2):
@@ -112,17 +110,14 @@ def enumerate_isolate_free(m: int, n_max: int | None = None):
 
     def expand(start: int, left: int, acc: Graph | None):
         if left == 0:
-            if acc is not None and acc.n <= top:
+            if acc is not None:
                 yield acc
             return
         for i in range(start, len(pool)):
             (k, _), g = pool[i]
             if k > left:
                 break
-            nxt = g if acc is None else disjoint_union(acc, g)
-            if nxt.n > top:
-                continue
-            yield from expand(i, left - k, nxt)
+            yield from expand(i, left - k, g if acc is None else disjoint_union(acc, g))
 
     yield from expand(0, m, None)
 
@@ -208,31 +203,50 @@ def _checkpoint_path(cache_dir: str | Path, m: int, patterns, exclusions, connec
     return Path(cache_dir) / f"search_m{m}_{digest}.json"
 
 
-_LAYER_KEYS = {"best", "tied", "enumerated", "free"}
+_LAYER_KEYS = ("best", "tied", "enumerated", "free")
+_NUMBER = (int, float)  # exact types, so JSON true/false are not numbers
 
 
-def _load_checkpoint(path: Path) -> dict[str, dict]:
-    """Per-layer summaries saved by an earlier run, keyed by str(n)."""
+def _decode_tie(item) -> tuple[Graph, bytes, float]:
+    if not (type(item) is list and [type(v) for v in item[:2]] == [str, str]
+            and len(item) == 3 and type(item[2]) in _NUMBER):
+        raise ValueError(f"bad tied entry {item!r}")
+    return from_graph6(item[0]), bytes.fromhex(item[1]), item[2]
+
+
+def _load_checkpoint(path: Path) -> dict[str, tuple]:
+    """Per-layer ``_scan`` results saved by an earlier run, keyed by str(n)."""
     if not path.exists():
         return {}
     try:
         data = json.loads(path.read_text())
         if not isinstance(data, dict):
             raise ValueError("not a JSON object")
+        layers = {}
         for key, entry in data.items():
-            if not isinstance(entry, dict) or not _LAYER_KEYS <= entry.keys():
+            if not isinstance(entry, dict) or not all(k in entry for k in _LAYER_KEYS):
                 raise ValueError(f"layer {key!r} lacks one of {sorted(_LAYER_KEYS)}")
+            best, tied, enumerated, free = (entry[k] for k in _LAYER_KEYS)
+            if not (type(best) in _NUMBER and type(tied) is list
+                    and type(enumerated) is int and type(free) is int):
+                raise ValueError(f"layer {key!r} has a value of the wrong type")
+            layers[key] = (best, [_decode_tie(item) for item in tied], enumerated, free)
     except ValueError as exc:
         raise ValueError(f"corrupt checkpoint {path}: {exc}") from None
-    return data
+    return layers
 
 
-def _save_checkpoint(path: Path, checkpoint: dict[str, dict]) -> None:
+def _save_checkpoint(path: Path, layers: dict[str, tuple]) -> None:
     """Replace the file in one step, so an interrupted save leaves the old one."""
+    data = {
+        key: dict(zip(_LAYER_KEYS, (best, [[to_graph6(g), c.hex(), lam] for g, c, lam in tied],
+                                    enumerated, free)))
+        for key, (best, tied, enumerated, free) in layers.items()
+    }
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     with os.fdopen(fd, "w") as fh:
-        fh.write(json.dumps(checkpoint))
+        fh.write(json.dumps(data))
     os.replace(tmp, path)
 
 
@@ -241,8 +255,6 @@ def extremal_search(
     patterns,
     exclusions=(),
     *,
-    n_max: int | None = None,
-    cap: int = DEFAULT_CAP,
     force: bool = False,
     prune: bool = True,
     connected_only: bool = True,
@@ -253,13 +265,15 @@ def extremal_search(
     ``patterns`` are forbidden subgraphs (names or graphs); ``exclusions``
     are canonical forms (or graphs) removed from the candidate set after
     filtering.  Results are exact over the enumerated universe; see the
-    module notes on pruning.  With ``cache_dir`` set, each scanned layer
-    of a connected search is checkpointed there and reused by later runs.
+    module notes on pruning.  Sizes above ``DEFAULT_CAP`` raise ValueError
+    unless ``force`` is set.  With ``cache_dir`` set, each scanned layer
+    of a connected search is checkpointed there and reused by later runs;
+    a checkpoint that does not decode raises ValueError naming the file.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    if m > cap and not force:
-        raise ValueError(f"m={m} exceeds the cap {cap}; pass force=True to override")
+    if m > DEFAULT_CAP and not force:
+        raise ValueError(f"m={m} exceeds the cap {DEFAULT_CAP}; pass force=True to override")
     patterns = list(patterns)
     excl = frozenset(
         e if isinstance(e, bytes) else canonical_form(e) for e in exclusions
@@ -269,7 +283,7 @@ def extremal_search(
 
     if not connected_only:
         # sanity-scale widened search, no pruning
-        best, tied, enumerated, free = _scan(enumerate_isolate_free(m, n_max), patterns, excl)
+        best, tied, enumerated, free = _scan(enumerate_isolate_free(m), patterns, excl)
     else:
         # seed the running best with the closed-form candidates so sparse
         # layers prune immediately
@@ -285,8 +299,7 @@ def extremal_search(
 
         enumerated = free = 0
         tied = []
-        top = m + 1 if n_max is None else min(n_max, m + 1)
-        for n in range(2, top + 1):
+        for n in range(2, m + 2):
             if not n - 1 <= m <= comb(n, 2):
                 continue
             if prune and sqrt(2 * m - n + 1) < best - TIE_TOL:
@@ -294,22 +307,14 @@ def extremal_search(
                 continue
             key = str(n)
             if key not in checkpoint:
-                layer_best, layer_tied, layer_enum, layer_free = _scan(
-                    connected_layer(n, m), patterns, excl
-                )
-                checkpoint[key] = {
-                    "best": layer_best,
-                    "tied": [[to_graph6(g), c.hex(), lam] for g, c, lam in layer_tied],
-                    "enumerated": layer_enum,
-                    "free": layer_free,
-                }
+                checkpoint[key] = _scan(connected_layer(n, m), patterns, excl)
                 if ckpt_path is not None:
                     _save_checkpoint(ckpt_path, checkpoint)
-            entry = checkpoint[key]
-            enumerated += entry["enumerated"]
-            free += entry["free"]
-            for g6, canon, lam in entry["tied"]:
-                best = _admit(best, tied, (from_graph6(g6), bytes.fromhex(canon), lam))
+            _, layer_tied, layer_enum, layer_free = checkpoint[key]
+            enumerated += layer_enum
+            free += layer_free
+            for cand in layer_tied:
+                best = _admit(best, tied, cand)
 
     return SearchReport(
         m,
@@ -404,8 +409,7 @@ CLAIMS = {
 THEOREM_IDS = tuple(CLAIMS)
 
 
-def verify_theorem(theorem: str, m: int, *, oracle_cap: int = DEFAULT_CAP,
-                   cache_dir=None) -> VerificationReport:
+def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationReport:
     """Check one maximality claim at a given size.
 
     Construction mode (any m in the claim's range) checks the claimed
@@ -450,7 +454,7 @@ def verify_theorem(theorem: str, m: int, *, oracle_cap: int = DEFAULT_CAP,
             report.record("beats_other_regime", lam > lam_alt - 1e-12,
                           f"claimed {lam!r} vs alternative {lam_alt!r}")
 
-    if m <= oracle_cap:
+    if m <= DEFAULT_CAP:
         result = extremal_search(m, patterns, exclusions, cache_dir=cache_dir)
         report.notes.append(
             f"oracle mode: enumerated {result.counts['enumerated']} classes"

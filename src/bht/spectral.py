@@ -17,8 +17,6 @@ import numpy as np
 from . import forbidden
 from .graphs import Graph, bits, components, is_connected
 
-RESIDUAL_TOL = 1e-10
-
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))

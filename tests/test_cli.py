@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from bht import cli
 from bht import families as F
 from bht.graphs import canonical_form, from_graph6, parse_edge_list
@@ -138,23 +140,28 @@ def test_search_command(capsys):
     assert code == 2  # cap guard
 
 
-def test_search_env_cap(capsys, monkeypatch):
+def test_search_cap_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--m", "6", "--forbid", "c5", "--cap", "8"])
+    assert exc.value.code == 2
+
+
+def test_search_ignores_config_file_and_cap_env(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bht.conf").write_text(f"cap = 5\ncache_dir = {tmp_path / 'conf'}\n")
     monkeypatch.setenv("BHT_SEARCH_CAP", "5")
     code, _, _ = run(capsys, "search", "--m", "6", "--forbid", "c5")
-    assert code == 2
-    monkeypatch.delenv("BHT_SEARCH_CAP")
-    code, _, _ = run(capsys, "search", "--m", "6", "--forbid", "c5")
     assert code == 0
+    assert not (tmp_path / "conf").exists()
 
 
-def test_config_file_precedence(capsys, monkeypatch, tmp_path):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "bht.conf").write_text("cap = 5\n")
-    code, _, _ = run(capsys, "search", "--m", "6", "--forbid", "c5")
-    assert code == 2
-    # an explicit flag overrides the file
-    code, _, _ = run(capsys, "search", "--m", "6", "--forbid", "c5", "--cap", "8")
+def test_search_cache_dir_flag_beats_env(capsys, monkeypatch, tmp_path):
+    env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+    monkeypatch.setenv("BHT_CACHE_DIR", str(env_dir))
+    code, _, _ = run(capsys, "search", "--m", "6", "--forbid", "c5", "--cache-dir", str(flag_dir))
     assert code == 0
+    assert len(list(flag_dir.glob("search_m6_*.json"))) == 1
+    assert not env_dir.exists()
 
 
 def test_verify_command(capsys):
@@ -183,7 +190,15 @@ def test_search_rejects_malformed_checkpoint(capsys, tmp_path):
     assert code == 0
     (path,) = tmp_path.glob("search_m7_*.json")
     good = path.read_text()
-    for bad in ("[]", json.dumps({"5": {"best": 1.0}}), good[: len(good) // 2]):
+    layer = next(iter(json.loads(good)))
+
+    def edited(**fields):
+        data = json.loads(good)
+        data[layer].update(fields)
+        return json.dumps(data)
+
+    for bad in ("[]", json.dumps({"5": {"best": 1.0}}), good[: len(good) // 2],
+                edited(tied=[1]), edited(enumerated="x"), edited(tied=[["??", "zz", 1.0]])):
         path.write_text(bad)
         code, _, err = run(capsys, *args)
         assert code == 2, bad

@@ -164,11 +164,6 @@ def test_layer_counts_against_burnside():
             assert ours == _burnside_all_graph_classes(n, m), (n, m)
 
 
-def test_enumerate_n_max():
-    assert all(g.n <= 4 for g in SR.enumerate_connected(5, n_max=4))
-    assert len(list(SR.enumerate_connected(5, n_max=4))) < FROZEN_CLASS_COUNTS[5]
-
-
 def test_isolate_free_enumeration():
     classes = list(SR.enumerate_isolate_free(3))
     assert len(classes) == 5
