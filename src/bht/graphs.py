@@ -5,17 +5,25 @@ bitset, so the same representation covers both small graphs (single
 machine word) and the occasional larger one.  All editing operations
 return new Graph values; nothing here mutates.
 
-The canonical form is a refinement-based labelling (iterated colour
-refinement, individualise the first smallest non-singleton cell,
-branch only over twin classes) that returns the lexicographically
-minimal adjacency encoding.  Two graphs are isomorphic iff their
-canonical forms compare equal; tests check this against an all-
-permutations oracle for small n.
+The canonical form is a partition-refinement labelling in the style of
+McKay's nauty.  Colours start as the dense ranks of the degrees.  Each
+refinement round gives every vertex one integer key that packs its
+colour and its neighbour count in each colour as base-(n+1) digits, and
+re-ranks the keys; a round that leaves the number of cells unchanged
+ends the refinement.  While a cell has several vertices, the first
+smallest one is split by giving one vertex, per twin class, a colour of
+its own, and the search descends.  Every discrete colouring met is a
+relabelling; the form is the vertex count followed by the
+lexicographically least upper-triangle adjacency code over all of them.
+Two graphs are isomorphic iff their canonical forms compare equal; tests
+check this against an all-permutations oracle for small n and pin the
+bytes on a fixed corpus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 
@@ -207,18 +215,28 @@ def is_connected(g: Graph) -> bool:
 # -- canonical form ----------------------------------------------------------
 
 
-def _refine(adj: tuple[int, ...], colors: list[int]) -> list[int]:
-    n = len(adj)
+def _refine(nbrs: list[list[int]], colors: list[int], pw: tuple[int, ...], top: int) -> list[int]:
+    """Coarsest equitable refinement of ``colors``, as dense colour ranks.
+
+    ``colors`` are dense ranks whose cells all have one degree, so the
+    key ``colour * top - sum(pw[colour(w)] for w in N(v))``, with
+    ``pw[c] = (n+1) ** (n-1-c)`` and ``top = (n+1) ** n``, orders the
+    vertices exactly as (colour, sorted neighbour colours) does: the sum
+    writes v's neighbour counts per colour as base-(n+1) digits, colour 0
+    first, and more neighbours of a smaller colour means a smaller sorted
+    tuple.  The ranks of these keys refine ``colors`` in order, so the
+    colouring is stable once a round leaves the number of cells unchanged.
+    """
+    cells = max(colors) + 1
     while True:
-        sigs = []
-        for v in range(n):
-            nb = sorted(colors[w] for w in bits(adj[v]))
-            sigs.append((colors[v], tuple(nb)))
-        dense = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [dense[s] for s in sigs]
-        if new == colors:
+        cp = [pw[c] for c in colors]
+        keys = [c * top - sum(map(cp.__getitem__, nb)) for c, nb in zip(colors, nbrs)]
+        ranks = sorted(set(keys))
+        if len(ranks) == cells:
             return colors
-        colors = new
+        cells = len(ranks)
+        dense = {k: i for i, k in enumerate(ranks)}
+        colors = [dense[k] for k in keys]
 
 
 def _twin_classes(adj: tuple[int, ...], cell: list[int]) -> list[int]:
@@ -244,17 +262,29 @@ def _twin_classes(adj: tuple[int, ...], cell: list[int]) -> list[int]:
     return reps
 
 
-def _adjacency_code(g: Graph, perm: list[int]) -> bytes:
-    bitstring = 0
-    k = 0
-    for i in range(g.n):
-        ai = g.adj[perm[i]]
-        for j in range(i + 1, g.n):
-            bitstring = (bitstring << 1) | (ai >> perm[j] & 1)
-            k += 1
-    nbytes = (k + 7) // 8
-    bitstring <<= nbytes * 8 - k
-    return g.n.to_bytes(2, "big") + bitstring.to_bytes(nbytes, "big")
+def _adjacency_code(nbrs: list[list[int]], colors: list[int], bit: tuple[int, ...]) -> int:
+    """Upper triangle of the adjacency matrix relabelled by the discrete
+    ``colors``, row by row, as one integer (first bit most significant).
+
+    ``bit[c] = 1 << (n-1-c)``, so the relabelled row of the vertex coloured
+    i has its columns j > i as its low n-1-i bits, column i+1 highest.
+    """
+    n = len(colors)
+    cb = [bit[c] for c in colors]
+    rows = [0] * n
+    for c, nb in zip(colors, nbrs):
+        rows[c] = sum(map(cb.__getitem__, nb))
+    code = 0
+    for i, row in enumerate(rows):
+        code = (code << (n - 1 - i)) | (row & (bit[i] - 1))
+    return code
+
+
+@cache
+def _powers(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """``pw``, ``bit`` and ``top`` for ``_refine`` and ``_adjacency_code``."""
+    return (tuple((n + 1) ** (n - 1 - c) for c in range(n)),
+            tuple(1 << (n - 1 - c) for c in range(n)), (n + 1) ** n)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -263,32 +293,33 @@ def canonical_form(g: Graph) -> bytes:
     if n == 0:
         return (0).to_bytes(2, "big")
     adj = g.adj
-    best: list[bytes | None] = [None]
+    nbrs = [list(bits(row)) for row in adj]
+    pw, bit, top = _powers(n)
+    best: list[int] = []
 
     def descend(colors: list[int]) -> None:
-        colors = _refine(adj, colors)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                if target is None or len(cells[c]) < len(cells[target]):
-                    target = c
-        if target is None:
-            perm = sorted(range(n), key=lambda v: colors[v])
-            code = _adjacency_code(g, perm)
-            if best[0] is None or code < best[0]:
-                best[0] = code
+        colors = _refine(nbrs, colors, pw, top)
+        k = max(colors) + 1
+        if k == n:
+            code = _adjacency_code(nbrs, colors, bit)
+            if not best or code < best[0]:
+                best[:] = [code]
             return
+        cells: list[list[int]] = [[] for _ in range(k)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        target = min((len(cell), c) for c, cell in enumerate(cells) if len(cell) > 1)[1]
         for v in _twin_classes(adj, cells[target]):
-            branched = [(c, 0 if u == v else 1) for u, c in enumerate(colors)]
-            dense = {s: i for i, s in enumerate(sorted(set(branched)))}
-            descend([dense[s] for s in branched])
+            branched = [c if c < target else c + 1 for c in colors]
+            branched[v] = target
+            descend(branched)
 
-    descend([0] * n)
-    assert best[0] is not None
-    return best[0]
+    degrees = [len(nb) for nb in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    descend([rank[d] for d in degrees])
+    k = n * (n - 1) // 2
+    nbytes = (k + 7) // 8
+    return n.to_bytes(2, "big") + (best[0] << (nbytes * 8 - k)).to_bytes(nbytes, "big")
 
 
 # -- file formats -------------------------------------------------------------

@@ -26,7 +26,9 @@ from pathlib import Path
 from typing import Callable
 
 from . import families, forbidden
-from .graphs import Graph, bits, canonical_form, disjoint_union, from_graph6, to_graph6
+from .graphs import (
+    Graph, bits, canonical_form, disjoint_union, from_graph6, is_connected, to_graph6,
+)
 from .polynomials import (
     Polynomial,
     book_lambda,
@@ -41,47 +43,49 @@ from .spectral import spectral_radius
 TIE_TOL = 1e-9
 DEFAULT_CAP = 12
 
-_TREES: dict[int, list[Graph]] = {}
-_LAYERS: dict[tuple[int, int], list[Graph]] = {}
+# (n, m) -> canonical form -> the class's kept graph, in form order
+_LAYERS: dict[tuple[int, int], dict[bytes, Graph]] = {}
 
 
 def trees(n: int) -> list[Graph]:
     """All trees on n vertices up to isomorphism, sorted by canonical form."""
-    if n < 1:
+    return connected_layer(n, n - 1)
+
+
+def connected_layer(n: int, m: int) -> list[Graph]:
+    """Connected graphs with n vertices and m edges, one per class, sorted
+    by canonical form."""
+    if n < 1 or m < n - 1 or m > comb(n, 2):
         return []
-    if n not in _TREES:
+    key = (n, m)
+    if key not in _LAYERS:
+        seen: dict[bytes, Graph] = {}
         if n == 1:
-            _TREES[1] = [Graph(1, (0,))]
-        else:
-            seen: dict[bytes, Graph] = {}
+            point = Graph(1, (0,))
+            seen[canonical_form(point)] = point
+        elif m == n - 1:
             for parent in trees(n - 1):
                 grown = parent.add_vertex()
                 for v in range(parent.n):
                     child = grown.add_edge(v, parent.n)
                     seen.setdefault(canonical_form(child), child)
-            _TREES[n] = [seen[c] for c in sorted(seen)]
-    return _TREES[n]
-
-
-def connected_layer(n: int, m: int) -> list[Graph]:
-    """Connected graphs with n vertices and m edges, one per class."""
-    if n < 1 or m < n - 1 or m > comb(n, 2):
-        return []
-    key = (n, m)
-    if key not in _LAYERS:
-        if m == n - 1:
-            _LAYERS[key] = trees(n)
         else:
             full = (1 << n) - 1
-            seen: dict[bytes, Graph] = {}
             for parent in connected_layer(n, m - 1):
                 for u in range(n):
                     above = full & ~((1 << (u + 1)) - 1)
                     for v in bits(above & ~parent.adj[u]):
                         child = parent.add_edge(u, v)
                         seen.setdefault(canonical_form(child), child)
-            _LAYERS[key] = [seen[c] for c in sorted(seen)]
-    return _LAYERS[key]
+        _LAYERS[key] = {c: seen[c] for c in sorted(seen)}
+    return list(_LAYERS[key].values())
+
+
+def _classes(n: int, m: int):
+    """(canonical form, graph) for each class of ``connected_layer(n, m)``,
+    read from the layer cache that call fills, so no form is recomputed."""
+    connected_layer(n, m)
+    return _LAYERS.get((n, m), {}).items()
 
 
 def enumerate_connected(m: int):
@@ -104,8 +108,8 @@ def enumerate_isolate_free(m: int):
     pool: list[tuple[tuple[int, bytes], Graph]] = []
     for k in range(1, m + 1):
         for n in range(2, k + 2):
-            for g in connected_layer(n, k):
-                pool.append(((k, canonical_form(g)), g))
+            for canon, g in _classes(n, k):
+                pool.append(((k, canon), g))
     pool.sort(key=lambda item: item[0])
 
     def expand(start: int, left: int, acc: Graph | None):
@@ -174,17 +178,19 @@ def _admit(best: float, tied: list, cand: tuple[Graph, bytes, float]) -> float:
     return best
 
 
-def _scan(graphs, patterns, exclusions: frozenset[bytes]):
-    """Best lambda and near-ties among the admissible graphs of a stream."""
+def _scan(classes, patterns, exclusions: frozenset[bytes]):
+    """Best lambda and near-ties among the admissible graphs of a stream of
+    (canonical form, graph) pairs; a form of None is computed when needed."""
     best = -1.0
     tied: list[tuple[Graph, bytes, float]] = []
     enumerated = free = 0
-    for g in graphs:
+    for canon, g in classes:
         enumerated += 1
         if not forbidden.is_free(g, patterns):
             continue
         free += 1
-        canon = canonical_form(g)
+        if canon is None:
+            canon = canonical_form(g)
         if canon not in exclusions:
             best = _admit(best, tied, (g, canon, spectral_radius(g).lam))
     return best, tied, enumerated, free
@@ -207,14 +213,26 @@ _LAYER_KEYS = ("best", "tied", "enumerated", "free")
 _NUMBER = (int, float)  # exact types, so JSON true/false are not numbers
 
 
-def _decode_tie(item) -> tuple[Graph, bytes, float]:
+def _decode_tie(item, key: str, m: int, patterns, exclusions: frozenset[bytes]):
+    """A ``[graph6, hex, number]`` triple of layer ``key`` as (graph, canon,
+    lambda), after checking that this search could have kept it there."""
     if not (type(item) is list and [type(v) for v in item[:2]] == [str, str]
             and len(item) == 3 and type(item[2]) in _NUMBER):
         raise ValueError(f"bad tied entry {item!r}")
-    return from_graph6(item[0]), bytes.fromhex(item[1]), item[2]
+    g, canon, lam = from_graph6(item[0]), bytes.fromhex(item[1]), item[2]
+    if str(g.n) != key or g.m != m or not is_connected(g):
+        raise ValueError(f"tied entry {item[0]!r} is not a connected graph "
+                         f"with {key} vertices and {m} edges")
+    if canonical_form(g) != canon:
+        raise ValueError(f"tied entry {item[0]!r} does not have canonical form {item[1]}")
+    if not forbidden.is_free(g, patterns) or canon in exclusions:
+        raise ValueError(f"tied entry {item[0]!r} is not admissible")
+    if abs(spectral_radius(g).lam - lam) > TIE_TOL:
+        raise ValueError(f"tied entry {item[0]!r} does not have spectral radius {lam!r}")
+    return g, canon, lam
 
 
-def _load_checkpoint(path: Path) -> dict[str, tuple]:
+def _load_checkpoint(path: Path, m: int, patterns, exclusions: frozenset[bytes]) -> dict[str, tuple]:
     """Per-layer ``_scan`` results saved by an earlier run, keyed by str(n)."""
     if not path.exists():
         return {}
@@ -230,7 +248,8 @@ def _load_checkpoint(path: Path) -> dict[str, tuple]:
             if not (type(best) in _NUMBER and type(tied) is list
                     and type(enumerated) is int and type(free) is int):
                 raise ValueError(f"layer {key!r} has a value of the wrong type")
-            layers[key] = (best, [_decode_tie(item) for item in tied], enumerated, free)
+            ties = [_decode_tie(item, key, m, patterns, exclusions) for item in tied]
+            layers[key] = (best, ties, enumerated, free)
     except ValueError as exc:
         raise ValueError(f"corrupt checkpoint {path}: {exc}") from None
     return layers
@@ -268,7 +287,8 @@ def extremal_search(
     module notes on pruning.  Sizes above ``DEFAULT_CAP`` raise ValueError
     unless ``force`` is set.  With ``cache_dir`` set, each scanned layer
     of a connected search is checkpointed there and reused by later runs;
-    a checkpoint that does not decode raises ValueError naming the file.
+    a checkpoint that does not decode, or whose tied graphs this search
+    could not have kept, raises ValueError naming the file.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -283,7 +303,8 @@ def extremal_search(
 
     if not connected_only:
         # sanity-scale widened search, no pruning
-        best, tied, enumerated, free = _scan(enumerate_isolate_free(m), patterns, excl)
+        widened = ((None, g) for g in enumerate_isolate_free(m))
+        best, tied, enumerated, free = _scan(widened, patterns, excl)
     else:
         # seed the running best with the closed-form candidates so sparse
         # layers prune immediately
@@ -295,7 +316,7 @@ def extremal_search(
 
         ckpt_path = None if cache_dir is None else _checkpoint_path(
             cache_dir, m, patterns, excl, connected_only)
-        checkpoint = {} if ckpt_path is None else _load_checkpoint(ckpt_path)
+        checkpoint = {} if ckpt_path is None else _load_checkpoint(ckpt_path, m, patterns, excl)
 
         enumerated = free = 0
         tied = []
@@ -307,7 +328,7 @@ def extremal_search(
                 continue
             key = str(n)
             if key not in checkpoint:
-                checkpoint[key] = _scan(connected_layer(n, m), patterns, excl)
+                checkpoint[key] = _scan(_classes(n, m), patterns, excl)
                 if ckpt_path is not None:
                     _save_checkpoint(ckpt_path, checkpoint)
             _, layer_tied, layer_enum, layer_free = checkpoint[key]

@@ -1,11 +1,14 @@
 """Spectral radius, Perron vectors and the eigenvector-based bounds.
 
-The eigenpair comes from a dense symmetric eigen-solve (numpy)
-per connected component; for these graph sizes that is both faster
-and more accurate than iterative schemes, and the contracts we rely
-on downstream are checked here regardless of how the pair was
-obtained: residual below 1e-10, strictly positive unit Perron vector
-on connected graphs, max over components when disconnected.
+The eigenpair comes from a dense symmetric eigen-solve (numpy) per
+connected component, followed by one Rayleigh-quotient pass; for these
+graph sizes that is both faster and more accurate than iterative
+schemes.  ``spectral_radius`` returns the max over components, a unit
+vector signed so that its entries sum to a non-negative number, and the
+max-norm residual of that pair.  The residual is reported, not checked:
+nothing here compares it with a bound.  The test suite checks, on random
+connected graphs, that it stays below 1e-10 and that the Perron vector
+is strictly positive.
 """
 
 from __future__ import annotations

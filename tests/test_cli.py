@@ -6,7 +6,8 @@ import pytest
 
 from bht import cli
 from bht import families as F
-from bht.graphs import canonical_form, from_graph6, parse_edge_list
+from bht.graphs import canonical_form, disjoint_union, from_graph6, parse_edge_list, to_graph6
+from bht.spectral import spectral_radius
 from conftest import brute_isomorphic
 
 
@@ -186,8 +187,9 @@ def test_verify_reads_cache_dir_from_env(capsys, monkeypatch, tmp_path):
 
 def test_search_rejects_malformed_checkpoint(capsys, tmp_path):
     args = ("search", "--m", "7", "--forbid", "c5", "--cache-dir", str(tmp_path))
-    code, _, _ = run(capsys, *args)
+    code, out, _ = run(capsys, *args, "--json")
     assert code == 0
+    counts = json.loads(out)["counts"]
     (path,) = tmp_path.glob("search_m7_*.json")
     good = path.read_text()
     layer = next(iter(json.loads(good)))
@@ -203,6 +205,39 @@ def test_search_rejects_malformed_checkpoint(capsys, tmp_path):
         code, _, err = run(capsys, *args)
         assert code == 2, bad
         assert "corrupt checkpoint" in err and str(path) in err, err
+
+    def tie(g):
+        return [to_graph6(g), canonical_form(g).hex(), spectral_radius(g).lam]
+
+    # well-typed ties that this search could not have kept
+    (g6, hexform, lam), = json.loads(good)[layer]["tied"]
+    c5_chords = F.cycle(5).add_edge(0, 2).add_edge(0, 3)
+    k4_k2 = disjoint_union(F.complete(4), F.complete(2))
+    for bad, why in ((edited(tied=[["@", "00", 99.0]]), "not a connected graph"),
+                     (edited(tied=[tie(F.complete(5))]), "not a connected graph"),
+                     (json.dumps({"6": {"best": 3.0, "tied": [tie(k4_k2)], "enumerated": 1,
+                                        "free": 1}}), "not a connected graph"),
+                     (edited(tied=[[g6, "00051fc1", lam]]), "canonical form"),
+                     (edited(tied=[[g6, hexform, 99.0]]), "spectral radius"),
+                     (edited(tied=[tie(c5_chords)]), "not admissible")):
+        path.write_text(bad)
+        code, _, err = run(capsys, *args)
+        assert code == 2, bad
+        assert "corrupt checkpoint" in err and str(path) in err and why in err, err
+    # the book is C5-free but excluded by --exclude-book
+    code, _, _ = run(capsys, *args, "--exclude-book")
+    assert code == 0
+    (excl_path,) = set(tmp_path.glob("search_m7_*.json")) - {path}
+    data = json.loads(excl_path.read_text())
+    data[layer]["tied"] = [tie(F.book(7))]
+    excl_path.write_text(json.dumps(data))
+    code, _, err = run(capsys, *args, "--exclude-book")
+    assert code == 2 and str(excl_path) in err and "not admissible" in err, err
+    # a good checkpoint still resumes to the same report
+    path.write_text(good)
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0 and json.loads(out)["counts"] == counts
+    assert path.read_text() == good
 
 
 def test_verify_range_reports_crossovers(capsys):

@@ -1,12 +1,13 @@
 """Graph value semantics, canonical forms and file formats."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bht import families
+from bht import families, search
 from bht.graphs import (
     Graph,
     canonical_form,
@@ -105,14 +106,42 @@ def test_strip_isolated():
     assert strip_isolated(g).n == 3
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.permutations(list(range(5))), st.integers(0, 2**10 - 1))
-def test_canonical_invariant_under_relabeling(perm, mask):
-    edges = [e for i, e in enumerate(combinations(range(5), 2)) if mask >> i & 1]
-    g = from_edge_list(edges) if edges else families.empty(5)
-    if g.n < 5:
-        g = Graph(5, g.adj + (0,) * (5 - g.n))
-    assert canonical_form(g.relabel(list(perm))) == canonical_form(g)
+@st.composite
+def graph_and_perm(draw, max_n=12):
+    """A graph on up to ``max_n`` vertices (isolated ones allowed) and a
+    permutation of its vertices."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.integers(0, 2 ** len(pairs) - 1))
+    rows = [0] * n
+    for i, (u, v) in enumerate(pairs):
+        if mask >> i & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph(n, tuple(rows)), draw(st.permutations(list(range(n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_perm())
+def test_canonical_invariant_under_relabeling(case):
+    g, perm = case
+    assert canonical_form(g.relabel(perm)) == canonical_form(g)
+
+
+# sha256 of the canonical forms' hex, one per line, of every connected class
+# at m = 1..9 (in enumeration order) and every theorem candidate at
+# m = 22, 35, ..., 113: the bytes that checkpoints, JSON reports and the
+# benchmark oracle store
+CANONICAL_PIN = (1096, "1eeff25c834c5883581927a9991e00b8e3e1cef8d919335e968aff93e8b84101")
+
+
+def test_canonical_bytes_are_pinned():
+    graphs = [g for m in range(1, 10) for g in search.enumerate_connected(m)]
+    graphs += [g for m in range(22, 121, 13) for _, g in families.theorem_candidates(m)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(canonical_form(g).hex().encode() + b"\n")
+    assert (len(graphs), digest.hexdigest()) == CANONICAL_PIN
 
 
 def test_canonical_distinguishes():
