@@ -1,17 +1,43 @@
 """Subgraph containment tests (not necessarily induced) with witnesses.
 
 The detector is a backtracking injective homomorphism search: pattern
-vertices are tried in descending-degree order and host candidates in
-ascending index, with degree and neighbourhood-bitset pruning.  The
-first embedding found under that ordering is the deterministic witness.
-Patterns here never exceed seven vertices, so this comfortably beats a
-zoo of special-purpose cycle finders.
+vertices v_0, v_1, ... are taken in descending-degree order (ties by
+index) and host candidates in ascending index, with degree and
+neighbourhood-bitset pruning.  The first embedding found is the
+deterministic witness: the lexicographically least embedding E*, read
+as the host sequence (E*(v_0), E*(v_1), ...).
+
+Each pattern gets one plan, built on first use and cached (by name for
+the named patterns, by adjacency for a ``Graph``): the validated
+pattern, the vertex order, the degrees and earlier neighbours per
+position, and symmetry-breaking conditions (Grochow & Kellis 2007,
+"Network motif discovery using subgraph enumeration and
+symmetry-breaking").  The conditions come from a walk along the order
+with a group G that starts as Aut(P): at position i, every u != v_i in
+the orbit of v_i under G must receive a larger host than v_i; then G
+shrinks to the stabiliser of v_i.  u lies in that orbit iff some
+automorphism fixes v_0 .. v_{i-1} and maps v_i to u, and an automorphism
+is an embedding of P into itself, so the search answers that question
+with a pre-assigned prefix.  No plan lists Aut(P), which for K_r has r!
+elements.  On a host without the pattern the search then tries each
+automorphic image once instead of |Aut(P)| times.
+
+The conditions keep the witness.  Every v_j before v_i is fixed by G.
+If sigma in G maps v_i to u, then E* o sigma is an embedding that agrees
+with E* before position i and puts E*(u) at position i, so E*(u) <
+E*(v_i) would make it lexicographically smaller than E*.  Hence E* meets
+every condition, and the constrained search, still trying hosts in
+ascending order, returns E*.  Tests pin the witnesses over a fixed
+corpus and compare them with the unconstrained search.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from typing import NamedTuple
+
 from . import families
-from .graphs import Graph, bits, is_connected
+from .graphs import Graph, is_connected
 
 NAMED_PATTERNS = ("c5", "c6", "theta122", "theta123", "theta124")
 
@@ -35,6 +61,80 @@ def as_pattern(pattern: Graph | str) -> Graph:
     return g
 
 
+class _Plan(NamedTuple):
+    """How to search for one pattern; indices below are positions in ``order``."""
+
+    graph: Graph
+    m: int
+    order: tuple[int, ...]  # pattern vertices, descending degree, ties by index
+    pdeg: tuple[int, ...]  # degree per position
+    back: tuple[tuple[int, ...], ...]  # earlier positions adjacent to this one
+    below: tuple[tuple[int, ...], ...]  # earlier positions whose host must be smaller
+
+
+def _plan(pattern: Graph | str) -> _Plan:
+    return _build_plan(pattern if isinstance(pattern, str) else pattern.adj)
+
+
+@cache
+def _build_plan(key: str | tuple[int, ...]) -> _Plan:
+    p = as_pattern(key if isinstance(key, str) else Graph(len(key), key))
+    order = tuple(sorted(range(p.n), key=lambda v: (-p.degree(v), v)))
+    pdeg = tuple(p.degree(v) for v in order)
+    back = tuple(tuple(j for j in range(i) if p.adj[v] >> order[j] & 1)
+                 for i, v in enumerate(order))
+    unbroken = _Plan(p, p.m, order, pdeg, back, ((),) * p.n)
+    pos = {v: i for i, v in enumerate(order)}
+    below: list[list[int]] = [[] for _ in order]
+    for i, v in enumerate(order):
+        # automorphisms fixing v_0 .. v_{i-1} (the prefix of ``assign``)
+        assign = list(order[:i]) + [-1] * (p.n - i)
+        for u in range(p.n):
+            if u == v or u in order[:i] or p.degree(u) != pdeg[i]:
+                continue
+            if any(not p.adj[order[j]] >> u & 1 for j in back[i]):
+                continue
+            assign[i] = u
+            if _extend(p.adj, unbroken, assign, i + 1):
+                below[pos[u]].append(i)
+    return unbroken._replace(below=tuple(map(tuple, below)))
+
+
+def _extend(adj: tuple[int, ...], plan: _Plan, assign: list[int], start: int) -> bool:
+    """Complete ``assign[:start]`` (position -> host vertex) in place to an
+    embedding into the host with rows ``adj``, trying hosts in ascending
+    order; False, with ``assign[start:]`` unspecified, when none exists."""
+    n = len(plan.order)
+    pdeg, back, below = plan.pdeg, plan.back, plan.below
+    full = (1 << len(adj)) - 1
+
+    def extend(i: int, used: int) -> bool:
+        if i == n:
+            return True
+        # free hosts adjacent to all previously matched neighbours and above
+        # the hosts the symmetry-breaking conditions put below this one
+        cand = full & ~used
+        for j in back[i]:
+            cand &= adj[assign[j]]
+        for j in below[i]:
+            cand &= ~((2 << assign[j]) - 1)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            h = low.bit_length() - 1
+            if adj[h].bit_count() < pdeg[i]:
+                continue
+            assign[i] = h
+            if extend(i + 1, used | low):
+                return True
+        return False
+
+    used = 0
+    for h in assign[:start]:
+        used |= 1 << h
+    return extend(start, used)
+
+
 def contains_subgraph(g: Graph, pattern: Graph | str) -> list[int] | None:
     """Return an embedding (pattern vertex -> host vertex) or None.
 
@@ -43,43 +143,15 @@ def contains_subgraph(g: Graph, pattern: Graph | str) -> list[int] | None:
     degree order (ties by index), hosts in ascending index, making the
     witness deterministic.
     """
-    p = as_pattern(pattern)
-    if p.n > g.n or p.m > g.m:
+    plan = _plan(pattern)
+    if plan.graph.n > g.n or plan.m > g.m:
         return None
-    order = sorted(range(p.n), key=lambda v: (-p.degree(v), v))
-    pdeg = [p.degree(v) for v in order]
-    # earlier-ordered pattern neighbours of each ordered vertex
-    back: list[list[int]] = []
-    for i, v in enumerate(order):
-        back.append([j for j in range(i) if p.has_edge(v, order[j])])
-
-    assign = [-1] * p.n  # position in `order` -> host vertex
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == p.n:
-            return True
-        # hosts adjacent to all previously matched neighbours
-        cand = ~used & ((1 << g.n) - 1)
-        for j in back[i]:
-            cand &= g.adj[assign[j]]
-        for h in bits(cand):
-            if g.adj[h].bit_count() < pdeg[i]:
-                continue
-            assign[i] = h
-            used |= 1 << h
-            if extend(i + 1):
-                return True
-            used &= ~(1 << h)
-        assign[i] = -1
-        return False
-
-    if not extend(0):
+    assign = [-1] * plan.graph.n
+    if not _extend(g.adj, plan, assign, 0):
         return None
-    embedding = [-1] * p.n
-    for i, v in enumerate(order):
-        embedding[v] = assign[i]
+    embedding = [-1] * plan.graph.n
+    for v, h in zip(plan.order, assign):
+        embedding[v] = h
     return embedding
 
 
@@ -95,7 +167,9 @@ def free_filter_stats(g: Graph) -> dict[str, bool]:
 
 def check_embedding(g: Graph, pattern: Graph | str, embedding: list[int]) -> bool:
     """Validate that an embedding maps pattern edges onto host edges."""
-    p = as_pattern(pattern)
+    p = _plan(pattern).graph
     if len(embedding) != p.n or len(set(embedding)) != p.n:
+        return False
+    if not all(0 <= h < g.n for h in embedding):
         return False
     return all(g.has_edge(embedding[u], embedding[v]) for u, v in p.edges())

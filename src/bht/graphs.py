@@ -56,6 +56,15 @@ class Graph:
                 if not self.adj[v] >> u & 1:
                     raise ValueError(f"asymmetric edge ({u},{v})")
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """Build without ``__post_init__``, for an edit of a valid graph
+        whose arguments were checked, which cannot make it invalid."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -93,7 +102,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -110,7 +119,7 @@ class Graph:
 
     def add_vertex(self) -> "Graph":
         """Append one isolated vertex."""
-        return Graph(self.n + 1, self.adj + (0,))
+        return Graph._trusted(self.n + 1, self.adj + (0,))
 
     def relabel(self, perm: list[int]) -> "Graph":
         """Apply ``perm`` (new index -> old vertex) and return the copy."""

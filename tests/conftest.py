@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from bht.graphs import Graph, from_edge_list
+from bht.graphs import Graph, bits, from_edge_list
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
@@ -36,6 +36,43 @@ def brute_contains(host: Graph, pattern: Graph) -> bool:
             if all(host.adj[perm[u]] >> perm[v] & 1 for u, v in edges):
                 return True
     return False
+
+
+def unbroken_contains_subgraph(g: Graph, p: Graph) -> list[int] | None:
+    """The subgraph search without symmetry-breaking conditions: pattern
+    vertices in descending-degree order, hosts in ascending index, so the
+    first embedding found is the lexicographically least one.  It tries
+    every automorphic image of the pattern, and is the witness oracle."""
+    if p.n > g.n or p.m > g.m:
+        return None
+    order = sorted(range(p.n), key=lambda v: (-p.degree(v), v))
+    back = [[j for j in range(i) if p.has_edge(v, order[j])] for i, v in enumerate(order)]
+    assign = [-1] * p.n
+    used = 0
+
+    def extend(i: int) -> bool:
+        nonlocal used
+        if i == p.n:
+            return True
+        cand = ~used & ((1 << g.n) - 1)
+        for j in back[i]:
+            cand &= g.adj[assign[j]]
+        for h in bits(cand):
+            if g.adj[h].bit_count() < p.degree(order[i]):
+                continue
+            assign[i] = h
+            used |= 1 << h
+            if extend(i + 1):
+                return True
+            used &= ~(1 << h)
+        return False
+
+    if not extend(0):
+        return None
+    embedding = [-1] * p.n
+    for i, v in enumerate(order):
+        embedding[v] = assign[i]
+    return embedding
 
 
 def random_connected(rng: random.Random, n_lo: int = 4, n_hi: int = 14,

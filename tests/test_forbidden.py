@@ -1,10 +1,17 @@
 """Subgraph containment: witnesses, brute-force agreement, implications."""
 
+import hashlib
+import json
+import math
+from functools import reduce
+from itertools import permutations
+
 import pytest
 
 from bht import families as F
 from bht import forbidden as FB
-from conftest import brute_contains, random_connected
+from bht import search
+from conftest import brute_contains, random_connected, unbroken_contains_subgraph
 
 
 def test_identity_witness():
@@ -92,6 +99,9 @@ def test_pattern_validation():
         FB.as_pattern(F.empty(3))
     with pytest.raises(ValueError):
         FB.as_pattern(F.disjoint_union(F.complete(2), F.complete(2)))
+    for _ in range(2):  # a rejected pattern leaves no plan behind
+        with pytest.raises(ValueError):
+            FB.contains_subgraph(F.cycle(5), F.empty(3))
     with pytest.raises(ValueError):
         FB.named_pattern("c7")
 
@@ -101,3 +111,72 @@ def test_deterministic_witness():
     first = FB.contains_subgraph(g, "theta122")
     for _ in range(5):
         assert FB.contains_subgraph(g, "theta122") == first
+
+
+def test_check_embedding_rejects_hosts_out_of_range():
+    assert FB.check_embedding(F.cycle(5), "c5", [0, 1, 2, 3, 4])
+    assert not FB.check_embedding(F.cycle(5), "c5", [0, 1, 2, 3, 99])
+    assert not FB.check_embedding(F.cycle(5), "c5", [-1, 0, 1, 2, 3])
+
+
+PIN_PATTERNS = list(FB.NAMED_PATTERNS) + [F.complete(3), F.complete(4), F.cycle(4), F.path(5)]
+# sha256 of json.dumps(contains_subgraph(g, p)), one per line, for every
+# connected class at m = 1..8 (in enumeration order) and every theorem
+# candidate at m = 22, 35, ..., 113, each against every PIN_PATTERNS entry:
+# the witnesses as the search without symmetry-breaking conditions found them
+WITNESS_PIN = (386, "8bc03563430a748236ffe2a3b900b2ecbce1b06fb46f4e28ed540d97dee3a8ba")
+
+
+def test_witnesses_are_pinned():
+    graphs = [g for m in range(1, 9) for g in search.enumerate_connected(m)]
+    graphs += [g for m in range(22, 114, 13) for _, g in F.theorem_candidates(m)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for p in PIN_PATTERNS:
+            digest.update(json.dumps(FB.contains_subgraph(g, p)).encode() + b"\n")
+    assert (len(graphs), digest.hexdigest()) == WITNESS_PIN
+
+
+def test_witnesses_match_unbroken_search(rng):
+    patterns = [FB.named_pattern(name) for name in FB.NAMED_PATTERNS]
+    patterns += [F.cycle(4), F.complete(3), F.complete(4), F.path(5), F.star(4)]
+    found = 0
+    for _ in range(150):
+        g = random_connected(rng, 5, 12, extra_hi=14)
+        for p in patterns:
+            witness = FB.contains_subgraph(g, p)
+            assert witness == unbroken_contains_subgraph(g, p)
+            found += witness is not None
+    assert 0.2 < found / (150 * len(patterns)) < 0.8  # both outcomes are exercised
+
+
+def _automorphism_count(p):
+    edges = p.edges()
+    return sum(all(p.adj[s[u]] >> s[v] & 1 for u, v in edges) for s in permutations(range(p.n)))
+
+
+@pytest.mark.parametrize("pattern, size", [
+    ("c5", 10), ("c6", 12), ("theta122", 4), ("theta123", 2), ("theta124", 2),
+    (F.complete(4), 24),
+])
+def test_orbits_along_the_stabiliser_chain(pattern, size):
+    """|Aut(P)| is the product of the orbit sizes along the order; the orbit
+    of position i is i itself plus the later positions that i is below."""
+    plan = FB._plan(pattern)
+    orbits = [1 + sum(i in below for below in plan.below) for i in range(plan.graph.n)]
+    assert math.prod(orbits) == size == _automorphism_count(plan.graph)
+
+
+def test_clique_free_host_needs_one_image_per_clique():
+    """K10 has 10! automorphisms.  Without the conditions, proving the
+    complete 9-partite graph on 18 vertices K10-free walks all 2^9 * 9!
+    ordered 9-cliques; with them, each clique once in ascending order."""
+    host = reduce(F.join, [F.empty(2)] * 9)
+    assert FB.contains_subgraph(host, F.complete(10)) is None
+    assert FB.contains_subgraph(host, F.complete(9)) == list(range(0, 18, 2))
+    assert FB._plan(F.complete(10)).below[9] == tuple(range(9))
+
+
+def test_equal_patterns_share_one_plan():
+    assert FB._plan(F.cycle(4)) is FB._plan(F.cycle(4))
+    assert FB._plan("theta123") is FB._plan("theta123")

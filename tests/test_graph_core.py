@@ -4,7 +4,7 @@ import hashlib
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bht import families, search
@@ -126,6 +126,30 @@ def graph_and_perm(draw, max_n=12):
 def test_canonical_invariant_under_relabeling(case):
     g, perm = case
     assert canonical_form(g.relabel(perm)) == canonical_form(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_perm(), st.data())
+def test_trusted_edits_equal_validated_graphs(case, data):
+    """add_edge and add_vertex skip re-validation; what they build must
+    equal the graph that full validation builds from the same rows."""
+    g, _ = case
+    assume(g.n >= 2)
+    u, v = data.draw(st.permutations(list(range(g.n))))[:2]
+    rows = list(g.adj)
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+    assert g.add_edge(u, v) == Graph(g.n, tuple(rows))
+    assert g.add_vertex() == Graph(g.n + 1, g.adj + (0,))
+
+
+def test_direct_construction_still_validates():
+    with pytest.raises(ValueError, match="asymmetric"):
+        Graph(2, (2, 0))
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(2, (4, 0))
+    with pytest.raises(ValueError, match="loop"):
+        Graph(1, (1,))
 
 
 # sha256 of the canonical forms' hex, one per line, of every connected class
