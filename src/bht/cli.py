@@ -216,8 +216,7 @@ def cmd_search(args) -> int:
         exclusions.append(canonical_form(families.book(args.m)))
     try:
         rep = search.extremal_search(
-            args.m, patterns, exclusions, force=args.force,
-            connected_only=not args.widen, cache_dir=args.cache_dir,
+            args.m, patterns, exclusions, force=args.force, cache_dir=args.cache_dir,
         )
     except ValueError as exc:
         return _usage_error(str(exc))
@@ -336,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", required=True, help="comma list of pattern names")
     p.add_argument("--exclude-book", action="store_true")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--widen", action="store_true",
-                   help="include disconnected isolate-free graphs (tiny m)")
     p.add_argument("--cache-dir", default=os.environ.get("BHT_CACHE_DIR"),
                    help="checkpoint directory (default: $BHT_CACHE_DIR)")
     p.add_argument("--json", action="store_true")

@@ -17,7 +17,9 @@ relabelling; the form is the vertex count followed by the
 lexicographically least upper-triangle adjacency code over all of them.
 Two graphs are isomorphic iff their canonical forms compare equal; tests
 check this against an all-permutations oracle for small n and pin the
-bytes on a fixed corpus.
+bytes on a fixed corpus.  ``canonical_labelling`` also returns the
+relabelling that attains the form, so relabelling by it gives the class's
+canonical graph; ``canonical_form`` is its first element.
 """
 
 from __future__ import annotations
@@ -122,19 +124,15 @@ class Graph:
         return Graph._trusted(self.n + 1, self.adj + (0,))
 
     def relabel(self, perm: list[int]) -> "Graph":
-        """Apply ``perm`` (new index -> old vertex) and return the copy."""
+        """Apply ``perm`` (new index -> old vertex) and return the copy,
+        built without re-validation once ``perm`` is checked."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm must be a permutation of the vertices")
-        pos = [0] * self.n
+        bit = [0] * self.n
         for new, old in enumerate(perm):
-            pos[old] = new
-        rows = [0] * self.n
-        for new, old in enumerate(perm):
-            row = 0
-            for w in bits(self.adj[old]):
-                row |= 1 << pos[w]
-            rows[new] = row
-        return Graph(self.n, tuple(rows))
+            bit[old] = 1 << new
+        rows = tuple(sum(map(bit.__getitem__, bits(self.adj[old]))) for old in perm)
+        return Graph._trusted(self.n, rows)
 
 
 # -- construction ------------------------------------------------------------
@@ -296,15 +294,17 @@ def _powers(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
             tuple(1 << (n - 1 - c) for c in range(n)), (n + 1) ** n)
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Isomorphism-invariant byte string; equal iff graphs are isomorphic."""
+def canonical_labelling(g: Graph) -> tuple[bytes, list[int]]:
+    """The canonical form and a labelling that attains it: ``labelling[i]``
+    is the vertex of ``g`` that takes label i, so ``g.relabel(labelling)``
+    is the canonical graph, whose upper-triangle code the form stores."""
     n = g.n
     if n == 0:
-        return (0).to_bytes(2, "big")
+        return (0).to_bytes(2, "big"), []
     adj = g.adj
     nbrs = [list(bits(row)) for row in adj]
     pw, bit, top = _powers(n)
-    best: list[int] = []
+    best: list = []
 
     def descend(colors: list[int]) -> None:
         colors = _refine(nbrs, colors, pw, top)
@@ -312,7 +312,7 @@ def canonical_form(g: Graph) -> bytes:
         if k == n:
             code = _adjacency_code(nbrs, colors, bit)
             if not best or code < best[0]:
-                best[:] = [code]
+                best[:] = [code, colors]
             return
         cells: list[list[int]] = [[] for _ in range(k)]
         for v, c in enumerate(colors):
@@ -326,9 +326,18 @@ def canonical_form(g: Graph) -> bytes:
     degrees = [len(nb) for nb in nbrs]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
     descend([rank[d] for d in degrees])
+    code, colors = best
+    labelling = [0] * n
+    for v, c in enumerate(colors):
+        labelling[c] = v
     k = n * (n - 1) // 2
     nbytes = (k + 7) // 8
-    return n.to_bytes(2, "big") + (best[0] << (nbytes * 8 - k)).to_bytes(nbytes, "big")
+    return n.to_bytes(2, "big") + (code << (nbytes * 8 - k)).to_bytes(nbytes, "big"), labelling
+
+
+def canonical_form(g: Graph) -> bytes:
+    """Isomorphism-invariant byte string; equal iff graphs are isomorphic."""
+    return canonical_labelling(g)[0]
 
 
 # -- file formats -------------------------------------------------------------

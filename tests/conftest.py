@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
-from bht.graphs import Graph, bits, from_edge_list
+from bht.graphs import Graph, bits, canonical_form, from_edge_list
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
@@ -73,6 +74,54 @@ def unbroken_contains_subgraph(g: Graph, p: Graph) -> list[int] | None:
     for i, v in enumerate(order):
         embedding[v] = assign[i]
     return embedding
+
+
+_SEEN_LAYERS: dict[tuple[int, int], list[Graph]] = {}
+
+
+def seen_dict_layer(n: int, m: int) -> list[Graph]:
+    """Connected graphs with n vertices and m edges, one per class, sorted
+    by canonical form: the layer builder that labels every one-edge (or
+    one-leaf) child and keeps the first graph met per form.  It is the
+    oracle for the canonical-deletion layers, and its graphs, as generated,
+    are the fixed corpus that the witness pin was recorded on."""
+    if n < 1 or m < n - 1 or m > comb(n, 2):
+        return []
+    if (n, m) not in _SEEN_LAYERS:
+        seen: dict[bytes, Graph] = {}
+        if n == 1:
+            seen[canonical_form(Graph(1, (0,)))] = Graph(1, (0,))
+        elif m == n - 1:
+            for parent in seen_dict_layer(n - 1, n - 2):
+                grown = parent.add_vertex()
+                for v in range(parent.n):
+                    child = grown.add_edge(v, parent.n)
+                    seen.setdefault(canonical_form(child), child)
+        else:
+            full = (1 << n) - 1
+            for parent in seen_dict_layer(n, m - 1):
+                for u in range(n):
+                    above = full & ~((1 << (u + 1)) - 1)
+                    for v in bits(above & ~parent.adj[u]):
+                        child = parent.add_edge(u, v)
+                        seen.setdefault(canonical_form(child), child)
+        _SEEN_LAYERS[(n, m)] = [seen[c] for c in sorted(seen)]
+    return _SEEN_LAYERS[(n, m)]
+
+
+def graph_of_form(form: bytes) -> Graph:
+    """The graph whose upper-triangle code, row by row with the first bit
+    most significant, a canonical form stores after its 2-byte vertex count."""
+    n = int.from_bytes(form[:2], "big")
+    k = n * (n - 1) // 2
+    code = int.from_bytes(form[2:], "big") >> (8 * (len(form) - 2) - k)
+    rows = [0] * n
+    for i, j in combinations(range(n), 2):
+        k -= 1
+        if code >> k & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
 
 
 def random_connected(rng: random.Random, n_lo: int = 4, n_hi: int = 14,

@@ -8,7 +8,7 @@ from bht import cli
 from bht import families as F
 from bht.graphs import canonical_form, disjoint_union, from_graph6, parse_edge_list, to_graph6
 from bht.spectral import spectral_radius
-from conftest import brute_isomorphic
+from conftest import brute_isomorphic, graph_of_form
 
 
 def run(capsys, *argv):
@@ -139,6 +139,24 @@ def test_search_command(capsys):
     assert code == 2  # no book at even size
     code, _, _ = run(capsys, "search", "--m", "13", "--forbid", "c5")
     assert code == 2  # cap guard
+
+
+def test_search_reports_canonical_graphs(capsys):
+    """Each maximizer's graph6 is the graph its canonical hex encodes, so
+    the output does not depend on the order in which classes were met."""
+    for m, forbid in (("8", "c5"), ("9", "theta123"), ("9", "theta122,theta123"), ("10", "c6")):
+        code, out, _ = run(capsys, "search", "--m", m, "--forbid", forbid, "--json")
+        assert code == 0
+        maximizers = json.loads(out)["maximizers"]
+        assert maximizers
+        for entry in maximizers:
+            assert from_graph6(entry["graph6"]) == graph_of_form(bytes.fromhex(entry["canonical"]))
+
+
+def test_search_widen_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--m", "5", "--forbid", "c5", "--widen"])
+    assert exc.value.code == 2
 
 
 def test_search_cap_flag_is_gone(capsys):

@@ -10,8 +10,7 @@ import pytest
 
 from bht import families as F
 from bht import forbidden as FB
-from bht import search
-from conftest import brute_contains, random_connected, unbroken_contains_subgraph
+from conftest import brute_contains, random_connected, seen_dict_layer, unbroken_contains_subgraph
 
 
 def test_identity_witness():
@@ -121,14 +120,15 @@ def test_check_embedding_rejects_hosts_out_of_range():
 
 PIN_PATTERNS = list(FB.NAMED_PATTERNS) + [F.complete(3), F.complete(4), F.cycle(4), F.path(5)]
 # sha256 of json.dumps(contains_subgraph(g, p)), one per line, for every
-# connected class at m = 1..8 (in enumeration order) and every theorem
-# candidate at m = 22, 35, ..., 113, each against every PIN_PATTERNS entry:
-# the witnesses as the search without symmetry-breaking conditions found them
+# connected class at m = 1..8 (the graphs of conftest.seen_dict_layer, by
+# vertex count then form) and every theorem candidate at m = 22, 35, ...,
+# 113, each against every PIN_PATTERNS entry: the witnesses as the search
+# without symmetry-breaking conditions found them
 WITNESS_PIN = (386, "8bc03563430a748236ffe2a3b900b2ecbce1b06fb46f4e28ed540d97dee3a8ba")
 
 
 def test_witnesses_are_pinned():
-    graphs = [g for m in range(1, 9) for g in search.enumerate_connected(m)]
+    graphs = [g for m in range(1, 9) for n in range(2, m + 2) for g in seen_dict_layer(n, m)]
     graphs += [g for m in range(22, 114, 13) for _, g in F.theorem_candidates(m)]
     digest = hashlib.sha256()
     for g in graphs:

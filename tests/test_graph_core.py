@@ -11,6 +11,7 @@ from bht import families, search
 from bht.graphs import (
     Graph,
     canonical_form,
+    canonical_labelling,
     components,
     disjoint_union,
     format_edge_list,
@@ -23,7 +24,7 @@ from bht.graphs import (
     strip_isolated,
     to_graph6,
 )
-from conftest import brute_isomorphic
+from conftest import brute_isomorphic, graph_of_form
 
 
 def test_from_edge_list_triangle():
@@ -141,6 +142,24 @@ def test_trusted_edits_equal_validated_graphs(case, data):
     rows[v] |= 1 << u
     assert g.add_edge(u, v) == Graph(g.n, tuple(rows))
     assert g.add_vertex() == Graph(g.n + 1, g.adj + (0,))
+    perm = data.draw(st.permutations(list(range(g.n))))
+    relabelled = g.relabel(perm)
+    assert relabelled == Graph(g.n, relabelled.adj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_perm())
+def test_canonical_labelling_attains_the_form(case):
+    """Relabelling g by its canonical labelling gives the graph whose
+    upper-triangle code is the form, the same graph for every relabelling
+    of g."""
+    g, perm = case
+    form, labelling = canonical_labelling(g)
+    assert form == canonical_form(g)
+    assert g.relabel(labelling) == graph_of_form(form)
+    form2, labelling2 = canonical_labelling(g.relabel(perm))
+    assert form2 == form
+    assert g.relabel(perm).relabel(labelling2) == graph_of_form(form)
 
 
 def test_direct_construction_still_validates():

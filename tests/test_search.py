@@ -1,5 +1,6 @@
 """Enumeration correctness (independent oracles), search and verification."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from bht import families as F
 from bht import search as SR
+from bht.forbidden import NAMED_PATTERNS, is_free
 from bht.graphs import (
     Graph,
     canonical_form,
@@ -16,7 +18,8 @@ from bht.graphs import (
     is_connected,
 )
 from bht.polynomials import book_lambda
-from bht.spectral import extremal_vertex
+from bht.spectral import extremal_vertex, spectral_radius
+from conftest import graph_of_form, seen_dict_layer
 
 # Totals per edge count, frozen from the oracle runs below (the Burnside
 # cross-check recomputes the layer counts live on every test run).
@@ -164,19 +167,56 @@ def test_layer_counts_against_burnside():
             assert ours == _burnside_all_graph_classes(n, m), (n, m)
 
 
-def test_isolate_free_enumeration():
-    classes = list(SR.enumerate_isolate_free(3))
-    assert len(classes) == 5
-    forms = {canonical_form(g) for g in classes}
-    assert len(forms) == 5
-    with pytest.raises(ValueError):
-        list(SR.enumerate_isolate_free(11))
+def test_layers_match_seen_dict_oracle():
+    """Canonical deletion keeps the same classes, in the same form order,
+    as labelling every child does; each kept graph is its canonical graph."""
+    for m in range(0, 11):
+        for n in range(1, m + 2):
+            oracle = [canonical_form(g) for g in seen_dict_layer(n, m)]
+            layer = SR.connected_layer(n, m)
+            assert [canonical_form(g) for g in layer] == oracle, (n, m)
+            assert layer == [graph_of_form(c) for c in oracle], (n, m)
 
 
-def test_widened_search_matches_connected_best():
-    rep_conn = SR.extremal_search(5, ["c5"])
-    rep_wide = SR.extremal_search(5, ["c5"], connected_only=False)
-    assert abs(rep_conn.best_lambda - rep_wide.best_lambda) <= 1e-12
+def test_labelling_calls_per_class_kept(monkeypatch):
+    """Over every layer up to m = 10, at most 2.5 labellings per class
+    kept; labelling every child took 6.97."""
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(g):
+            calls[0] += 1
+            return fn(g)
+        return wrapper
+
+    monkeypatch.setattr(SR, "_LAYERS", {})
+    monkeypatch.setattr(SR, "canonical_labelling", counted(SR.canonical_labelling))
+    monkeypatch.setattr(SR, "canonical_form", counted(SR.canonical_form))
+    kept = sum(len(SR.connected_layer(n, m)) for m in range(0, 11) for n in range(1, m + 2))
+    assert sum(FROZEN_CLASS_COUNTS.values()) + 1 == kept  # the point is kept too
+    assert calls[0] <= 2.5 * kept, calls[0] / kept
+
+
+@pytest.mark.parametrize("pattern", NAMED_PATTERNS)
+def test_pendant_path_lemma_step(pattern):
+    """Why the search scans connected graphs only.  A disconnected free
+    graph has the spectral radius of a component G1 with k < m edges;
+    attaching a pendant path of m - k edges to G1 gives a connected free
+    graph with m edges (a path adds no cycle, and every named pattern is
+    2-connected) and a strictly larger spectral radius."""
+    for k in range(1, 9):
+        for n in range(2, k + 2):
+            for g in SR.connected_layer(n, k):
+                if not is_free(g, [pattern]):
+                    continue
+                lam = spectral_radius(g).lam
+                grown, end = g, 0
+                for m in range(k + 1, 10):
+                    grown = grown.add_vertex().add_edge(end, grown.n)
+                    end = grown.n - 1
+                    assert is_connected(grown) and grown.m == m
+                    assert is_free(grown, [pattern])
+                    assert spectral_radius(grown).lam > lam
 
 
 def test_pruning_soundness():
@@ -255,6 +295,21 @@ def test_checkpoint_resume(tmp_path):
     third = SR.extremal_search(7, ["c5"], cache_dir=tmp_path)
     assert first.to_json()["maximizers"] == third.to_json()["maximizers"]
     assert first.counts == third.counts
+
+
+def test_checkpoints_of_earlier_versions_are_not_read(tmp_path):
+    """A file under a name of format version 1 (the tag ended in the
+    connected-only flag) is never opened; a fresh run writes the new name."""
+    excl = [canonical_form(F.book(7))]
+    tag = json.dumps([7, ["c5"], [e.hex() for e in excl], True])
+    old = tmp_path / f"search_m7_{hashlib.sha256(tag.encode()).hexdigest()[:16]}.json"
+    old.write_text("not a checkpoint")
+    rep = SR.extremal_search(7, ["c5"], excl, cache_dir=tmp_path)
+    new = SR._checkpoint_path(tmp_path, 7, ["c5"], excl)
+    assert new != old and new.exists()
+    assert old.read_text() == "not a checkpoint"
+    assert set(tmp_path.iterdir()) == {old, new}
+    assert rep.to_json()["maximizers"] == SR.extremal_search(7, ["c5"], excl).to_json()["maximizers"]
 
 
 def test_verify_theorem_oracle_modes():
