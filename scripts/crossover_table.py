@@ -25,7 +25,7 @@ def main() -> None:
         for m, order in rep.orders:
             lc, _ = P.largest_real_root(cx.cone(m))
             rc, _ = P.largest_real_root(cx.split(m))
-            mark = {"gt": "cone", "lt": "split", "indistinguishable": "tie?"}[order]
+            mark = {"gt": "cone", "lt": "split", "eq": "tie"}[order]
             print(f"m={m:4d}  cone={lc:.12f}  split={rc:.12f}  winner={mark}")
         print(f"flips: {list(rep.flips) or 'none in range'}")
 

@@ -39,18 +39,19 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
+    """The graph in ``path``.  ``auto`` reads an edge list when the first
+    content line (comments stripped) has whitespace, which graph6 never
+    does, and graph6 otherwise."""
     text = Path(path).read_text()
     if fmt == "edgelist":
         return parse_edge_list(text)
-    if fmt == "graph6":
-        return from_graph6(text.strip().splitlines()[0])
-    stripped = [l for l in text.splitlines() if l.split("#", 1)[0].strip()]
-    if stripped and len(stripped[0].split("#", 1)[0].split()) == 2:
-        try:
-            return parse_edge_list(text)
-        except ValueError:
-            pass
-    return from_graph6(stripped[0])
+    content = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    first = next((line for line in content if line), "")
+    if not first:
+        raise ValueError(f"{path}: no graph in the file")
+    if fmt == "auto" and len(first.split()) > 1:
+        return parse_edge_list(text)
+    return from_graph6(first)
 
 
 def _parse_params(text: str) -> dict[str, int]:
@@ -192,7 +193,7 @@ def cmd_crossover(args) -> int:
         "runs": [list(r) for r in rep.runs],
         "flips": [list(f) for f in rep.flips],
     }
-    lines = [f"run m={a}..{b}: cone root {'>' if o == 'gt' else '<'} split root"
+    lines = [f"run m={a}..{b}: cone root {dict(gt='>', lt='<', eq='=')[o]} split root"
              for a, b, o in rep.runs]
     lines += [f"flip between m={a} and m={b}" for a, b in rep.flips]
     _emit(payload, args.json, lines)

@@ -360,7 +360,7 @@ def theorem_candidates(m: int) -> list[tuple[FamilySpec, Graph]]:
 
 
 def is_complete_bipartite(g: Graph) -> bool:
-    """True iff g is K_{a,b} for some a, b >= 1 (used for exclusion sets)."""
+    """True iff g is K_{a,b} for some a, b >= 1."""
     if g.n < 2 or not g.m:
         return False
     if len(components(g)) != 1:

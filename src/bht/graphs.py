@@ -87,9 +87,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise ValueError(f"vertex {u} out of range 0..{self.n - 1}")
@@ -246,27 +243,16 @@ def _refine(nbrs: list[list[int]], colors: list[int], pw: tuple[int, ...], top: 
         colors = [dense[k] for k in keys]
 
 
-def _twin_classes(adj: tuple[int, ...], cell: list[int]) -> list[int]:
-    """One representative per twin class inside ``cell``.
-
-    u, v are twins when their neighbourhoods agree away from {u, v};
-    swapping them is then an automorphism, so only one branch is needed.
-    """
-    reps: list[int] = []
-    classes: list[list[int]] = []
-    for u in cell:
-        placed = False
-        for rep_idx, cls in enumerate(classes):
-            v = cls[0]
-            mask = ~((1 << u) | (1 << v))
-            if adj[u] & mask == adj[v] & mask:
-                cls.append(u)
-                placed = True
-                break
-        if not placed:
-            classes.append([u])
-            reps.append(u)
-    return reps
+def twin_masks(adj: tuple[int, ...]) -> list[int]:
+    """Each vertex's twin class as a bitmask: the vertices with its open or
+    its closed neighbourhood.  u, v are twins iff their neighbourhoods agree
+    away from {u, v}, and every permutation of a class is an automorphism."""
+    open_: dict[int, int] = {}
+    closed: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        open_[row] = open_.get(row, 0) | 1 << v
+        closed[row | 1 << v] = closed.get(row | 1 << v, 0) | 1 << v
+    return [open_[row] | closed[row | 1 << v] for v, row in enumerate(adj)]
 
 
 def _adjacency_code(nbrs: list[list[int]], colors: list[int], bit: tuple[int, ...]) -> int:
@@ -305,6 +291,7 @@ def canonical_labelling(g: Graph) -> tuple[bytes, list[int]]:
     nbrs = [list(bits(row)) for row in adj]
     pw, bit, top = _powers(n)
     best: list = []
+    twins: list[int] = []
 
     def descend(colors: list[int]) -> None:
         colors = _refine(nbrs, colors, pw, top)
@@ -318,7 +305,13 @@ def canonical_labelling(g: Graph) -> tuple[bytes, list[int]]:
         for v, c in enumerate(colors):
             cells[c].append(v)
         target = min((len(cell), c) for c, cell in enumerate(cells) if len(cell) > 1)[1]
-        for v in _twin_classes(adj, cells[target]):
+        if not twins:
+            twins[:] = twin_masks(adj)
+        # swapping twins is an automorphism, so one branch per twin class
+        cell = sum(1 << v for v in cells[target])
+        for v in cells[target]:
+            if twins[v] & cell & ((1 << v) - 1):
+                continue
             branched = [c if c < target else c + 1 for c in colors]
             branched[v] = target
             descend(branched)
@@ -350,10 +343,11 @@ def parse_edge_list(text: str) -> Graph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}") from None
+        pairs.append((u, v))
     return from_edge_list(pairs)
 
 

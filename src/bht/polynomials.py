@@ -4,9 +4,10 @@ Everything here is exact: coefficients are rationals, root brackets are
 dyadic rationals certified by Sturm counts, and evaluations at points of
 the form (1 + sqrt(D))/2 are carried out in the quadratic field Q(sqrt(D))
 so that every reported inequality has an exact sign decision behind it.
-Nested-radical comparisons (which live in towers, not a single quadratic
-field) fall back to rational interval arithmetic with outward rounding,
-refined until the intervals separate.
+Largest roots are ordered exactly: equal when the gcd of the squarefree
+parts has a root where the brackets overlap, else by bisecting until the
+brackets separate.  The nested-radical ceilings square away both radicals
+and become one sign in Q(sqrt(m-1)).
 
 Polynomial ids and their parameters:
 
@@ -328,13 +329,9 @@ class RootBracket:
         return float((self.lo + self.hi) / 2)
 
 
-def largest_real_root(p: Polynomial, refine_to: Fraction = Fraction(1, 10**13)) -> tuple[float, RootBracket]:
-    """Certified largest real root: Sturm isolation plus bisection.
-
-    The returned bracket (lo, hi] contains exactly one distinct root of p,
-    no root of p lies above hi, and the squarefree part of p changes sign
-    over [lo, hi].
-    """
+def _isolate(p: Polynomial) -> tuple[Polynomial, Fraction, Fraction]:
+    """The squarefree part of p and a Sturm-certified bracket (lo, hi] that
+    holds its largest root, with no root of p above hi."""
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     chain = sturm_chain(p)
@@ -353,8 +350,18 @@ def largest_real_root(p: Polynomial, refine_to: Fraction = Fraction(1, 10**13)) 
             lo, above = mid, count
         else:
             hi = mid
-    lo, hi = _bisect(sf, lo, hi, refine_to)
-    bracket = RootBracket(lo, hi)
+    return sf, lo, hi
+
+
+def largest_real_root(p: Polynomial) -> tuple[float, RootBracket]:
+    """Certified largest real root: Sturm isolation plus bisection.
+
+    The returned bracket (lo, hi] contains exactly one distinct root of p,
+    no root of p lies above hi, and the squarefree part of p changes sign
+    over [lo, hi].
+    """
+    sf, lo, hi = _isolate(p)
+    bracket = RootBracket(*_bisect(sf, lo, hi, Fraction(1, 10**13)))
     return bracket.midpoint(), bracket
 
 
@@ -375,22 +382,32 @@ def _bisect(sf: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> tupl
 
 @dataclass(frozen=True)
 class RootComparison:
-    order: str  # "lt", "gt" or "indistinguishable"
+    order: str  # "lt", "gt" or "eq"
     left: RootBracket
     right: RootBracket
 
 
 def compare_largest_roots(p: Polynomial, q: Polynomial) -> RootComparison:
-    """Certified ordering of largest roots; strict only beyond 1e-10."""
-    tol = Fraction(1, 10**10)
-    width = Fraction(1, 10**14)
-    _, bp = largest_real_root(p, width)
-    _, bq = largest_real_root(q, width)
-    if bp.hi + tol < bq.lo:
-        return RootComparison("lt", bp, bq)
-    if bq.hi + tol < bp.lo:
-        return RootComparison("gt", bp, bq)
-    return RootComparison("indistinguishable", bp, bq)
+    """Exact ordering of the largest real roots of p and q.
+
+    Each bracket holds one root of its squarefree part, so the roots are
+    equal iff the gcd of the squarefree parts has a root where the brackets
+    overlap.  Otherwise the wider bracket is halved until the two separate.
+    """
+    sp, plo, phi = _isolate(p)
+    sq, qlo, qhi = _isolate(q)
+    lo, hi = max(plo, qlo), min(phi, qhi)
+    g = _poly_gcd(sp, sq)
+    if lo < hi and g.degree > 0 and count_roots(g, lo, hi) > 0:
+        order = "eq"
+    else:
+        while qlo < phi and plo < qhi:
+            if phi - plo >= qhi - qlo:
+                plo, phi = _bisect(sp, plo, phi, (phi - plo) / 2)
+            else:
+                qlo, qhi = _bisect(sq, qlo, qhi, (qhi - qlo) / 2)
+        order = "lt" if phi <= qlo else "gt"
+    return RootComparison(order, RootBracket(plo, phi), RootBracket(qlo, qhi))
 
 
 # ---------------------------------------------------------------------------
@@ -607,39 +624,19 @@ class Certificate:
     detail: str = ""
 
 
-def _interval_sqrt(lo: Fraction, hi: Fraction, scale: int) -> tuple[Fraction, Fraction]:
-    if lo < 0:
-        raise ValueError("negative radicand")
-    s_lo = math.isqrt((lo.numerator * scale * scale) // lo.denominator)
-    s_hi = math.isqrt(-(-hi.numerator * scale * scale // hi.denominator)) + 1
-    return Fraction(s_lo, scale), Fraction(s_hi, scale)
-
-
 def nested_radical_below(m: int, inner_shift: int) -> bool:
-    """Certify sqrt((m + sqrt(E))/2) < sqrt(m-1) + 1/(m-1) by interval refinement.
+    """Decide sqrt((m + sqrt(E))/2) < sqrt(m-1) + 1/(m-1) exactly.
 
     With inner_shift = 0 the inner radicand is E = m^2 - 4(m - 1 - sqrt(m-1))
     (the bipartite ceiling); inner_shift = 1 uses E = m^2 - 4m + 8 (the
-    double-star value).  Outward-rounded rational intervals are refined
-    until the two sides separate.
+    double-star value).  Both sides are positive, and squaring twice turns
+    the claim into E < r^2 with r = m - 2 + 4 sqrt(m-1)/(m-1) + 2/(m-1)^2 > 0,
+    one sign in Q(sqrt(m-1)).
     """
-    scale = 1 << 60
-    for _ in range(8):
-        rt_m1_lo, rt_m1_hi = _interval_sqrt(Fraction(m - 1), Fraction(m - 1), scale)
-        if inner_shift:
-            e_lo = e_hi = Fraction(m * m - 4 * m + 8)
-        else:
-            e_lo = m * m - 4 * (m - 1 - rt_m1_lo)
-            e_hi = m * m - 4 * (m - 1 - rt_m1_hi)
-        inner_lo, inner_hi = _interval_sqrt(e_lo, e_hi, scale)
-        left_lo, left_hi = _interval_sqrt((m + inner_lo) / 2, (m + inner_hi) / 2, scale)
-        right_lo = rt_m1_lo + Fraction(1, m - 1)
-        if left_hi < right_lo:
-            return True
-        if left_lo > rt_m1_hi + Fraction(1, m - 1):
-            return False
-        scale <<= 30
-    raise ValueError("intervals failed to separate")
+    k = m - 1
+    r = Quad.of(m - 2 + Fraction(2, k * k), Fraction(4, k), k)
+    e = Quad.of(m * m - 4 * m + 8) if inner_shift else Quad.of(m * m - 4 * k, 4, k)
+    return (r * r - e).sign() > 0
 
 
 def _is_prime(n: int) -> bool:

@@ -52,6 +52,7 @@ from typing import Callable
 from . import families, forbidden
 from .graphs import (
     Graph, bits, canonical_form, canonical_labelling, from_graph6, is_connected, to_graph6,
+    twin_masks,
 )
 from .polynomials import (
     Polynomial,
@@ -121,30 +122,19 @@ def _bridges(adj: tuple[int, ...]) -> dict[tuple[int, int], int]:
     return out
 
 
-def _twins(adj: tuple[int, ...]) -> list[int]:
-    """Each vertex's twin class as a bitmask: the vertices with its open or
-    its closed neighbourhood.  Every permutation of a class is an
-    automorphism."""
-    open_: dict[int, int] = {}
-    closed: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        open_[row] = open_.get(row, 0) | 1 << v
-        closed[row | 1 << v] = closed.get(row | 1 << v, 0) | 1 << v
-    return [open_[row] | closed[row | 1 << v] for v, row in enumerate(adj)]
-
-
 def _twin_image(adj: tuple[int, ...], t: tuple[int, ...], s: tuple[int, ...]) -> bool:
     """Whether swaps of twins carry the leaf or edge ``t`` onto ``s``, so
     that deleting either gives the same class."""
     a = [x for x in t if x not in s]
     b = [x for x in s if x not in t]
+    twins = twin_masks(adj)
 
-    def twins(p: int, q: int) -> bool:
-        return adj[p] & ~(1 << q) == adj[q] & ~(1 << p)
+    def pair(p: int, q: int) -> bool:
+        return bool(twins[p] >> q & 1)
 
     if len(a) == 1:
-        return twins(a[0], b[0])
-    return (twins(a[0], b[0]) and twins(a[1], b[1])) or (twins(a[0], b[1]) and twins(a[1], b[0]))
+        return pair(a[0], b[0])
+    return (pair(a[0], b[0]) and pair(a[1], b[1])) or (pair(a[0], b[1]) and pair(a[1], b[0]))
 
 
 def _accept(child: Graph, new: tuple[int, ...], tied: list[tuple[int, ...]], drop,
@@ -181,7 +171,7 @@ def _grow_leaves(parents: dict[bytes, Graph]) -> dict[bytes, Graph]:
         deg = [row.bit_count() for row in adj]
         nsum = [sum(deg[w] for w in bits(row)) for row in adj]
         leaves = [leaf for leaf in range(x) if deg[leaf] == 1]
-        twins = _twins(adj)
+        twins = twin_masks(adj)
         grown = parent.add_vertex()
         for v in range(x):
             if twins[v] & ((1 << v) - 1):
@@ -221,7 +211,7 @@ def _grow_edges(parents: dict[bytes, Graph]) -> dict[bytes, Graph]:
         nsum = [sum(deg[w] for w in bits(row)) for row in adj]
         sides = _bridges(adj)
         edges = [(x, y, sides.get((x, y), 0)) for x, y in parent.edges()]
-        twins = _twins(adj)
+        twins = twin_masks(adj)
         for u in range(n):
             # skip uv when swapping u or v with a smaller twin (not the
             # other end) gives another non-edge that is tried

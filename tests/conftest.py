@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -160,6 +161,34 @@ def random_bipartite_connected(rng: random.Random, n_lo: int = 4, n_hi: int = 14
 
         if g.n == n and is_connected(g):
             return g
+
+
+def _interval_sqrt(lo: Fraction, hi: Fraction, scale: int) -> tuple[Fraction, Fraction]:
+    s_lo = isqrt((lo.numerator * scale * scale) // lo.denominator)
+    s_hi = isqrt(-(-hi.numerator * scale * scale // hi.denominator)) + 1
+    return Fraction(s_lo, scale), Fraction(s_hi, scale)
+
+
+def interval_nested_radical_below(m: int, inner_shift: int) -> bool:
+    """sqrt((m + sqrt(E))/2) < sqrt(m-1) + 1/(m-1) by outward-rounded
+    rational intervals, refined until the two sides separate: the oracle
+    for the exact rule in ``polynomials.nested_radical_below``."""
+    scale = 1 << 60
+    for _ in range(8):
+        rt_m1_lo, rt_m1_hi = _interval_sqrt(Fraction(m - 1), Fraction(m - 1), scale)
+        if inner_shift:
+            e_lo = e_hi = Fraction(m * m - 4 * m + 8)
+        else:
+            e_lo = m * m - 4 * (m - 1 - rt_m1_lo)
+            e_hi = m * m - 4 * (m - 1 - rt_m1_hi)
+        inner_lo, inner_hi = _interval_sqrt(e_lo, e_hi, scale)
+        left_lo, left_hi = _interval_sqrt((m + inner_lo) / 2, (m + inner_hi) / 2, scale)
+        if left_hi < rt_m1_lo + Fraction(1, m - 1):
+            return True
+        if left_lo > rt_m1_hi + Fraction(1, m - 1):
+            return False
+        scale <<= 30
+    raise ValueError("intervals failed to separate")
 
 
 @pytest.fixture

@@ -107,6 +107,23 @@ def test_malformed_input_file(capsys, tmp_path):
     assert code == 2 or "error" in err  # ValueError surfaces as usage
 
 
+@pytest.mark.parametrize("text", ["", "# a comment\n\n   \n"])
+@pytest.mark.parametrize("fmt", ["auto", "graph6"])
+def test_input_without_graph_is_usage_error(capsys, tmp_path, text, fmt):
+    path = tmp_path / "none.txt"
+    path.write_text(text)
+    for cmd in (["lambda"], ["free", "--patterns", "c5"], ["quotient", "--blocks", "0"]):
+        code, _, err = run(capsys, *cmd, "--input", str(path), "--format", fmt)
+        assert code == 2 and "none.txt" in err
+
+
+def test_bad_edge_list_names_its_line(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("0 1\n1 x\n")
+    code, _, err = run(capsys, "lambda", "--input", str(path))
+    assert code == 2 and "line 2" in err and "graph6" not in err
+
+
 def test_poly_command(capsys):
     code, out, _ = run(capsys, "poly", "--id", "split_pendant", "--m", "30",
                        "--t", "2", "--json")

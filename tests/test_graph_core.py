@@ -292,3 +292,29 @@ def test_edge_list_text_round_trip():
     assert parsed.m == 2
     with pytest.raises(ValueError, match="line 2"):
         parse_edge_list("0 1\n1 2 3\n")
+
+
+def _reads_or_rejects(parse, text: str) -> None:
+    """``parse(text)`` gives a graph that round-trips through graph6, or
+    raises ValueError; any other exception fails the test."""
+    try:
+        g = parse(text)
+    except ValueError:
+        return
+    assert from_graph6(to_graph6(g)) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=200), max_size=12))
+def test_graph6_parser_fuzz(text):
+    _reads_or_rejects(from_graph6, text)
+
+
+# vertex indices stay at two digits, so no example allocates a large graph
+_EDGE_TOKENS = ["0", "1", "2", "10", "99", "+3", "-1", "x", "1.5", "#", "", "\t"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_EDGE_TOKENS), max_size=4), max_size=5))
+def test_edge_list_parser_fuzz(lines):
+    _reads_or_rejects(parse_edge_list, "\n".join(" ".join(line) for line in lines))

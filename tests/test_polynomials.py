@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bht import polynomials as P
+from conftest import interval_nested_radical_below
 
 
 # -- polynomial arithmetic ---------------------------------------------------
@@ -130,11 +131,23 @@ def test_compare_largest_roots():
     s1 = P.split_pendant_poly(30, 1)
     s3 = P.split_pendant_poly(30, 3)
     assert P.compare_largest_roots(s3, s1).order == "lt"
-    assert P.compare_largest_roots(s1, s1).order == "indistinguishable"
+    assert P.compare_largest_roots(s1, s1).order == "eq"
     g1 = P.cone_star_matching_even(72)
     assert P.compare_largest_roots(g1, P.split_pendant_poly(72, 1)).order == "gt"
     g1 = P.cone_star_matching_even(74)
     assert P.compare_largest_roots(g1, P.split_pendant_poly(74, 1)).order == "lt"
+
+    def lin(a):
+        return P.Polynomial([-a, 1])
+
+    # shared largest roots of different polynomials tie exactly
+    assert P.compare_largest_roots(lin(3) * lin(-1), lin(3) * lin(1) * lin(-5)).order == "eq"
+    root2 = P.Polynomial([-2, 0, 1])
+    assert P.compare_largest_roots(root2, root2 * lin(1)).order == "eq"
+    # roots 1e-12 apart are ordered, with brackets that separate
+    cmp = P.compare_largest_roots(lin(1), lin(1 + Fraction(1, 10**12)))
+    assert cmp.order == "lt" and cmp.left.hi <= cmp.right.lo
+    assert cmp.left.lo < 1 <= cmp.left.hi
 
 
 # -- named instances ---------------------------------------------------------
@@ -263,7 +276,7 @@ def test_crossover_trivial_no_flips():
         (22, 40),
     )
     assert rep.flips == ()
-    assert all(order == "indistinguishable" for _, order in rep.orders)
+    assert all(order == "eq" for _, order in rep.orders)
 
 
 def test_gate_sign_exact_value_at_22():
@@ -317,3 +330,9 @@ def test_nested_radical_certificates():
     assert P.nested_radical_below(30, inner_shift=0)
     for m in (10, 26, 44, 200):
         assert P.nested_radical_below(m, inner_shift=1)
+
+
+def test_nested_radical_matches_interval_oracle():
+    for m in range(3, 401):
+        for shift in (0, 1):
+            assert P.nested_radical_below(m, shift) == interval_nested_radical_below(m, shift), (m, shift)
