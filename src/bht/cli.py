@@ -39,17 +39,16 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
-    """The graph in ``path``.  ``auto`` reads an edge list when the first
-    content line (comments stripped) has whitespace, which graph6 never
-    does, and graph6 otherwise."""
+    """The graph in ``path``.  A file with no content line (comments
+    stripped) holds no graph in any format.  ``auto`` reads an edge list
+    when the first content line has whitespace, which graph6 never does,
+    and graph6 otherwise."""
     text = Path(path).read_text()
-    if fmt == "edgelist":
-        return parse_edge_list(text)
     content = (line.split("#", 1)[0].strip() for line in text.splitlines())
     first = next((line for line in content if line), "")
     if not first:
         raise ValueError(f"{path}: no graph in the file")
-    if fmt == "auto" and len(first.split()) > 1:
+    if fmt == "edgelist" or (fmt == "auto" and len(first.split()) > 1):
         return parse_edge_list(text)
     return from_graph6(first)
 

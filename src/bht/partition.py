@@ -3,9 +3,10 @@
 A quotient matrix of an equitable partition shares its largest eigenvalue
 with the adjacency matrix, which is what makes the closed-form
 polynomials of the extremal families exactly reproducible.  All quotient
-entries and characteristic polynomials here are exact rationals; the
-float world only enters in `quotient_lambda_check`, which confronts the
-exact largest root with the dense eigenvalue solver.
+entries and characteristic polynomials here are exact rationals, and
+`charpoly` computes them in integers, on the matrix cleared of its
+denominators; the float world only enters in `quotient_lambda_check`,
+which confronts the exact largest root with the dense eigenvalue solver.
 
 The ``*_partition`` helpers at the bottom return (graph, blocks) pairs
 for the specific layouts produced by `bht.families`, block-ordered so the
@@ -14,6 +15,8 @@ quotient matrices come out in their reference shape.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -73,28 +76,37 @@ def quotient(g: Graph, blocks: Sequence[Sequence[int]]) -> list[list[Fraction]]:
 
 
 def charpoly(matrix: Sequence[Sequence[Fraction]]) -> Polynomial:
-    """det(xI - M) with exact rational coefficients (Faddeev-LeVerrier)."""
+    """det(xI - M) with exact rational coefficients.
+
+    Faddeev-LeVerrier runs on the integer matrix N = D*M, with D the lcm of
+    the entries' denominators: det(yI - N) has integer coefficients e_k, so
+    every division by k is exact, and det(xI - M) = D^-n det(DxI - N) has
+    coefficients e_k / D^k.  Quotient and adjacency matrices have D = 1.
+    """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
     m = [[Fraction(x) for x in row] for row in matrix]
-    coeffs = [Fraction(1)]  # leading
-    aux = [[Fraction(0)] * n for _ in range(n)]
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    ints = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    coeffs = [1]  # e_0, e_1, ...
+    aux = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        # aux <- m @ (aux + c_{k-1} I)
-        shifted = [row[:] for row in aux]
+        # aux <- N @ (aux + e_{k-1} I)
         for i in range(n):
-            shifted[i][i] += coeffs[-1]
-        aux = [[sum(m[i][l] * shifted[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
-        trace = sum(aux[i][i] for i in range(n))
-        coeffs.append(-trace / k)
-    return Polynomial(list(reversed(coeffs)))
+            aux[i][i] += coeffs[-1]
+        cols = list(zip(*aux))
+        aux = [[sum(map(operator.mul, row, col)) for col in cols] for row in ints]
+        e_k, r = divmod(-sum(aux[i][i] for i in range(n)), k)
+        assert r == 0, "Faddeev-LeVerrier division left a remainder"
+        coeffs.append(e_k)
+    return Polynomial([Fraction(e, den**k) for k, e in enumerate(coeffs)][::-1])
 
 
 def adjacency_charpoly(g: Graph) -> Polynomial:
     """Exact characteristic polynomial of the full adjacency matrix."""
-    mat = [[Fraction(1) if g.adj[u] >> v & 1 else Fraction(0) for v in range(g.n)] for u in range(g.n)]
+    mat = [[g.adj[u] >> v & 1 for v in range(g.n)] for u in range(g.n)]
     return charpoly(mat)
 
 

@@ -1,9 +1,13 @@
 """Exact polynomial families, certified root isolation and sign certificates.
 
 Everything here is exact: coefficients are rationals, root brackets are
-dyadic rationals certified by Sturm counts, and evaluations at points of
-the form (1 + sqrt(D))/2 are carried out in the quadratic field Q(sqrt(D))
-so that every reported inequality has an exact sign decision behind it.
+dyadic rationals certified by Sturm counts, and every reported inequality
+has an exact sign decision behind it.  The inner loops run on integers: a
+sign at a rational a/b or at a quadratic point (A + B sqrt(d))/C is one
+Horner sum, in Z or in Z[sqrt(d)], over the primitive integer polynomial
+that is a positive multiple of p, and Sturm chains and gcds are primitive
+pseudo-remainder sequences (Collins 1967) whose elements are positive
+multiples of the rational remainders.
 Largest roots are ordered exactly: equal when the gcd of the squarefree
 parts has a root where the brackets overlap, else by bisecting until the
 brackets separate.  The nested-radical ceilings square away both radicals
@@ -37,13 +41,23 @@ from typing import Callable, Iterable
 class Polynomial:
     """Univariate polynomial with exact rational coefficients, ascending."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_primitive")
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._primitive: tuple[int, ...] | None = None
+
+    @property
+    def primitive(self) -> tuple[int, ...]:
+        """The primitive integer polynomial that is a positive multiple of
+        this one, ascending: it has the same sign at every point."""
+        if self._primitive is None:
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            self._primitive = _content_free([c.numerator * (den // c.denominator) for c in self.coeffs])
+        return self._primitive
 
     @property
     def degree(self) -> int:
@@ -138,13 +152,35 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _content_free(cs: list[int]) -> tuple[int, ...]:
+    """cs divided by the gcd of its entries, trailing zeros dropped."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    g = math.gcd(*cs)
+    return tuple(c // g for c in cs) if g > 1 else tuple(cs)
+
+
+def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """|lc(b)|^(deg a - deg b + 1) times the remainder of a by b, divided by
+    its content: a positive multiple of that remainder, in integers."""
+    if b[-1] < 0:
+        b = tuple(-c for c in b)  # same remainder, positive leading coefficient
+    rem, n, lead = list(a), len(b) - 1, b[-1]
+    for i in range(len(rem) - 1, n - 1, -1):
+        f = rem[i]
+        rem = [c * lead for c in rem]
+        for j, c in enumerate(b):
+            rem[i - n + j] -= f * c
+        rem.pop()
+    return _content_free(rem)
+
+
 def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while b.coeffs:
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.coeffs:
-        a = Polynomial([c / a.leading for c in a.coeffs])
-    return a
+    """The monic gcd, by a primitive remainder sequence."""
+    x, y = a.primitive, b.primitive
+    while y:
+        x, y = y, _prem(x, y)
+    return Polynomial([Fraction(c, x[-1]) for c in x])
 
 
 X = Polynomial([0, 1])
@@ -212,19 +248,7 @@ class Quad:
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * d
-        if a > 0:  # b < 0: positive iff a^2 > b^2 d
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return _quad_sign(self.a, self.b, self.d)
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
@@ -245,6 +269,16 @@ class Quad:
         return self.a + self.b * hi_rt, self.a + self.b * lo_rt
 
 
+def _quad_sign(a, b, d: int) -> int:
+    """Sign of a + b*sqrt(d) for d >= 0: the sign of a and b when they agree,
+    else that of a times that of a^2 - b^2 d."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0) if d else 0
+    if sa * sb >= 0:
+        return sa or sb
+    t = a * a - b * b * d
+    return sa * ((t > 0) - (t < 0))
+
+
 def gate(m: int, c: int) -> Quad:
     """The point (1 + sqrt(4m - c))/2 as an exact quadratic value."""
     return Quad.of(Fraction(1, 2), Fraction(1, 2), 4 * m - c)
@@ -259,36 +293,47 @@ NEG_INF = "-inf"
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    p = p.squarefree()
-    chain = [p, p.derivative()]
+    """The squarefree part of p, then integer polynomials, each a positive
+    multiple of the rational Sturm chain's element, so that sign variations
+    are the same."""
+    sf = p.squarefree()
+    chain = [sf, Polynomial([i * c for i, c in enumerate(sf.primitive)][1:])]
     while chain[-1].coeffs:
-        _, r = chain[-2].divmod(chain[-1])
-        if not r.coeffs:
+        r = _prem(chain[-2].primitive, chain[-1].primitive)
+        if not r:
             break
-        chain.append(-r)
+        chain.append(Polynomial([-c for c in r]))
     return chain
 
 
 def _sign_at(p: Polynomial, x) -> int:
-    if not p.coeffs:
+    cs = p.primitive
+    if not cs:
         return 0
     if isinstance(x, str):
-        lead = p.leading
-        s = (lead > 0) - (lead < 0)
-        return -s if x == NEG_INF and p.degree % 2 else s
-    if isinstance(x, Fraction):
-        # den * b^degree * p(a/b) is an integer with the sign of p(a/b)
-        a, b = x.numerator, x.denominator
-        den = math.lcm(*(c.denominator for c in p.coeffs))
-        acc, b_pow = 0, 1
-        for c in reversed(p.coeffs):
-            acc = acc * a + c.numerator * (den // c.denominator) * b_pow
-            b_pow *= b
-        return (acc > 0) - (acc < 0)
-    val = p(x)
-    if isinstance(val, Quad):
-        return val.sign()
-    return (val > 0) - (val < 0)
+        s = (cs[-1] > 0) - (cs[-1] < 0)
+        return -s if x == NEG_INF and len(cs) % 2 == 0 else s
+    if isinstance(x, Quad):
+        if x.b:
+            # x = (a + b sqrt(d))/c in integers, and c^degree * p(x) times a
+            # positive integer is u + v sqrt(d)
+            c = math.lcm(x.a.denominator, x.b.denominator)
+            a, b, d = x.a.numerator * (c // x.a.denominator), x.b.numerator * (c // x.b.denominator), x.d
+            bd = b * d
+            u = v = 0
+            c_pow = 1
+            for k in reversed(cs):
+                u, v = u * a + v * bd + k * c_pow, u * b + v * a
+                c_pow *= c
+            return _quad_sign(u, v, d)
+        x = x.a
+    # x = a/b, and b^degree * p(x) times a positive integer is acc
+    a, b = x.numerator, x.denominator
+    acc, b_pow = 0, 1
+    for k in reversed(cs):
+        acc = acc * a + k * b_pow
+        b_pow *= b
+    return (acc > 0) - (acc < 0)
 
 
 def _variations(chain: list[Polynomial], x) -> int:
@@ -368,15 +413,14 @@ def largest_real_root(p: Polynomial) -> tuple[float, RootBracket]:
 def _bisect(sf: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink (lo, hi] around its single root; exact midpoint hits keep the
     root at the closed upper endpoint so the bracket invariant survives."""
+    s_hi = sign_at(sf, hi)
     while hi - lo > width:
         mid = (lo + hi) / 2
         s_mid = sign_at(sf, mid)
-        if s_mid == 0:
-            hi = mid
-        elif s_mid * sign_at(sf, hi) <= 0:
+        if s_mid != 0 and s_mid * s_hi <= 0:
             lo = mid
         else:
-            hi = mid
+            hi, s_hi = mid, s_mid
     return lo, hi
 
 

@@ -10,6 +10,7 @@ from math import comb, isqrt
 import pytest
 
 from bht.graphs import Graph, bits, canonical_form, from_edge_list
+from bht.polynomials import NEG_INF, Polynomial, Quad
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
@@ -189,6 +190,65 @@ def interval_nested_radical_below(m: int, inner_shift: int) -> bool:
             return False
         scale <<= 30
     raise ValueError("intervals failed to separate")
+
+
+def fraction_charpoly(matrix) -> Polynomial:
+    """det(xI - M) by Faddeev-LeVerrier over Fraction: the oracle for the
+    integer ``partition.charpoly``."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    coeffs = [Fraction(1)]
+    aux = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        shifted = [row[:] for row in aux]
+        for i in range(n):
+            shifted[i][i] += coeffs[-1]
+        aux = [[sum(m[i][l] * shifted[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        coeffs.append(-sum(aux[i][i] for i in range(n)) / k)
+    return Polynomial(list(reversed(coeffs)))
+
+
+def _fraction_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    while b.coeffs:
+        a, b = b, a.divmod(b)[1]
+    return Polynomial([c / a.leading for c in a.coeffs]) if a.coeffs else a
+
+
+def fraction_sturm_chain(p: Polynomial) -> list[Polynomial]:
+    """The Sturm chain of p's squarefree part by rational remainders: the
+    oracle for the primitive integer chain of ``polynomials.sturm_chain``."""
+    g = _fraction_gcd(p, p.derivative())
+    sf = p if g.degree <= 0 else p.divmod(g)[0]
+    chain = [sf, sf.derivative()]
+    while chain[-1].coeffs:
+        _, r = chain[-2].divmod(chain[-1])
+        if not r.coeffs:
+            break
+        chain.append(-r)
+    return chain
+
+
+def value_sign(p: Polynomial, x) -> int:
+    """Sign of p at +-inf, or of its value p(x) computed in Q or Q(sqrt d)."""
+    if not p.coeffs:
+        return 0
+    if isinstance(x, str):
+        s = (p.leading > 0) - (p.leading < 0)
+        return -s if x == NEG_INF and p.degree % 2 else s
+    val = p(x)
+    return val.sign() if isinstance(val, Quad) else (val > 0) - (val < 0)
+
+
+def fraction_count_roots(p: Polynomial, lo, hi) -> int:
+    """Distinct real roots of p in (lo, hi] by the rational chain's sign
+    variations at exact values."""
+    chain = fraction_sturm_chain(p)
+
+    def variations(x) -> int:
+        signs = [s for s in (value_sign(q, x) for q in chain) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(lo) - variations(hi)
 
 
 @pytest.fixture

@@ -108,7 +108,7 @@ def test_malformed_input_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text", ["", "# a comment\n\n   \n"])
-@pytest.mark.parametrize("fmt", ["auto", "graph6"])
+@pytest.mark.parametrize("fmt", ["auto", "graph6", "edgelist"])
 def test_input_without_graph_is_usage_error(capsys, tmp_path, text, fmt):
     path = tmp_path / "none.txt"
     path.write_text(text)

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bht import families as F
 from bht import partition as PT
 from bht import polynomials as P
-from conftest import random_connected
+from conftest import fraction_charpoly, random_connected
 
 
 def test_is_equitable():
@@ -97,6 +99,14 @@ def test_charpoly_identity_matrix():
     for _ in range(5):
         expected = expected * P.Polynomial([-1, 1])
     assert PT.charpoly(eye) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=15), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_charpoly_matches_fraction_oracle(matrix):
+    assert PT.charpoly(matrix) == fraction_charpoly(matrix)
 
 
 def test_quotient_polynomials_match_named_instances():

@@ -1,14 +1,16 @@
 """Named polynomials, certified roots, exact signs, crossover scans."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bht import polynomials as P
-from conftest import interval_nested_radical_below
+from conftest import fraction_count_roots, fraction_sturm_chain, interval_nested_radical_below
 
 
 # -- polynomial arithmetic ---------------------------------------------------
@@ -39,6 +41,55 @@ def test_sign_at_rational_matches_fraction_value(coeffs, x):
     p = P.Polynomial(coeffs)
     val = p(x)
     assert P.sign_at(p, x) == (val > 0) - (val < 0)
+
+
+small_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+# x = a + b sqrt(d), with square d and b = 0 among them
+quad_points = st.builds(P.Quad.of, small_fractions,
+                        st.one_of(st.just(0), small_fractions), st.integers(0, 60))
+# random coefficients; sparse ones, whose remainder sequences skip degrees
+# (so that a pseudo-remainder by a negative leading coefficient would flip
+# a sign); and products of linear and quadratic factors with repeats, so
+# that the squarefree part is a proper factor
+polys = st.one_of(
+    st.lists(small_fractions, max_size=7).map(P.Polynomial),
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3]), max_size=7).map(P.Polynomial),
+    st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=3), min_size=1, max_size=3)
+    .map(lambda fs: math.prod((P.Polynomial(f) for f in fs + fs[:1]), start=P.Polynomial([1])))
+    .filter(lambda p: p.degree <= 6),
+)
+endpoints = st.one_of(small_fractions, quad_points,
+                      st.builds(P.gate, st.integers(4, 200), st.integers(1, 9)),
+                      st.sampled_from([P.POS_INF, P.NEG_INF]))
+
+
+def _positive_multiple(p: P.Polynomial, q: P.Polynomial) -> bool:
+    """p = k*q for some rational k > 0 (or both are zero)."""
+    if p.degree != q.degree:
+        return False
+    if not p.coeffs:
+        return True
+    k = p.leading / q.leading
+    return k > 0 and all(a == k * b for a, b in zip(p.coeffs, q.coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, endpoints, endpoints)
+@example(P.Polynomial([0, 1, 0, 0, -2]), P.NEG_INF, P.POS_INF)
+def test_count_roots_matches_fraction_chain(p, lo, hi):
+    chain, oracle = P.sturm_chain(p), fraction_sturm_chain(p)
+    assert chain[0] == oracle[0] == p.squarefree()
+    assert len(chain) == len(oracle)
+    assert all(_positive_multiple(a, b) for a, b in zip(chain, oracle))
+    assert P.count_roots(p, lo, hi) == fraction_count_roots(p, lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, quad_points)
+def test_sign_at_quad_matches_field_value(p, x):
+    val = p(x)
+    expected = val.sign() if isinstance(val, P.Quad) else (val > 0) - (val < 0)
+    assert P.sign_at(p, x) == expected
 
 
 # -- quadratic field values --------------------------------------------------
@@ -336,3 +387,49 @@ def test_nested_radical_matches_interval_oracle():
     for m in range(3, 401):
         for shift in (0, 1):
             assert P.nested_radical_below(m, shift) == interval_nested_radical_below(m, shift), (m, shift)
+
+
+# -- pin ---------------------------------------------------------------------
+
+
+def _named_instances(m):
+    """Every named polynomial at m, over a range of the parameters its id
+    takes (those out of range for m are skipped)."""
+    choices = {"split_pendant": [{"t": t} for t in range(1, 8)],
+               "cone_star_edge": [{"r": r} for r in range(3, 9)],
+               "bipartite_minus": [{"p": p} for p in range(2, 12)],
+               "bipartite_plus": [{"p": p} for p in range(2, 12)]}
+    for poly_id in P.POLY_IDS:
+        for params in choices.get(poly_id, [{}]):
+            try:
+                yield poly_id, params, P.instantiate(poly_id, m, **params)
+            except ValueError:
+                continue
+
+
+def _exact_layer_records():
+    for m in range(22, 201):
+        for c in P.inequality_certificates(m):
+            yield [m, c.name, c.statement, c.holds, c.detail]
+    for parity, cx in sorted(P.CROSSOVER.items()):
+        rep = P.crossover_scan(cx.cone, cx.split, parity, (22, 200))
+        yield [parity, rep.orders, rep.runs, rep.flips]
+    for m in range(22, 121):
+        for poly_id, params, poly in _named_instances(m):
+            _, bracket = P.largest_real_root(poly)
+            yield [m, poly_id, params, str(bracket.lo), str(bracket.hi)]
+
+
+# (record count, sha256 of the records as JSON lines) for every certificate
+# at m = 22..200, both crossover scans over 22..200 and the largest-root
+# bracket of every named polynomial at m = 22..120
+EXACT_LAYER_PIN = (6785, "a2a3fed1f6fc91bf5dd93e99ef6ed204924140e1788eff4c507975f2e5975448")
+
+
+def test_exact_layer_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for record in _exact_layer_records():
+        digest.update(json.dumps(record).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == EXACT_LAYER_PIN
