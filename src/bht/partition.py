@@ -5,8 +5,11 @@ with the adjacency matrix, which is what makes the closed-form
 polynomials of the extremal families exactly reproducible.  All quotient
 entries and characteristic polynomials here are exact rationals, and
 `charpoly` computes them in integers, on the matrix cleared of its
-denominators; the float world only enters in `quotient_lambda_check`,
+denominators; the float world only enters in `charpoly_lambda_check`,
 which confronts the exact largest root with the dense eigenvalue solver.
+Each vertex's neighbour count in every block is read off one table per
+(graph, partition), which decides equitability, gives the quotient rows
+and drives each round of the refinement.
 
 The ``*_partition`` helpers at the bottom return (graph, blocks) pairs
 for the specific layouts produced by `bht.families`, block-ordered so the
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 from . import families
@@ -47,32 +51,29 @@ def validate_partition(g: Graph, blocks: Sequence[Sequence[int]]) -> Blocks:
     return tuple(out)
 
 
+def _neighbour_counts(g: Graph, blocks: Blocks) -> list[tuple[int, ...]]:
+    """Each vertex's neighbour count in every block, indexed by vertex."""
+    masks = [sum(1 << v for v in vs) for vs in blocks]  # blocks are disjoint
+    return list(zip(*([(row & mask).bit_count() for row in g.adj] for mask in masks)))
+
+
+def _equitable(blocks: Blocks, counts: list[tuple[int, ...]]) -> bool:
+    return all(counts[v] == counts[vs[0]] for vs in blocks for v in vs)
+
+
 def is_equitable(g: Graph, blocks: Sequence[Sequence[int]]) -> bool:
     """True iff within each block, neighbour counts into every block agree."""
     bl = validate_partition(g, blocks)
-    masks = [_mask(vs) for vs in bl]
-    for vs in bl:
-        for mask in masks:
-            counts = {(g.adj[v] & mask).bit_count() for v in vs}
-            if len(counts) > 1:
-                return False
-    return True
-
-
-def _mask(vs: Sequence[int]) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
+    return _equitable(bl, _neighbour_counts(g, bl))
 
 
 def quotient(g: Graph, blocks: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     """Exact quotient matrix; requires an equitable partition."""
     bl = validate_partition(g, blocks)
-    if not is_equitable(g, bl):
+    counts = _neighbour_counts(g, bl)
+    if not _equitable(bl, counts):
         raise ValueError("partition is not equitable")
-    masks = [_mask(vs) for vs in bl]
-    return [[Fraction((g.adj[vs[0]] & mask).bit_count()) for mask in masks] for vs in bl]
+    return [[Fraction(c) for c in counts[vs[0]]] for vs in bl]
 
 
 def charpoly(matrix: Sequence[Sequence[Fraction]]) -> Polynomial:
@@ -116,32 +117,29 @@ def coarsest_equitable_refinement(g: Graph, seed: Sequence[Sequence[int]]) -> Bl
     Deterministic: blocks keep their seed order and split by ascending
     count signature; idempotent on already-equitable partitions.
     """
-    blocks = [tuple(sorted(vs)) for vs in validate_partition(g, seed)]
+    blocks = tuple(tuple(sorted(vs)) for vs in validate_partition(g, seed))
     while True:
-        masks = [_mask(vs) for vs in blocks]
-        new_blocks: list[tuple[int, ...]] = []
-        changed = False
-        for vs in blocks:
-            sig: dict[tuple[int, ...], list[int]] = {}
-            for v in vs:
-                key = tuple((g.adj[v] & mask).bit_count() for mask in masks)
-                sig.setdefault(key, []).append(v)
-            if len(sig) > 1:
-                changed = True
-            for key in sorted(sig):
-                new_blocks.append(tuple(sig[key]))
+        sig = _neighbour_counts(g, blocks).__getitem__
+        # a stable sort keeps the vertices of each new block ascending
+        new_blocks = tuple(tuple(part) for vs in blocks
+                           for _, part in groupby(sorted(vs, key=sig), key=sig))
+        if len(new_blocks) == len(blocks):
+            return blocks
         blocks = new_blocks
-        if not changed:
-            return tuple(blocks)
+
+
+def charpoly_lambda_check(g: Graph, cp: Polynomial) -> tuple[float, float, bool]:
+    """Largest adjacency eigenvalue vs the largest root of cp, 1e-9 agreement."""
+    from .spectral import spectral_radius
+
+    lam_a = spectral_radius(g).lam
+    lam_q, _ = largest_real_root(cp)
+    return lam_a, lam_q, abs(lam_a - lam_q) <= 1e-9
 
 
 def quotient_lambda_check(g: Graph, blocks: Sequence[Sequence[int]]) -> tuple[float, float, bool]:
     """Largest adjacency eigenvalue vs largest quotient root, 1e-9 agreement."""
-    from .spectral import spectral_radius
-
-    lam_a = spectral_radius(g).lam
-    lam_q, _ = largest_real_root(charpoly(quotient(g, blocks)))
-    return lam_a, lam_q, abs(lam_a - lam_q) <= 1e-9
+    return charpoly_lambda_check(g, charpoly(quotient(g, blocks)))
 
 
 # ---------------------------------------------------------------------------

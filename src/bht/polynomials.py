@@ -7,7 +7,8 @@ sign at a rational a/b or at a quadratic point (A + B sqrt(d))/C is one
 Horner sum, in Z or in Z[sqrt(d)], over the primitive integer polynomial
 that is a positive multiple of p, and Sturm chains and gcds are primitive
 pseudo-remainder sequences (Collins 1967) whose elements are positive
-multiples of the rational remainders.
+multiples of the rational remainders.  A polynomial's Sturm chain is built
+once, on first use, and kept on it.
 Largest roots are ordered exactly: equal when the gcd of the squarefree
 parts has a root where the brackets overlap, else by bisecting until the
 brackets separate.  The nested-radical ceilings square away both radicals
@@ -41,7 +42,7 @@ from typing import Callable, Iterable
 class Polynomial:
     """Univariate polynomial with exact rational coefficients, ascending."""
 
-    __slots__ = ("coeffs", "_primitive")
+    __slots__ = ("coeffs", "_primitive", "_chain")
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
         cs = [Fraction(c) for c in coeffs]
@@ -49,6 +50,7 @@ class Polynomial:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
         self._primitive: tuple[int, ...] | None = None
+        self._chain: tuple[Polynomial, ...] | None = None
 
     @property
     def primitive(self) -> tuple[int, ...]:
@@ -292,18 +294,20 @@ POS_INF = "+inf"
 NEG_INF = "-inf"
 
 
-def sturm_chain(p: Polynomial) -> list[Polynomial]:
+def sturm_chain(p: Polynomial) -> tuple[Polynomial, ...]:
     """The squarefree part of p, then integer polynomials, each a positive
     multiple of the rational Sturm chain's element, so that sign variations
-    are the same."""
-    sf = p.squarefree()
-    chain = [sf, Polynomial([i * c for i, c in enumerate(sf.primitive)][1:])]
-    while chain[-1].coeffs:
-        r = _prem(chain[-2].primitive, chain[-1].primitive)
-        if not r:
-            break
-        chain.append(Polynomial([-c for c in r]))
-    return chain
+    are the same.  Built on first use and kept on p."""
+    if p._chain is None:
+        sf = Polynomial(p.squarefree().coeffs)  # a copy, so that p never holds itself
+        chain = [sf, Polynomial([i * c for i, c in enumerate(sf.primitive)][1:])]
+        while chain[-1].coeffs:
+            r = _prem(chain[-2].primitive, chain[-1].primitive)
+            if not r:
+                break
+            chain.append(Polynomial([-c for c in r]))
+        p._chain = tuple(chain)
+    return p._chain
 
 
 def _sign_at(p: Polynomial, x) -> int:
@@ -336,14 +340,14 @@ def _sign_at(p: Polynomial, x) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[Polynomial], x) -> int:
+def _variations(chain: tuple[Polynomial, ...], x) -> int:
     signs = [s for s in (_sign_at(q, x) for q in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(p: Polynomial, lo, hi, chain: list[Polynomial] | None = None) -> int:
+def count_roots(p: Polynomial, lo, hi) -> int:
     """Number of distinct real roots in the half-open interval (lo, hi]."""
-    chain = chain or sturm_chain(p)
+    chain = sturm_chain(p)
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -379,18 +383,17 @@ def _isolate(p: Polynomial) -> tuple[Polynomial, Fraction, Fraction]:
     holds its largest root, with no root of p above hi."""
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    chain = sturm_chain(p)
-    sf = chain[0]
+    sf = sturm_chain(p)[0]
     bound = cauchy_bound(sf)
     lo, hi = -bound, bound
-    above = count_roots(sf, lo, POS_INF, chain)
+    above = count_roots(p, lo, POS_INF)
     if above == 0:
         raise ValueError(f"no real root of {p} in [-{bound}, {bound}]")
     # no root lies above hi, so (lo, hi] isolates the largest root once
     # exactly one root lies above lo
     while above != 1:
         mid = (lo + hi) / 2
-        count = count_roots(sf, mid, POS_INF, chain)
+        count = count_roots(p, mid, POS_INF)
         if count >= 1:
             lo, above = mid, count
         else:
@@ -644,20 +647,13 @@ def rational_between(lo: Quad, hi: Quad) -> Fraction:
 
 def positive_on_ray(p: Polynomial, x0: Quad | Fraction) -> bool:
     """Certify p(x) > 0 for every x >= x0 (Sturm count + endpoint sign)."""
-    if sign_at(p, x0) <= 0:
-        return False
-    chain = sturm_chain(p)
-    return count_roots(p, x0, POS_INF, chain) == 0
+    return sign_at(p, x0) > 0 and count_roots(p, x0, POS_INF) == 0
 
 
 def positive_on_open_interval(p: Polynomial, lo: Quad, hi: Quad) -> bool:
     """Certify p(x) > 0 on (lo, hi): no roots inside, positive at a point."""
-    chain = sturm_chain(p)
-    inside = count_roots(p, lo, hi, chain)
-    if inside - (1 if sign_at(p, hi) == 0 else 0) > 0:
-        return False
-    probe = rational_between(lo, hi)
-    return sign_at(p, probe) > 0
+    inside = count_roots(p, lo, hi) - (sign_at(p, hi) == 0)
+    return inside == 0 and sign_at(p, rational_between(lo, hi)) > 0
 
 
 @dataclass(frozen=True)

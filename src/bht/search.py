@@ -325,8 +325,8 @@ def _admit(best: float, tied: list, cand: tuple[Graph, bytes, float]) -> float:
 
 
 def _scan(classes, patterns, exclusions: frozenset[bytes]):
-    """Best lambda and near-ties among the admissible graphs of a stream of
-    (canonical form, graph) pairs."""
+    """Near-ties for the best lambda, and the enumerated and free counts,
+    over the admissible graphs of a stream of (canonical form, graph) pairs."""
     best = -1.0
     tied: list[tuple[Graph, bytes, float]] = []
     enumerated = free = 0
@@ -337,13 +337,13 @@ def _scan(classes, patterns, exclusions: frozenset[bytes]):
         free += 1
         if canon not in exclusions:
             best = _admit(best, tied, (g, canon, spectral_radius(g).lam))
-    return best, tied, enumerated, free
+    return tied, enumerated, free
 
 
 # Part of every checkpoint's file name.  Raise it when what a checkpoint
-# stores changes, so files written before are never read: version 2 stores
-# each class's canonical graph, where version 1 stored the first graph met.
-CHECKPOINT_VERSION = 2
+# stores changes, so files written before are never read: version 3 drops
+# the per-layer best, which the tied lambdas give; 2 stores canonical graphs.
+CHECKPOINT_VERSION = 3
 
 
 def _checkpoint_path(cache_dir: str | Path, m: int, patterns, exclusions) -> Path:
@@ -359,7 +359,7 @@ def _checkpoint_path(cache_dir: str | Path, m: int, patterns, exclusions) -> Pat
     return Path(cache_dir) / f"search_m{m}_{digest}.json"
 
 
-_LAYER_KEYS = ("best", "tied", "enumerated", "free")
+_LAYER_KEYS = ("tied", "enumerated", "free")
 _NUMBER = (int, float)  # exact types, so JSON true/false are not numbers
 
 
@@ -394,12 +394,11 @@ def _load_checkpoint(path: Path, m: int, patterns, exclusions: frozenset[bytes])
         for key, entry in data.items():
             if not isinstance(entry, dict) or not all(k in entry for k in _LAYER_KEYS):
                 raise ValueError(f"layer {key!r} lacks one of {sorted(_LAYER_KEYS)}")
-            best, tied, enumerated, free = (entry[k] for k in _LAYER_KEYS)
-            if not (type(best) in _NUMBER and type(tied) is list
-                    and type(enumerated) is int and type(free) is int):
+            tied, enumerated, free = (entry[k] for k in _LAYER_KEYS)
+            if not (type(tied) is list and type(enumerated) is int and type(free) is int):
                 raise ValueError(f"layer {key!r} has a value of the wrong type")
             ties = [_decode_tie(item, key, m, patterns, exclusions) for item in tied]
-            layers[key] = (best, ties, enumerated, free)
+            layers[key] = (ties, enumerated, free)
     except ValueError as exc:
         raise ValueError(f"corrupt checkpoint {path}: {exc}") from None
     return layers
@@ -408,9 +407,9 @@ def _load_checkpoint(path: Path, m: int, patterns, exclusions: frozenset[bytes])
 def _save_checkpoint(path: Path, layers: dict[str, tuple]) -> None:
     """Replace the file in one step, so an interrupted save leaves the old one."""
     data = {
-        key: dict(zip(_LAYER_KEYS, (best, [[to_graph6(g), c.hex(), lam] for g, c, lam in tied],
+        key: dict(zip(_LAYER_KEYS, ([[to_graph6(g), c.hex(), lam] for g, c, lam in tied],
                                     enumerated, free)))
-        for key, (best, tied, enumerated, free) in layers.items()
+        for key, (tied, enumerated, free) in layers.items()
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -474,7 +473,7 @@ def extremal_search(
             checkpoint[key] = _scan(_classes(n, m), patterns, excl)
             if ckpt_path is not None:
                 _save_checkpoint(ckpt_path, checkpoint)
-        _, layer_tied, layer_enum, layer_free = checkpoint[key]
+        layer_tied, layer_enum, layer_free = checkpoint[key]
         enumerated += layer_enum
         free += layer_free
         for cand in layer_tied:

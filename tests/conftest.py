@@ -251,6 +251,63 @@ def fraction_count_roots(p: Polynomial, lo, hi) -> int:
     return variations(lo) - variations(hi)
 
 
+def _mask(vs) -> int:
+    m = 0
+    for v in vs:
+        m |= 1 << v
+    return m
+
+
+def mask_is_equitable(g: Graph, blocks) -> bool:
+    """Equitability by one neighbour-count set per (block, block) pair: the
+    oracle for ``partition.is_equitable``."""
+    from bht.partition import validate_partition
+
+    bl = validate_partition(g, blocks)
+    masks = [_mask(vs) for vs in bl]
+    for vs in bl:
+        for mask in masks:
+            if len({(g.adj[v] & mask).bit_count() for v in vs}) > 1:
+                return False
+    return True
+
+
+def mask_quotient(g: Graph, blocks) -> list[list[Fraction]]:
+    """The quotient matrix after validating the blocks and checking
+    equitability separately: the oracle for ``partition.quotient``."""
+    from bht.partition import validate_partition
+
+    bl = validate_partition(g, blocks)
+    if not mask_is_equitable(g, bl):
+        raise ValueError("partition is not equitable")
+    masks = [_mask(vs) for vs in bl]
+    return [[Fraction((g.adj[vs[0]] & mask).bit_count()) for mask in masks] for vs in bl]
+
+
+def mask_refinement(g: Graph, seed) -> tuple[tuple[int, ...], ...]:
+    """Refinement by per-vertex count signatures recomputed from masks: the
+    oracle for ``partition.coarsest_equitable_refinement``."""
+    from bht.partition import validate_partition
+
+    blocks = [tuple(sorted(vs)) for vs in validate_partition(g, seed)]
+    while True:
+        masks = [_mask(vs) for vs in blocks]
+        new_blocks: list[tuple[int, ...]] = []
+        changed = False
+        for vs in blocks:
+            sig: dict[tuple[int, ...], list[int]] = {}
+            for v in vs:
+                key = tuple((g.adj[v] & mask).bit_count() for mask in masks)
+                sig.setdefault(key, []).append(v)
+            if len(sig) > 1:
+                changed = True
+            for key in sorted(sig):
+                new_blocks.append(tuple(sig[key]))
+        blocks = new_blocks
+        if not changed:
+            return tuple(blocks)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0x5EED)

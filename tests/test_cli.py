@@ -100,6 +100,19 @@ def test_quotient_command(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("blocks, reason", [
+    ("0,1;;2-5", "block 1 is empty"),
+    ("0,1;1-5", "vertex 1 appears twice"),
+    ("0,1;2-6", "block 1: vertex 6 out of range"),
+    ("0,1;2-4", "blocks do not cover all vertices"),
+])
+def test_quotient_blocks_errors_name_the_reason(capsys, tmp_path, blocks, reason):
+    path = tmp_path / "book.txt"
+    path.write_text("\n".join(f"{u} {v}" for u, v in F.book(9).edges()))
+    code, out, err = run(capsys, "quotient", "--input", str(path), "--blocks", blocks)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
 def test_malformed_input_file(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1\nnot a line with two ints here\n")
@@ -250,8 +263,8 @@ def test_search_rejects_malformed_checkpoint(capsys, tmp_path):
     k4_k2 = disjoint_union(F.complete(4), F.complete(2))
     for bad, why in ((edited(tied=[["@", "00", 99.0]]), "not a connected graph"),
                      (edited(tied=[tie(F.complete(5))]), "not a connected graph"),
-                     (json.dumps({"6": {"best": 3.0, "tied": [tie(k4_k2)], "enumerated": 1,
-                                        "free": 1}}), "not a connected graph"),
+                     (json.dumps({"6": {"tied": [tie(k4_k2)], "enumerated": 1, "free": 1}}),
+                      "not a connected graph"),
                      (edited(tied=[[g6, "00051fc1", lam]]), "canonical form"),
                      (edited(tied=[[g6, hexform, 99.0]]), "spectral radius"),
                      (edited(tied=[tie(c5_chords)]), "not admissible")):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from bht import families as F
 from bht import partition as PT
 from bht import polynomials as P
-from conftest import fraction_charpoly, random_connected
+from bht.graphs import Graph
+from conftest import (fraction_charpoly, mask_is_equitable, mask_quotient, mask_refinement,
+                      random_connected)
 
 
 def test_is_equitable():
@@ -187,6 +189,52 @@ def test_coarsest_refinement():
     assert sorted(len(b) for b in ref) == [1, 2, 7]
     # idempotent
     assert PT.coarsest_equitable_refinement(sm, ref) == ref
+
+
+@st.composite
+def graphs_and_seeds(draw):
+    """A graph on n <= 10 vertices and a seed partition of it, in random
+    block and vertex order, sometimes spoiled: an empty block, a repeated,
+    out-of-range or missing vertex."""
+    n = draw(st.integers(1, 10))
+    adj = [0] * n
+    for u, v in draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        if u != v:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    blocks = [draw(st.permutations([v for v in range(n) if labels[v] == k]))
+              for k in draw(st.permutations(sorted(set(labels))))]
+    spoil = draw(st.sampled_from(["none", "none", "empty", "repeat", "range", "missing"]))
+    if spoil == "empty":
+        blocks.insert(draw(st.integers(0, len(blocks))), [])
+    elif spoil == "repeat":
+        blocks[-1].append(blocks[0][0])
+    elif spoil == "range":
+        blocks[0].append(draw(st.sampled_from([-1, n, n + 3])))
+    elif spoil == "missing" and len(blocks[-1]) > 1:
+        blocks[-1].pop()
+    return Graph(n, tuple(adj)), blocks
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_seeds())
+def test_partition_matches_mask_oracles(case):
+    g, seed = case
+    assert _outcome(PT.is_equitable, g, seed) == _outcome(mask_is_equitable, g, seed)
+    assert _outcome(PT.quotient, g, seed) == _outcome(mask_quotient, g, seed)
+    refined = _outcome(PT.coarsest_equitable_refinement, g, seed)
+    assert refined == _outcome(mask_refinement, g, seed)
+    if not isinstance(refined, str):
+        assert PT.is_equitable(g, refined)
+        assert PT.quotient(g, refined) == mask_quotient(g, refined)
 
 
 def test_quotient_lambda_agreement():

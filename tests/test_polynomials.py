@@ -84,6 +84,34 @@ def test_count_roots_matches_fraction_chain(p, lo, hi):
     assert P.count_roots(p, lo, hi) == fraction_count_roots(p, lo, hi)
 
 
+def test_sturm_chain_is_built_once_and_kept():
+    sf = P.split_pendant_poly(30, 1)
+    for p in (sf, sf * P.Polynomial([-1, 1]) * P.Polynomial([-1, 1])):
+        chain = P.sturm_chain(p)
+        assert type(chain) is tuple and P.sturm_chain(p) is chain
+        assert chain[0] == p.squarefree() and chain[0] is not p
+
+
+@pytest.mark.parametrize("m", [61, 96])
+def test_certificates_build_each_chain_once(monkeypatch, m):
+    """Every root question on a polynomial reads its one kept chain: no
+    polynomial has its chain built twice, and none is built for the
+    squarefree part that heads another polynomial's chain."""
+    built = []  # keeping the objects alive keeps their ids distinct
+    squarefree = P.Polynomial.squarefree
+
+    def counting(self):
+        built.append(self)
+        return squarefree(self)
+
+    monkeypatch.setattr(P.Polynomial, "squarefree", counting)
+    P.inequality_certificates(m)
+    ids = [id(p) for p in built]
+    assert len(built) > 10 and len(ids) == len(set(ids))
+    heads = [P.sturm_chain(p)[0] for p in built]
+    assert {id(h) for p, h in zip(built, heads) if h is not p}.isdisjoint(ids)
+
+
 @settings(max_examples=200, deadline=None)
 @given(polys, quad_points)
 def test_sign_at_quad_matches_field_value(p, x):
@@ -172,9 +200,8 @@ def test_no_real_root_raises():
 def test_bracket_certificates():
     poly = P.split_pendant_poly(30, 1)
     value, bracket = P.largest_real_root(poly)
-    chain = P.sturm_chain(poly)
-    assert P.count_roots(poly, bracket.lo, bracket.hi, chain) == 1
-    assert P.count_roots(poly, bracket.hi, P.POS_INF, chain) == 0
+    assert P.count_roots(poly, bracket.lo, bracket.hi) == 1
+    assert P.count_roots(poly, bracket.hi, P.POS_INF) == 0
     assert P.sign_at(poly, bracket.lo) * P.sign_at(poly, bracket.hi) < 0
 
 
@@ -292,9 +319,8 @@ def test_candidate_roots_live_between_gates():
         if m % 2 == 1 and 23 <= m <= 71:
             polys.append(P.cone_star_matching_odd(m))
         for poly in polys:
-            chain = P.sturm_chain(poly)
-            assert P.count_roots(poly, P.gate(m, 7), P.POS_INF, chain) >= 1
-            assert P.count_roots(poly, P.gate(m, 3), P.POS_INF, chain) == 0
+            assert P.count_roots(poly, P.gate(m, 7), P.POS_INF) >= 1
+            assert P.count_roots(poly, P.gate(m, 3), P.POS_INF) == 0
 
 
 # -- scans and certificates --------------------------------------------------

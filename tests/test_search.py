@@ -298,17 +298,21 @@ def test_checkpoint_resume(tmp_path):
 
 
 def test_checkpoints_of_earlier_versions_are_not_read(tmp_path):
-    """A file under a name of format version 1 (the tag ended in the
-    connected-only flag) is never opened; a fresh run writes the new name."""
+    """Files under the names of format version 1 (the tag ended in the
+    connected-only flag) and version 2 (layers stored a best) are never
+    opened; a fresh run writes the new name."""
     excl = [canonical_form(F.book(7))]
-    tag = json.dumps([7, ["c5"], [e.hex() for e in excl], True])
-    old = tmp_path / f"search_m7_{hashlib.sha256(tag.encode()).hexdigest()[:16]}.json"
-    old.write_text("not a checkpoint")
+    olds = set()
+    for last in (True, 2):
+        tag = json.dumps([7, ["c5"], [e.hex() for e in excl], last])
+        old = tmp_path / f"search_m7_{hashlib.sha256(tag.encode()).hexdigest()[:16]}.json"
+        old.write_text("not a checkpoint")
+        olds.add(old)
     rep = SR.extremal_search(7, ["c5"], excl, cache_dir=tmp_path)
     new = SR._checkpoint_path(tmp_path, 7, ["c5"], excl)
-    assert new != old and new.exists()
-    assert old.read_text() == "not a checkpoint"
-    assert set(tmp_path.iterdir()) == {old, new}
+    assert new not in olds and new.exists()
+    assert all(old.read_text() == "not a checkpoint" for old in olds)
+    assert set(tmp_path.iterdir()) == olds | {new}
     assert rep.to_json()["maximizers"] == SR.extremal_search(7, ["c5"], excl).to_json()["maximizers"]
 
 
