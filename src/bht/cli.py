@@ -78,11 +78,14 @@ def _parse_blocks(text: str) -> list[list[int]]:
             token = token.strip()
             if not token:
                 continue
-            if "-" in token[1:]:
-                lo, hi = token.split("-", 1)
-                block.extend(range(int(lo), int(hi) + 1))
-            else:
-                block.append(int(token))
+            try:
+                if "-" in token[1:]:
+                    lo, hi = token.split("-", 1)
+                    block.extend(range(int(lo), int(hi) + 1))
+                else:
+                    block.append(int(token))
+            except ValueError:
+                raise ValueError(f"block {len(blocks)}: bad vertex or range {token!r}") from None
         blocks.append(block)
     return blocks
 

@@ -20,6 +20,8 @@ check this against an all-permutations oracle for small n and pin the
 bytes on a fixed corpus.  ``canonical_labelling`` also returns the
 relabelling that attains the form, so relabelling by it gives the class's
 canonical graph; ``canonical_form`` is its first element.
+``labelling_and_automorphisms`` adds generators of the automorphism
+group, read off the same search.
 """
 
 from __future__ import annotations
@@ -280,18 +282,26 @@ def _powers(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
             tuple(1 << (n - 1 - c) for c in range(n)), (n + 1) ** n)
 
 
-def canonical_labelling(g: Graph) -> tuple[bytes, list[int]]:
-    """The canonical form and a labelling that attains it: ``labelling[i]``
-    is the vertex of ``g`` that takes label i, so ``g.relabel(labelling)``
-    is the canonical graph, whose upper-triangle code the form stores."""
+def labelling_and_automorphisms(g: Graph) -> tuple[bytes, list[int], list[tuple[int, ...]]]:
+    """``canonical_labelling(g)`` and generators of Aut(g), each a tuple
+    ``p`` that maps vertex v to ``p[v]``.
+
+    The generators come with the search: the transpositions within each
+    twin class, and the map between the first leaf of least code and each
+    later leaf with that code.  Every leaf apart from the twin-pruned
+    branches is visited, and each pruned branch is a twin swap of one
+    visited, so Aut(g) carries the first least leaf onto each visited
+    leaf of least code composed with twin swaps; these generate Aut(g).
+    """
     n = g.n
     if n == 0:
-        return (0).to_bytes(2, "big"), []
+        return (0).to_bytes(2, "big"), [], []
     adj = g.adj
     nbrs = [list(bits(row)) for row in adj]
     pw, bit, top = _powers(n)
     best: list = []
     twins: list[int] = []
+    generators: list[tuple[int, ...]] = []
 
     def descend(colors: list[int]) -> None:
         colors = _refine(nbrs, colors, pw, top)
@@ -300,6 +310,13 @@ def canonical_labelling(g: Graph) -> tuple[bytes, list[int]]:
             code = _adjacency_code(nbrs, colors, bit)
             if not best or code < best[0]:
                 best[:] = [code, colors]
+            elif code == best[0]:
+                # equal codes: the vertex labelled i here maps to the one
+                # labelled i at the first such leaf
+                first = [0] * n
+                for v, c in enumerate(best[1]):
+                    first[c] = v
+                generators.append(tuple(first[c] for c in colors))
             return
         cells: list[list[int]] = [[] for _ in range(k)]
         for v, c in enumerate(colors):
@@ -319,18 +336,52 @@ def canonical_labelling(g: Graph) -> tuple[bytes, list[int]]:
     degrees = [len(nb) for nb in nbrs]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
     descend([rank[d] for d in degrees])
+    for v, twin in enumerate(twins):
+        if not twin & ((1 << v) - 1):  # v is the least of its class
+            for t in bits(twin & ~(1 << v)):
+                swap = list(range(n))
+                swap[v], swap[t] = t, v
+                generators.append(tuple(swap))
     code, colors = best
     labelling = [0] * n
     for v, c in enumerate(colors):
         labelling[c] = v
     k = n * (n - 1) // 2
     nbytes = (k + 7) // 8
-    return n.to_bytes(2, "big") + (code << (nbytes * 8 - k)).to_bytes(nbytes, "big"), labelling
+    form = n.to_bytes(2, "big") + (code << (nbytes * 8 - k)).to_bytes(nbytes, "big")
+    return form, labelling, generators
+
+
+def canonical_labelling(g: Graph) -> tuple[bytes, list[int]]:
+    """The canonical form and a labelling that attains it: ``labelling[i]``
+    is the vertex of ``g`` that takes label i, so ``g.relabel(labelling)``
+    is the canonical graph, whose upper-triangle code the form stores."""
+    form, labelling, _ = labelling_and_automorphisms(g)
+    return form, labelling
 
 
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant byte string; equal iff graphs are isomorphic."""
     return canonical_labelling(g)[0]
+
+
+def canonical_graph(form: bytes) -> Graph:
+    """The canonical graph that ``form`` stores: its upper-triangle code,
+    row by row with the first bit most significant, after the 2-byte
+    vertex count."""
+    n = int.from_bytes(form[:2], "big")
+    k = n * (n - 1) // 2
+    if len(form) != 2 + (k + 7) // 8:
+        raise ValueError(f"{form.hex()} is not a canonical form")
+    code = int.from_bytes(form[2:], "big") >> (-k % 8)
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            k -= 1
+            if code >> k & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
 
 
 # -- file formats -------------------------------------------------------------

@@ -1,31 +1,40 @@
 """Exhaustive extremal search over small connected graphs of a given size.
 
-Enumeration is levelwise and isomorph-free by canonical deletion (McKay
-1998, "Isomorph-free exhaustive generation", J. Algorithms 26).  Trees on
-n vertices grow from the trees on n - 1 by one leaf; a layer (n, m) with
-m >= n grows from layer (n, m - 1) by one edge, since a connected graph
-with a cycle stays connected when it loses a cycle edge.  The canonical
-deletion of a graph C is chosen among its leaves (a tree) or its
-non-bridge edges (otherwise): those of the largest isomorphism-invariant
-key, and among them the one whose image under C's canonical labelling is
-least.  A child P + e is kept iff deleting its canonical deletion gives
-P's class, so each class is kept from exactly one parent class:
+Enumeration is levelwise and isomorph-free by canonical augmentation
+(McKay 1998, "Isomorph-free exhaustive generation", J. Algorithms 26).
+Trees on n vertices grow from the trees on n - 1 by one leaf; a layer
+(n, m) with m >= n grows from layer (n, m - 1) by one edge, since a
+connected graph with a cycle stays connected when it loses a cycle edge.
+The canonical deletion of a graph C is chosen among its leaves (a tree)
+or its non-bridge edges (otherwise): those of the largest
+isomorphism-invariant key, and among them the one whose image under C's
+canonical labelling is least.  Each parent P is labelled once, which
+also yields generators of Aut(P), and one edit is tried per Aut(P) orbit
+of non-edges (or of vertices, for a leaf).  The child C = P + e is kept
+iff e lies in the Aut(C) orbit of C's canonical deletion, so each class
+is kept exactly once:
 
 - most children are rejected because e's key is not the largest, which
   per-parent degrees, neighbour-degree sums and bridge sides decide in a
   few integer operations, with no labelling;
-- a child whose e ties with other edges is labelled, which it needs
-  anyway if kept, and only when neither e nor a twin swap of e is the
-  canonical deletion is the deleted graph labelled and compared with P.
+- a child in which e alone has the largest key is kept unlabelled: e is
+  its canonical deletion, so any edit that gives its class lies in e's
+  Aut(P) orbit;
+- a child whose e ties with other leaves or edges is labelled, which
+  gives Aut(C), and kept iff e is in the orbit of the tied one of least
+  canonical image.
 
-Children from automorphic edits of one parent are isomorphic, so one
-edit per orbit of the parent's twin swaps is tried, and the kept classes
-are stored by canonical form.  Each kept graph is its class's canonical
-graph (the child relabelled by its canonical labelling), so the layers
-and the search output do not depend on the order of generation.  Layer
-(n, m) results are cached in-process and the search can checkpoint
-per-layer summaries to disk, under a name that carries the format
-version, making forced large runs resumable.
+A layer holds one graph per class as generated, labelled only where it
+was a parent or a tied child.  ``connected_layer`` labels the rest on
+demand and returns each class's canonical graph (the graph relabelled by
+its canonical labelling), sorted by form.  The search scans the layers
+as generated and labels a graph only if its degree sequence matches an
+exclusion's or its spectral radius comes within reach of the layer's
+best (see ``_scan``); those near-ties are admitted in form order with
+the radius of the canonical graph, so the search output does not depend
+on the order of generation either.  Layers are cached in-process and the
+search can checkpoint per-layer summaries to disk, under a name that
+carries the format version, making forced large runs resumable.
 
 Only connected graphs are scanned.  A disconnected graph has the
 spectral radius of a component with k < m edges; a pendant path of
@@ -47,12 +56,12 @@ import time
 from dataclasses import dataclass, field
 from math import comb, sqrt
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import families, forbidden
 from .graphs import (
-    Graph, bits, canonical_form, canonical_labelling, from_graph6, is_connected, to_graph6,
-    twin_masks,
+    Graph, bits, canonical_form, canonical_graph, from_graph6, is_connected,
+    labelling_and_automorphisms, to_graph6,
 )
 from .polynomials import (
     Polynomial,
@@ -63,13 +72,25 @@ from .polynomials import (
     largest_real_root,
     star_matching_cubic,
 )
-from .spectral import spectral_radius
+from .spectral import connected_radius, spectral_radius
 
 TIE_TOL = 1e-9
 DEFAULT_CAP = 12
 
-# (n, m) -> canonical form -> the class's kept graph, in form order
-_LAYERS: dict[tuple[int, int], dict[bytes, Graph]] = {}
+
+class _Class(NamedTuple):
+    """One class of a layer: a graph and, once it is labelled, its
+    canonical form, a labelling that attains it and generators of its
+    automorphism group (``form`` is None until then)."""
+
+    graph: Graph
+    form: bytes | None = None
+    labelling: list[int] | None = None
+    generators: list[tuple[int, ...]] | None = None
+
+
+# (n, m) -> one entry per class of the layer
+_LAYERS: dict[tuple[int, int], list[_Class]] = {}
 
 
 def trees(n: int) -> list[Graph]:
@@ -80,21 +101,64 @@ def trees(n: int) -> list[Graph]:
 def connected_layer(n: int, m: int) -> list[Graph]:
     """Connected graphs with n vertices and m edges, one per class, sorted
     by canonical form; each is its class's canonical graph."""
+    layer = _layer(n, m)
+    for i in range(len(layer)):
+        _labelled(layer, i)
+    layer.sort(key=lambda c: c.form)
+    assert all(a.form < b.form for a, b in zip(layer, layer[1:])), "a class was kept twice"
+    return [c.graph.relabel(c.labelling) for c in layer]
+
+
+def _layer(n: int, m: int) -> list[_Class]:
+    """The cached layer (n, m), grown from its parent layer on first use."""
     if n < 1 or m < n - 1 or m > comb(n, 2):
         return []
     key = (n, m)
     if key not in _LAYERS:
         if n == 1:
-            point = Graph(1, (0,))
-            kept = {canonical_form(point): point}
+            layer = [_Class(Graph(1, (0,)))]
         elif m == n - 1:
-            trees(n - 1)
-            kept = _grow_leaves(_LAYERS[(n - 1, n - 2)])
+            layer = _grow_leaves(_layer(n - 1, n - 2))
         else:
-            connected_layer(n, m - 1)
-            kept = _grow_edges(_LAYERS[(n, m - 1)])
-        _LAYERS[key] = {c: kept[c] for c in sorted(kept)}
-    return list(_LAYERS[key].values())
+            layer = _grow_edges(_layer(n, m - 1))
+        _LAYERS[key] = layer
+    return _LAYERS[key]
+
+
+def _labelled(layer: list[_Class], i: int) -> _Class:
+    """``layer[i]``, labelled once and stored so."""
+    if layer[i].form is None:
+        layer[i] = _Class(layer[i].graph, *labelling_and_automorphisms(layer[i].graph))
+    return layer[i]
+
+
+def _orbit(t: tuple[int, ...], generators) -> list[tuple[int, ...]]:
+    """The orbit of a leaf ``(v,)`` or an edge ``(u, v)``, u < v."""
+    orbit, seen = [t], {t}
+    for s in orbit:
+        for p in generators:
+            if len(s) == 1:
+                u = (p[s[0]],)
+            else:
+                x, y = p[s[0]], p[s[1]]
+                u = (x, y) if x < y else (y, x)
+            if u not in seen:
+                seen.add(u)
+                orbit.append(u)
+    return orbit
+
+
+def _orbit_representatives(items: list[tuple[int, ...]], generators) -> list[tuple[int, ...]]:
+    """The least of ``items`` (an ascending, closed list) in each orbit."""
+    if not generators:
+        return items
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for t in items:
+        if t not in seen:
+            out.append(t)
+            seen.update(_orbit(t, generators))
+    return out
 
 
 def _bridges(adj: tuple[int, ...]) -> dict[tuple[int, int], int]:
@@ -122,60 +186,41 @@ def _bridges(adj: tuple[int, ...]) -> dict[tuple[int, int], int]:
     return out
 
 
-def _twin_image(adj: tuple[int, ...], t: tuple[int, ...], s: tuple[int, ...]) -> bool:
-    """Whether swaps of twins carry the leaf or edge ``t`` onto ``s``, so
-    that deleting either gives the same class."""
-    a = [x for x in t if x not in s]
-    b = [x for x in s if x not in t]
-    twins = twin_masks(adj)
+def _accept(kept: list[_Class], child: Graph, new: tuple[int, ...],
+            tied: list[tuple[int, ...]]) -> None:
+    """Append the child's entry to ``kept`` if its canonical deletion lies
+    in the Aut(child) orbit of ``new``, the added leaf or edge.
 
-    def pair(p: int, q: int) -> bool:
-        return bool(twins[p] >> q & 1)
-
-    if len(a) == 1:
-        return pair(a[0], b[0])
-    return (pair(a[0], b[0]) and pair(a[1], b[1])) or (pair(a[0], b[1]) and pair(a[1], b[0]))
-
-
-def _accept(child: Graph, new: tuple[int, ...], tied: list[tuple[int, ...]], drop,
-            parent_form: bytes, kept: dict[bytes, Graph]) -> None:
-    """Store ``child``'s canonical graph in ``kept`` if the child's
-    canonical deletion gives the parent's class.
-
-    ``new`` is the added leaf or edge, and ``tied`` the others that share
-    its largest key; ``drop(child, t)`` deletes one of them.
+    ``tied`` are the other leaves or edges that share ``new``'s largest
+    key.  With none, ``new`` is the canonical deletion and the child is
+    kept unlabelled; else the canonical deletion is the tied one whose
+    image under the child's canonical labelling is least.
     """
-    form, labelling = canonical_labelling(child)
-    if tied:
-        pos = [0] * child.n
-        for i, v in enumerate(labelling):
-            pos[v] = i
-
-        def image(t: tuple[int, ...]) -> list[int]:
-            return sorted(pos[v] for v in t)
-
-        least = min(tied, key=image)
-        if (image(least) < image(new) and not _twin_image(child.adj, new, least)
-                and canonical_form(drop(child, least)) != parent_form):
-            return
-    if form not in kept:
-        kept[form] = child.relabel(labelling)
+    if not tied:
+        kept.append(_Class(child))
+        return
+    form, labelling, generators = labelling_and_automorphisms(child)
+    pos = [0] * child.n
+    for i, v in enumerate(labelling):
+        pos[v] = i
+    least = min([new, *tied], key=lambda t: sorted(pos[v] for v in t))
+    if least == new or new in _orbit(least, generators):
+        kept.append(_Class(child, form, labelling, generators))
 
 
-def _grow_leaves(parents: dict[bytes, Graph]) -> dict[bytes, Graph]:
-    """The trees on one vertex more.  A leaf's key is the degree and the
-    neighbour-degree sum of its neighbour."""
-    kept: dict[bytes, Graph] = {}
-    for parent_form, parent in parents.items():
+def _grow_leaves(parents: list[_Class]) -> list[_Class]:
+    """The trees on one vertex more, one leaf per Aut(parent) orbit of
+    vertices.  A leaf's key is the degree and the neighbour-degree sum of
+    its neighbour."""
+    kept: list[_Class] = []
+    for i in range(len(parents)):
+        parent, _, _, generators = _labelled(parents, i)
         adj, x = parent.adj, parent.n
         deg = [row.bit_count() for row in adj]
         nsum = [sum(deg[w] for w in bits(row)) for row in adj]
         leaves = [leaf for leaf in range(x) if deg[leaf] == 1]
-        twins = twin_masks(adj)
         grown = parent.add_vertex()
-        for v in range(x):
-            if twins[v] & ((1 << v) - 1):
-                continue  # a smaller twin of v gives the same child
+        for (v,) in _orbit_representatives([(v,) for v in range(x)], generators):
 
             def key(y: int) -> tuple[int, int]:
                 # y's degree and neighbour-degree sum once x hangs from v
@@ -193,76 +238,63 @@ def _grow_leaves(parents: dict[bytes, Graph]) -> dict[bytes, Graph]:
                 if other == mine:
                     tied.append((leaf,))
             else:
-                _accept(grown.add_edge(v, x), (x,), tied,
-                        lambda g, t: g.remove_vertex(t[0]), parent_form, kept)
+                _accept(kept, grown.add_edge(v, x), (x,), tied)
     return kept
 
 
-def _grow_edges(parents: dict[bytes, Graph]) -> dict[bytes, Graph]:
-    """The graphs with one edge more on the same vertices.  An edge's key
-    is its sorted endpoint degrees, then its endpoints' common neighbours
-    and sorted neighbour-degree sums, computed only on a tie of the
-    degrees.  A bridge of the parent stays one in the child iff the new
-    edge's endpoints lie on the same side of it."""
-    kept: dict[bytes, Graph] = {}
-    for parent_form, parent in parents.items():
+def _grow_edges(parents: list[_Class]) -> list[_Class]:
+    """The graphs with one edge more on the same vertices, one edge per
+    Aut(parent) orbit of non-edges.  An edge's key is its sorted endpoint
+    degrees, then its endpoints' common neighbours and sorted
+    neighbour-degree sums, computed only on a tie of the degrees.  A
+    bridge of the parent stays one in the child iff the new edge's
+    endpoints lie on the same side of it."""
+    kept: list[_Class] = []
+    for i in range(len(parents)):
+        parent, _, _, generators = _labelled(parents, i)
         adj, n = parent.adj, parent.n
         deg = [row.bit_count() for row in adj]
         nsum = [sum(deg[w] for w in bits(row)) for row in adj]
         sides = _bridges(adj)
         edges = [(x, y, sides.get((x, y), 0)) for x, y in parent.edges()]
-        twins = twin_masks(adj)
-        for u in range(n):
-            # skip uv when swapping u or v with a smaller twin (not the
-            # other end) gives another non-edge that is tried
-            if twins[u] & ((1 << u) - 1):
-                continue
-            for v in bits(((1 << n) - 1) & ~adj[u] & ~((2 << u) - 1)):
-                if twins[v] & ~(1 << u) & ((1 << v) - 1):
-                    continue
-                cd = deg[:]
-                cd[u] += 1
-                cd[v] += 1
-                a, b = cd[u], cd[v]
-                mine = a * n + b if a > b else b * n + a
-                tied = []
-                for x, y, side in edges:
-                    if side and not (side >> u ^ side >> v) & 1:
-                        continue  # still a bridge
-                    a, b = cd[x], cd[y]
-                    pair = a * n + b if a > b else b * n + a
-                    if pair > mine:
-                        break
-                    if pair == mine:
-                        tied.append((x, y))
-                else:
-                    child = parent.add_edge(u, v)
-                    if tied:
-                        rows = child.adj
+        full = (1 << n) - 1
+        non_edges = [(u, v) for u in range(n) for v in bits(full & ~adj[u] & ~((2 << u) - 1))]
+        for u, v in _orbit_representatives(non_edges, generators):
+            cd = deg[:]
+            cd[u] += 1
+            cd[v] += 1
+            a, b = cd[u], cd[v]
+            mine = a * n + b if a > b else b * n + a
+            tied = []
+            for x, y, side in edges:
+                if side and not (side >> u ^ side >> v) & 1:
+                    continue  # still a bridge
+                a, b = cd[x], cd[y]
+                pair = a * n + b if a > b else b * n + a
+                if pair > mine:
+                    break
+                if pair == mine:
+                    tied.append((x, y))
+            else:
+                child = parent.add_edge(u, v)
+                if tied:
+                    rows = child.adj
 
-                        def rest(x: int, y: int) -> tuple[int, int, int]:
-                            # common neighbours, sorted neighbour-degree sums in the child
-                            sx = nsum[x] + (adj[x] >> u & 1) + (adj[x] >> v & 1)
-                            sy = nsum[y] + (adj[y] >> u & 1) + (adj[y] >> v & 1)
-                            sx += (x == u) * cd[v] + (x == v) * cd[u]
-                            sy += (y == u) * cd[v] + (y == v) * cd[u]
-                            return (rows[x] & rows[y]).bit_count(), max(sx, sy), min(sx, sy)
+                    def rest(x: int, y: int) -> tuple[int, int, int]:
+                        # common neighbours, sorted neighbour-degree sums in the child
+                        sx = nsum[x] + (adj[x] >> u & 1) + (adj[x] >> v & 1)
+                        sy = nsum[y] + (adj[y] >> u & 1) + (adj[y] >> v & 1)
+                        sx += (x == u) * cd[v] + (x == v) * cd[u]
+                        sy += (y == u) * cd[v] + (y == v) * cd[u]
+                        return (rows[x] & rows[y]).bit_count(), max(sx, sy), min(sx, sy)
 
-                        best = rest(u, v)
-                        rests = [rest(x, y) for x, y in tied]
-                        if max(rests) > best:
-                            continue
-                        tied = [t for t, r in zip(tied, rests) if r == best]
-                    _accept(child, (u, v), tied, lambda g, t: g.remove_edge(*t),
-                            parent_form, kept)
+                    best = rest(u, v)
+                    rests = [rest(x, y) for x, y in tied]
+                    if max(rests) > best:
+                        continue
+                    tied = [t for t, r in zip(tied, rests) if r == best]
+                _accept(kept, child, (u, v), tied)
     return kept
-
-
-def _classes(n: int, m: int):
-    """(canonical form, graph) for each class of ``connected_layer(n, m)``,
-    read from the layer cache that call fills, so no form is recomputed."""
-    connected_layer(n, m)
-    return _LAYERS.get((n, m), {}).items()
 
 
 def enumerate_connected(m: int):
@@ -324,20 +356,46 @@ def _admit(best: float, tied: list, cand: tuple[Graph, bytes, float]) -> float:
     return best
 
 
-def _scan(classes, patterns, exclusions: frozenset[bytes]):
+def _signature(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Vertex count and sorted degree sequence, which isomorphic graphs share."""
+    return g.n, tuple(sorted(map(int.bit_count, g.adj)))
+
+
+def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes], signatures: set):
     """Near-ties for the best lambda, and the enumerated and free counts,
-    over the admissible graphs of a stream of (canonical form, graph) pairs."""
-    best = -1.0
-    tied: list[tuple[Graph, bytes, float]] = []
-    enumerated = free = 0
-    for canon, g in classes:
-        enumerated += 1
+    over the admissible graphs of a layer, as ``_admit`` finds them in
+    form order.
+
+    ``signatures`` are the exclusions' ``_signature`` values; only a free
+    graph that shares one is labelled to test exclusion.  The contenders
+    are the lambdas, largest first, down to the first gap wider than
+    2 * TIE_TOL.  A graph's lambda and its canonical graph's differ by
+    rounding only, far below TIE_TOL / 2, so each contender exceeds every
+    other admissible lambda by more than TIE_TOL: the first contender in
+    form order resets the best, and after it no other graph is kept or
+    resets it.  Only the contenders are labelled, and their lambda is
+    taken again on the canonical graph.
+    """
+    free = 0
+    lams = []
+    for i, entry in enumerate(layer):
+        g = entry.graph
         if not forbidden.is_free(g, patterns):
             continue
         free += 1
-        if canon not in exclusions:
-            best = _admit(best, tied, (g, canon, spectral_radius(g).lam))
-    return tied, enumerated, free
+        if _signature(g) in signatures and _labelled(layer, i).form in exclusions:
+            continue
+        lams.append((connected_radius(g), i))
+    lams.sort(reverse=True)
+    k = 1
+    while k < len(lams) and lams[k - 1][0] - lams[k][0] <= 2 * TIE_TOL:
+        k += 1
+    best = -1.0
+    tied: list[tuple[Graph, bytes, float]] = []
+    for c in sorted((_labelled(layer, i) for _, i in lams[:k]), key=lambda c: c.form):
+        g = c.graph.relabel(c.labelling)
+        best = _admit(best, tied, (g, c.form, connected_radius(g)))
+    return tied, len(layer), free
 
 
 # Part of every checkpoint's file name.  Raise it when what a checkpoint
@@ -377,7 +435,7 @@ def _decode_tie(item, key: str, m: int, patterns, exclusions: frozenset[bytes]):
         raise ValueError(f"tied entry {item[0]!r} does not have canonical form {item[1]}")
     if not forbidden.is_free(g, patterns) or canon in exclusions:
         raise ValueError(f"tied entry {item[0]!r} is not admissible")
-    if abs(spectral_radius(g).lam - lam) > TIE_TOL:
+    if abs(connected_radius(g) - lam) > TIE_TOL:
         raise ValueError(f"tied entry {item[0]!r} does not have spectral radius {lam!r}")
     return g, canon, lam
 
@@ -446,6 +504,7 @@ def extremal_search(
     excl = frozenset(
         e if isinstance(e, bytes) else canonical_form(e) for e in exclusions
     )
+    signatures = {_signature(canonical_graph(e)) for e in excl}
     t0 = time.perf_counter()
     pruned = 0
 
@@ -454,8 +513,9 @@ def extremal_search(
     best = -1.0
     if prune and m >= 4:
         for _, g in families.theorem_candidates(m):
-            if forbidden.is_free(g, patterns) and canonical_form(g) not in excl:
-                best = max(best, spectral_radius(g).lam)
+            if forbidden.is_free(g, patterns) and not (
+                    _signature(g) in signatures and canonical_form(g) in excl):
+                best = max(best, connected_radius(g))
 
     ckpt_path = None if cache_dir is None else _checkpoint_path(cache_dir, m, patterns, excl)
     checkpoint = {} if ckpt_path is None else _load_checkpoint(ckpt_path, m, patterns, excl)
@@ -470,7 +530,7 @@ def extremal_search(
             continue
         key = str(n)
         if key not in checkpoint:
-            checkpoint[key] = _scan(_classes(n, m), patterns, excl)
+            checkpoint[key] = _scan(_layer(n, m), patterns, excl, signatures)
             if ckpt_path is not None:
                 _save_checkpoint(ckpt_path, checkpoint)
         layer_tied, layer_enum, layer_free = checkpoint[key]
@@ -530,7 +590,7 @@ def _book_exclusion(m: int) -> list[Graph]:
 def _isomorphic(g: Graph, h: Graph) -> bool:
     """Whether g and h are isomorphic; they are labelled only when their
     vertex counts and sorted degree sequences agree."""
-    if g.n != h.n or sorted(map(int.bit_count, g.adj)) != sorted(map(int.bit_count, h.adj)):
+    if _signature(g) != _signature(h):
         return False
     return canonical_form(g) == canonical_form(h)
 

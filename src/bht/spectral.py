@@ -22,11 +22,10 @@ from .graphs import Graph, bits, components, is_connected
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        for v in bits(g.adj[u]):
-            a[u, v] = 1.0
-    return a
+    """The 0/1 adjacency matrix, unpacked from the bit rows."""
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g.adj), np.uint8)
+    return np.unpackbits(packed, bitorder="little").reshape(g.n, 8 * width)[:, :g.n].astype(float)
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,12 @@ def _component_eigenpair(a: np.ndarray) -> tuple[float, np.ndarray]:
     y = a @ x
     lam = float(x @ y)
     return lam, x
+
+
+def connected_radius(g: Graph) -> float:
+    """The spectral radius of a connected graph: ``spectral_radius(g).lam``
+    to the bit, without the component split, Perron tuple and residual."""
+    return _component_eigenpair(adjacency_matrix(g))[0]
 
 
 def spectral_radius(g: Graph) -> SpectralResult:

@@ -29,6 +29,29 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def brute_automorphisms(g: Graph, cap: int | None = None) -> list[tuple[int, ...]] | None:
+    """Every automorphism of g as a tuple p mapping v to p[v], found by
+    extending a partial map vertex by vertex while it keeps degrees and
+    adjacency; None once more than ``cap`` are found."""
+    deg = [g.degree(v) for v in range(g.n)]
+    image = [-1] * g.n
+    out: list[tuple[int, ...]] = []
+
+    def extend(i: int) -> bool:
+        if i == g.n:
+            out.append(tuple(image))
+            return cap is None or len(out) <= cap
+        for w in range(g.n):
+            if deg[w] == deg[i] and w not in image[:i] and all(
+                    (g.adj[i] >> j & 1) == (g.adj[w] >> image[j] & 1) for j in range(i)):
+                image[i] = w
+                if not extend(i + 1):
+                    return False
+        return True
+
+    return out if extend(0) else None
+
+
 def brute_contains(host: Graph, pattern: Graph) -> bool:
     """Exhaustive injective-map subgraph oracle (small sizes only)."""
     if pattern.n > host.n:

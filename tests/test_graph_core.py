@@ -11,6 +11,7 @@ from bht import families, search
 from bht.graphs import (
     Graph,
     canonical_form,
+    canonical_graph,
     canonical_labelling,
     components,
     disjoint_union,
@@ -20,11 +21,12 @@ from bht.graphs import (
     induced_subgraph,
     is_connected,
     join,
+    labelling_and_automorphisms,
     parse_edge_list,
     strip_isolated,
     to_graph6,
 )
-from conftest import brute_isomorphic, graph_of_form
+from conftest import brute_automorphisms, brute_isomorphic, graph_of_form
 
 
 def test_from_edge_list_triangle():
@@ -108,10 +110,10 @@ def test_strip_isolated():
 
 
 @st.composite
-def graph_and_perm(draw, max_n=12):
-    """A graph on up to ``max_n`` vertices (isolated ones allowed) and a
-    permutation of its vertices."""
-    n = draw(st.integers(0, max_n))
+def graph_and_perm(draw, max_n=12, min_n=0):
+    """A graph on ``min_n`` to ``max_n`` vertices (isolated ones allowed)
+    and a permutation of its vertices."""
+    n = draw(st.integers(min_n, max_n))
     pairs = list(combinations(range(n), 2))
     mask = draw(st.integers(0, 2 ** len(pairs) - 1))
     rows = [0] * n
@@ -160,6 +162,61 @@ def test_canonical_labelling_attains_the_form(case):
     form2, labelling2 = canonical_labelling(g.relabel(perm))
     assert form2 == form
     assert g.relabel(perm).relabel(labelling2) == graph_of_form(form)
+
+
+def _check_automorphisms(g: Graph, automorphisms: list[tuple[int, ...]]) -> None:
+    """The generators from the labelling search generate exactly the
+    brute-force group, and the orbits the layer builder takes from them on
+    vertices and on non-edges are the brute-force orbits."""
+    form, labelling, generators = labelling_and_automorphisms(g)
+    assert (form, labelling) == canonical_labelling(g)
+    assert canonical_graph(form) == g.relabel(labelling)
+    group = {tuple(range(g.n))}
+    todo = list(group)
+    for p in todo:
+        for q in generators:
+            r = tuple(q[v] for v in p)
+            if r not in group:
+                group.add(r)
+                todo.append(r)
+    assert group == set(automorphisms)
+    vertices = [(v,) for v in range(g.n)]
+    non_edges = [(u, v) for u, v in combinations(range(g.n), 2) if not g.adj[u] >> v & 1]
+    for items in (vertices, non_edges):
+        orbits = {t: {tuple(sorted(a[v] for v in t)) for a in automorphisms} for t in items}
+        assert search._orbit_representatives(items, generators) == [
+            t for t in items if t == min(orbits[t])]
+        for t in items:
+            assert set(search._orbit(t, generators)) == orbits[t]
+
+
+def test_automorphisms_match_brute_force_up_to_six_vertices():
+    """Every class on n <= 6 vertices, grown edge by edge from the empty
+    graph with one graph kept per form."""
+    for n in range(7):
+        layer = {canonical_form(Graph(n, (0,) * n)): Graph(n, (0,) * n)}
+        classes = 0
+        while layer:
+            classes += len(layer)
+            grown: dict[bytes, Graph] = {}
+            for g in layer.values():
+                _check_automorphisms(g, brute_automorphisms(g))
+                for u, v in combinations(range(n), 2):
+                    if not g.adj[u] >> v & 1:
+                        h = g.add_edge(u, v)
+                        grown.setdefault(canonical_form(h), h)
+            layer = grown
+        assert classes == (1, 1, 2, 4, 11, 34, 156)[n]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(7, 9).flatmap(lambda n: graph_and_perm(min_n=n, max_n=n)))
+def test_automorphisms_match_brute_force_seven_to_nine_vertices(case):
+    g, perm = case
+    g = g.relabel(perm)
+    automorphisms = brute_automorphisms(g, cap=5040)
+    assume(automorphisms is not None)
+    _check_automorphisms(g, automorphisms)
 
 
 def test_direct_construction_still_validates():

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from bht import families as F
+from bht import graphs
 from bht import search as SR
 from bht.forbidden import NAMED_PATTERNS, is_free
 from bht.graphs import (
@@ -178,9 +179,9 @@ def test_layers_match_seen_dict_oracle():
             assert layer == [graph_of_form(c) for c in oracle], (n, m)
 
 
-def test_labelling_calls_per_class_kept(monkeypatch):
-    """Over every layer up to m = 10, at most 2.5 labellings per class
-    kept; labelling every child took 6.97."""
+def _count_labellings(monkeypatch) -> list[int]:
+    """Empty the layer cache and count the labellings that ``search``
+    makes through any labelling function of ``graphs`` that it imports."""
     calls = [0]
 
     def counted(fn):
@@ -189,12 +190,35 @@ def test_labelling_calls_per_class_kept(monkeypatch):
             return fn(g)
         return wrapper
 
+    wrapped = 0
+    for name in ("canonical_labelling", "canonical_form", "labelling_and_automorphisms"):
+        fn = getattr(graphs, name, None)
+        if fn is not None and getattr(SR, name, None) is fn:
+            monkeypatch.setattr(SR, name, counted(fn))
+            wrapped += 1
+    assert wrapped
     monkeypatch.setattr(SR, "_LAYERS", {})
-    monkeypatch.setattr(SR, "canonical_labelling", counted(SR.canonical_labelling))
-    monkeypatch.setattr(SR, "canonical_form", counted(SR.canonical_form))
+    return calls
+
+
+def test_labelling_calls_per_class_kept(monkeypatch):
+    """Over every layer up to m = 10, at most 2.5 labellings per class
+    kept; labelling every child took 6.97."""
+    calls = _count_labellings(monkeypatch)
     kept = sum(len(SR.connected_layer(n, m)) for m in range(0, 11) for n in range(1, m + 2))
     assert sum(FROZEN_CLASS_COUNTS.values()) + 1 == kept  # the point is kept too
     assert calls[0] <= 2.5 * kept, calls[0] / kept
+
+
+def test_search_labellings_per_class(monkeypatch):
+    """A cold search labels parents, tied children and its maximizers,
+    not the untied children: at most 0.9 labellings per class kept (1.32
+    when every kept child was labelled)."""
+    calls = _count_labellings(monkeypatch)
+    rep = SR.extremal_search(9, ["theta122", "theta123"])
+    kept = sum(len(layer) for layer in SR._LAYERS.values())
+    assert rep.counts["pruned"] == 0 and kept > 1000
+    assert calls[0] <= 0.9 * kept, calls[0] / kept
 
 
 @pytest.mark.parametrize("pattern", NAMED_PATTERNS)
