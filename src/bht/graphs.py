@@ -365,25 +365,6 @@ def canonical_form(g: Graph) -> bytes:
     return canonical_labelling(g)[0]
 
 
-def canonical_graph(form: bytes) -> Graph:
-    """The canonical graph that ``form`` stores: its upper-triangle code,
-    row by row with the first bit most significant, after the 2-byte
-    vertex count."""
-    n = int.from_bytes(form[:2], "big")
-    k = n * (n - 1) // 2
-    if len(form) != 2 + (k + 7) // 8:
-        raise ValueError(f"{form.hex()} is not a canonical form")
-    code = int.from_bytes(form[2:], "big") >> (-k % 8)
-    rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            k -= 1
-            if code >> k & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
-
-
 # -- file formats -------------------------------------------------------------
 
 

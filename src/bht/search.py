@@ -28,11 +28,10 @@ A layer holds one graph per class as generated, labelled only where it
 was a parent or a tied child.  ``connected_layer`` labels the rest on
 demand and returns each class's canonical graph (the graph relabelled by
 its canonical labelling), sorted by form.  The search scans the layers
-as generated and labels a graph only if its degree sequence matches an
-exclusion's or its spectral radius comes within reach of the layer's
-best (see ``_scan``); those near-ties are admitted in form order with
-the radius of the canonical graph, so the search output does not depend
-on the order of generation either.  Layers are cached in-process and the
+as generated and labels a graph only if its spectral radius comes within
+reach of the layer's best (see ``_scan``); those near-ties are admitted
+in form order with the radius of the canonical graph, so the search
+output does not depend on the order of generation either.  Layers are cached in-process and the
 search can checkpoint per-layer summaries to disk, under a name that
 carries the format version, making forced large runs resumable.
 
@@ -60,8 +59,8 @@ from typing import Callable, NamedTuple
 
 from . import families, forbidden
 from .graphs import (
-    Graph, bits, canonical_form, canonical_graph, from_graph6, is_connected,
-    labelling_and_automorphisms, to_graph6,
+    Graph, bits, canonical_form, from_graph6, is_connected, labelling_and_automorphisms,
+    to_graph6,
 )
 from .polynomials import (
     Polynomial,
@@ -356,46 +355,36 @@ def _admit(best: float, tied: list, cand: tuple[Graph, bytes, float]) -> float:
     return best
 
 
-def _signature(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Vertex count and sorted degree sequence, which isomorphic graphs share."""
-    return g.n, tuple(sorted(map(int.bit_count, g.adj)))
-
-
-def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes], signatures: set):
+def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes]):
     """Near-ties for the best lambda, and the enumerated and free counts,
     over the admissible graphs of a layer, as ``_admit`` finds them in
     form order.
 
-    ``signatures`` are the exclusions' ``_signature`` values; only a free
-    graph that shares one is labelled to test exclusion.  The contenders
-    are the lambdas, largest first, down to the first gap wider than
-    2 * TIE_TOL.  A graph's lambda and its canonical graph's differ by
-    rounding only, far below TIE_TOL / 2, so each contender exceeds every
-    other admissible lambda by more than TIE_TOL: the first contender in
-    form order resets the best, and after it no other graph is kept or
-    resets it.  Only the contenders are labelled, and their lambda is
-    taken again on the canonical graph.
+    Walking the free graphs by lambda, largest first, the contenders are
+    the admissible ones down to the first gap wider than 2 * TIE_TOL
+    below the last of them; only the graphs met on the way are labelled.
+    A graph's lambda and its canonical graph's differ by rounding only,
+    far below TIE_TOL / 2, so each contender exceeds every other
+    admissible lambda by more than TIE_TOL: the first contender in form
+    order resets the best, and after it no other graph is kept or resets
+    it.  The contenders' lambda is taken again on the canonical graph.
     """
-    free = 0
-    lams = []
-    for i, entry in enumerate(layer):
-        g = entry.graph
-        if not forbidden.is_free(g, patterns):
-            continue
-        free += 1
-        if _signature(g) in signatures and _labelled(layer, i).form in exclusions:
-            continue
-        lams.append((connected_radius(g), i))
+    lams = [(connected_radius(c.graph), i) for i, c in enumerate(layer)
+            if forbidden.is_free(c.graph, patterns)]
     lams.sort(reverse=True)
-    k = 1
-    while k < len(lams) and lams[k - 1][0] - lams[k][0] <= 2 * TIE_TOL:
-        k += 1
+    contenders: list[tuple[float, _Class]] = []
+    for lam, i in lams:
+        if contenders and contenders[-1][0] - lam > 2 * TIE_TOL:
+            break
+        c = _labelled(layer, i)
+        if c.form not in exclusions:
+            contenders.append((lam, c))
     best = -1.0
     tied: list[tuple[Graph, bytes, float]] = []
-    for c in sorted((_labelled(layer, i) for _, i in lams[:k]), key=lambda c: c.form):
+    for _, c in sorted(contenders, key=lambda t: t[1].form):
         g = c.graph.relabel(c.labelling)
         best = _admit(best, tied, (g, c.form, connected_radius(g)))
-    return tied, len(layer), free
+    return tied, len(layer), len(lams)
 
 
 # Part of every checkpoint's file name.  Raise it when what a checkpoint
@@ -504,7 +493,6 @@ def extremal_search(
     excl = frozenset(
         e if isinstance(e, bytes) else canonical_form(e) for e in exclusions
     )
-    signatures = {_signature(canonical_graph(e)) for e in excl}
     t0 = time.perf_counter()
     pruned = 0
 
@@ -513,8 +501,7 @@ def extremal_search(
     best = -1.0
     if prune and m >= 4:
         for _, g in families.theorem_candidates(m):
-            if forbidden.is_free(g, patterns) and not (
-                    _signature(g) in signatures and canonical_form(g) in excl):
+            if forbidden.is_free(g, patterns) and canonical_form(g) not in excl:
                 best = max(best, connected_radius(g))
 
     ckpt_path = None if cache_dir is None else _checkpoint_path(cache_dir, m, patterns, excl)
@@ -530,7 +517,7 @@ def extremal_search(
             continue
         key = str(n)
         if key not in checkpoint:
-            checkpoint[key] = _scan(_layer(n, m), patterns, excl, signatures)
+            checkpoint[key] = _scan(_layer(n, m), patterns, excl)
             if ckpt_path is not None:
                 _save_checkpoint(ckpt_path, checkpoint)
         layer_tied, layer_enum, layer_free = checkpoint[key]
@@ -590,7 +577,7 @@ def _book_exclusion(m: int) -> list[Graph]:
 def _isomorphic(g: Graph, h: Graph) -> bool:
     """Whether g and h are isomorphic; they are labelled only when their
     vertex counts and sorted degree sequences agree."""
-    if _signature(g) != _signature(h):
+    if g.n != h.n or sorted(map(int.bit_count, g.adj)) != sorted(map(int.bit_count, h.adj)):
         return False
     return canonical_form(g) == canonical_form(h)
 
