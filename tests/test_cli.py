@@ -104,9 +104,9 @@ def test_quotient_command(capsys, tmp_path):
     ("0,1;;2-5", "block 1 is empty"),
     ("0,1;1-5", "vertex 1 appears twice"),
     ("0,1;2-6", "block 1: vertex 6 out of range"),
-    ("0,1;2-4", "blocks do not cover all vertices"),
     ("0;1,2;3-x", "block 2: bad vertex or range '3-x'"),
     ("0;1,2;-3-29", "block 2: bad vertex or range '-3-29'"),
+    ("0,1;2-4", "blocks do not cover all vertices"),
 ])
 def test_quotient_blocks_errors_name_the_reason(capsys, tmp_path, blocks, reason):
     path = tmp_path / "book.txt"
