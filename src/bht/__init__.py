@@ -2,7 +2,7 @@
 
 Submodules: graph values and canonical forms (`graphs`), the named
 extremal families (`families`), forbidden-subgraph detection
-(`forbidden`), spectral radii and eigenvector bounds (`spectral`),
+(`forbidden`), spectral radii and Perron vectors (`spectral`),
 equitable partitions with exact quotient polynomials (`partition`),
 exact root isolation and sign certificates (`polynomials`), exhaustive
 small-size searches (`search`), and the `bht` command line (`cli`).

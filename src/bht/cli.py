@@ -59,7 +59,7 @@ def _parse_params(text: str) -> dict[str, int]:
         return out
     for item in text.split(","):
         if "=" not in item:
-            raise SystemExit(_usage_error(f"bad parameter {item!r}; expected k=v"))
+            raise ValueError(f"bad parameter {item!r}; expected k=v")
         key, val = item.split("=", 1)
         out[key.strip()] = int(val)
     return out
@@ -94,10 +94,7 @@ def _parse_blocks(text: str) -> list[list[int]]:
 
 
 def cmd_family(args) -> int:
-    try:
-        g = families.build(families.spec_from_params(args.name, _parse_params(args.params)))
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    g = families.build(families.spec_from_params(args.name, _parse_params(args.params)))
     if args.format == "graph6":
         out = to_graph6(g) + "\n"
     else:
@@ -138,10 +135,7 @@ def cmd_free(args) -> int:
 
 def cmd_quotient(args) -> int:
     g = _read_graph(args.input, args.format)
-    try:
-        q = partition.quotient(g, _parse_blocks(args.blocks))
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    q = partition.quotient(g, _parse_blocks(args.blocks))
     cp = partition.charpoly(q)
     lam_a, lam_q, equal = partition.charpoly_lambda_check(g, cp)
     payload = {
@@ -168,7 +162,7 @@ def cmd_poly(args) -> int:
             params[key] = val
     try:
         poly = polynomials.instantiate(args.id, args.m, **params)
-    except (ValueError, TypeError) as exc:
+    except TypeError as exc:
         return _usage_error(str(exc))
     payload: dict = {"id": args.id, "m": args.m, **params,
                      "coeffs": [str(c) for c in poly.coeffs], "poly": str(poly)}
@@ -200,7 +194,13 @@ def cmd_crossover(args) -> int:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"bad range {text!r}; expected lo:hi") from None
+    if lo > hi:
+        raise ValueError("empty range")
+    return lo, hi
 
 
 def cmd_search(args) -> int:
@@ -213,12 +213,9 @@ def cmd_search(args) -> int:
         if args.m % 2 == 0:
             return _usage_error("the book graph exists only at odd sizes")
         exclusions.append(canonical_form(families.book(args.m)))
-    try:
-        rep = search.extremal_search(
-            args.m, patterns, exclusions, force=args.force, cache_dir=args.cache_dir,
-        )
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    rep = search.extremal_search(
+        args.m, patterns, exclusions, force=args.force, cache_dir=args.cache_dir,
+    )
     payload = rep.to_json()
     lines = [
         f"m={rep.m} patterns={','.join(rep.patterns)} best_lambda={rep.best_lambda:.12f}",
@@ -262,8 +259,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.m < 22:
-        return _usage_error("certificates start at m = 22")
     certs = polynomials.inequality_certificates(args.m)
     ok = all(c.holds for c in certs)
     if args.json:

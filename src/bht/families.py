@@ -19,10 +19,9 @@ written down by index:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Callable
 
-from .graphs import Graph, bits, components, disjoint_union, from_edge_list, join
+from .graphs import Graph, disjoint_union, from_edge_list, join
 
 
 @dataclass(frozen=True)
@@ -306,31 +305,6 @@ def build(spec: FamilySpec) -> Graph:
     return _family(spec.name)[0](*spec.params)
 
 
-def expected_size(spec: FamilySpec) -> int | None:
-    """Closed-form edge count for specs that have one (used by tests)."""
-    name, p = spec.name, spec.params
-    if name == "complete_split":
-        n, k = p
-        return comb(k, 2) + k * (n - k)
-    if name == "split_pendant":
-        n, k, t = p
-        return comb(k, 2) + k * (n - t - k) + t
-    if name == "star_matching":
-        n, k = p
-        return n - 1 + k
-    if name == "theta":
-        return sum(p)
-    if name == "r_chain":
-        return 6 * p[0]
-    if name == "double_star":
-        return p[0] + p[1] + 1
-    if name == "kminus":
-        return p[0] * p[1] - 1
-    if name == "kplus":
-        return p[0] * p[1] + 1
-    return None
-
-
 def theorem_candidates(m: int) -> list[tuple[FamilySpec, Graph]]:
     """Every graph named by the main theorems at size m, with parity filtering.
 
@@ -357,23 +331,3 @@ def theorem_candidates(m: int) -> list[tuple[FamilySpec, Graph]]:
     if m >= 4:
         emit(FamilySpec("star_matching", (m, 1)), star_matching(m, 1))
     return out
-
-
-def is_complete_bipartite(g: Graph) -> bool:
-    """True iff g is K_{a,b} for some a, b >= 1."""
-    if g.n < 2 or not g.m:
-        return False
-    if len(components(g)) != 1:
-        return False
-    side = {0: 0}
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for w in bits(g.adj[v]):
-            if w not in side:
-                side[w] = side[v] ^ 1
-                queue.append(w)
-            elif side[w] == side[v]:
-                return False
-    a = sum(1 for v in side.values() if v == 0)
-    return g.m == a * (g.n - a)

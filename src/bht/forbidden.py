@@ -158,18 +158,3 @@ def contains_subgraph(g: Graph, pattern: Graph | str) -> list[int] | None:
 def is_free(g: Graph, patterns: list[Graph | str]) -> bool:
     """True iff none of the patterns embeds into g."""
     return all(contains_subgraph(g, p) is None for p in patterns)
-
-
-def free_filter_stats(g: Graph) -> dict[str, bool]:
-    """Freeness of g with respect to each of the five named patterns."""
-    return {name: contains_subgraph(g, name) is None for name in NAMED_PATTERNS}
-
-
-def check_embedding(g: Graph, pattern: Graph | str, embedding: list[int]) -> bool:
-    """Validate that an embedding maps pattern edges onto host edges."""
-    p = _plan(pattern).graph
-    if len(embedding) != p.n or len(set(embedding)) != p.n:
-        return False
-    if not all(0 <= h < g.n for h in embedding):
-        return False
-    return all(g.has_edge(embedding[u], embedding[v]) for u, v in p.edges())

@@ -78,9 +78,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
 
-    def neighbors(self, u: int) -> list[int]:
-        return list(bits(self.adj[u]))
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
@@ -183,11 +180,6 @@ def join(g: Graph, h: Graph) -> Graph:
     for v in range(g.n, u.n):
         rows[v] |= gmask
     return Graph(u.n, tuple(rows))
-
-
-def strip_isolated(g: Graph) -> Graph:
-    """Drop all degree-zero vertices (never done implicitly elsewhere)."""
-    return induced_subgraph(g, [v for v in range(g.n) if g.adj[v]])
 
 
 # -- connectivity ------------------------------------------------------------

@@ -618,13 +618,6 @@ def book_lambda(m: int) -> float:
     return (1 + math.sqrt(4 * m - 3)) / 2
 
 
-def ks1_lower(m: int) -> float:
-    """Closed-form lower bound sqrt(m-1) + 1/(m-1) for the S^1 star."""
-    if m < 3:
-        raise ValueError("need m >= 3")
-    return math.sqrt(m - 1) + 1 / (m - 1)
-
-
 # ---------------------------------------------------------------------------
 # positivity certificates
 # ---------------------------------------------------------------------------

@@ -92,11 +92,6 @@ class _Class(NamedTuple):
 _LAYERS: dict[tuple[int, int], list[_Class]] = {}
 
 
-def trees(n: int) -> list[Graph]:
-    """All trees on n vertices up to isomorphism, sorted by canonical form."""
-    return connected_layer(n, n - 1)
-
-
 def connected_layer(n: int, m: int) -> list[Graph]:
     """Connected graphs with n vertices and m edges, one per class, sorted
     by canonical form; each is its class's canonical graph."""
@@ -294,14 +289,6 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
                     tied = [t for t, r in zip(tied, rests) if r == best]
                 _accept(kept, child, (u, v), tied)
     return kept
-
-
-def enumerate_connected(m: int):
-    """Stream one representative per isomorphism class, by (n, canonical form)."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    for n in range(2, m + 2):
-        yield from connected_layer(n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Spectral radius, Perron vectors and the eigenvector-based bounds.
+"""Spectral radius and Perron vector of a graph.
 
 The eigenpair comes from a dense symmetric eigen-solve (numpy) per
 connected component, followed by one Rayleigh-quotient pass; for these
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forbidden
-from .graphs import Graph, bits, components, is_connected
+from .graphs import Graph, bits, components
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -33,9 +32,6 @@ class SpectralResult:
     lam: float
     perron: tuple[float, ...]
     residual: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.perron)
 
 
 def _component_eigenpair(a: np.ndarray) -> tuple[float, np.ndarray]:
@@ -84,114 +80,3 @@ def spectral_radius(g: Graph) -> SpectralResult:
     x /= np.linalg.norm(x)
     return SpectralResult(lam, tuple(float(v) for v in x), residual)
 
-
-def extremal_vertex(g: Graph, result: SpectralResult | None = None) -> int:
-    """Lowest-indexed vertex carrying the maximal Perron entry."""
-    if not is_connected(g):
-        raise ValueError("extremal vertex is defined for connected graphs")
-    res = result or spectral_radius(g)
-    top = max(res.perron)
-    for v, xv in enumerate(res.perron):
-        if xv >= top - 1e-12:
-            return v
-    raise AssertionError("unreachable")
-
-
-def eigen_identity_residuals(g: Graph, result: SpectralResult | None = None) -> tuple[float, float]:
-    """Residuals of the first and second eigen-equations at every vertex.
-
-    r1 checks lam*x_u = sum of neighbour entries; r2 checks the walk
-    count expansion of lam^2*x_u through degrees, neighbours-of-
-    neighbours inside N(u) and the second neighbourhood.
-    """
-    if not is_connected(g):
-        raise ValueError("identities need a connected graph")
-    res = result or spectral_radius(g)
-    lam, x = res.lam, res.perron
-    r1 = 0.0
-    r2 = 0.0
-    for u in range(g.n):
-        nu = g.adj[u]
-        s1 = sum(x[v] for v in bits(nu))
-        r1 = max(r1, abs(lam * x[u] - s1))
-        closed = nu | 1 << u
-        second = 0
-        for v in bits(nu):
-            second |= g.adj[v]
-        second &= ~closed
-        s2 = g.degree(u) * x[u]
-        s2 += sum((g.adj[v] & nu).bit_count() * x[v] for v in bits(nu))
-        s2 += sum((g.adj[w] & nu).bit_count() * x[w] for w in bits(second))
-        r2 = max(r2, abs(lam * lam * x[u] - s2))
-    return r1, r2
-
-
-def bound_clique_free(g: Graph, r: int) -> tuple[float, float, bool]:
-    """Edge bound for K_{r+1}-free graphs: lam <= sqrt(2m(1-1/r))."""
-    if r < 2:
-        raise ValueError("need r >= 2")
-    from . import families
-
-    if forbidden.contains_subgraph(g, families.complete(r + 1)) is not None:
-        raise ValueError(f"graph contains K_{r + 1}")
-    lhs = spectral_radius(g).lam
-    rhs = float(np.sqrt(2.0 * g.m * (1.0 - 1.0 / r)))
-    return lhs, rhs, lhs <= rhs + 1e-9
-
-
-def is_complete(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
-
-
-def is_star(g: Graph) -> bool:
-    return g.n >= 2 and g.m == g.n - 1 and max(g.degree(v) for v in range(g.n)) == g.n - 1
-
-
-def bound_vertex_deletion(g: Graph, v: int) -> tuple[float, float, bool, bool]:
-    """lam(G) <= sqrt(lam(G-v)^2 + 2 d(v) - 1), with the equality cases flagged.
-
-    Returns (lhs, rhs, holds, equality_expected) where the last field is
-    True exactly when G is complete, or a star with v a leaf.
-    """
-    d = g.degree(v)
-    if d < 1:
-        raise ValueError("v must not be isolated")
-    lhs = spectral_radius(g).lam
-    sub = g.remove_vertex(v)
-    lam_sub = spectral_radius(sub).lam if sub.n else 0.0
-    rhs = float(np.sqrt(lam_sub**2 + 2 * d - 1))
-    equality_case = is_complete(g) or (is_star(g) and d == 1)
-    return lhs, rhs, lhs <= rhs + 1e-9, equality_case
-
-
-def rewire_monotonicity(g: Graph, u: int, v: int, moved: list[int]) -> tuple[float, float, bool]:
-    """Move the edges v-w (w in ``moved``) over to u and compare radii.
-
-    Preconditions: x_u >= x_v in the Perron vector of g, and every moved
-    vertex is a neighbour of v outside the closed neighbourhood of u.
-    The perturbation never decreases the radius, strictly increasing it
-    whenever ``moved`` is nonempty.
-    """
-    if not is_connected(g):
-        raise ValueError("rewiring argument needs a connected graph")
-    res = spectral_radius(g)
-    if res.perron[u] < res.perron[v] - 1e-12:
-        raise ValueError("precondition x_u >= x_v fails")
-    allowed = g.adj[v] & ~(g.adj[u] | 1 << u)
-    for w in moved:
-        if not allowed >> w & 1:
-            raise ValueError(f"vertex {w} is not movable from {v} to {u}")
-    h = g
-    for w in moved:
-        h = h.remove_edge(v, w).add_edge(u, w)
-    lam_after = spectral_radius(h).lam
-    return res.lam, lam_after, lam_after > res.lam - 1e-12
-
-
-def rayleigh_lower_bound(g: Graph, y: list[float] | np.ndarray) -> float:
-    """Rayleigh quotient y^T A y / y^T y; never exceeds the spectral radius."""
-    y = np.asarray(y, dtype=float)
-    nrm = float(y @ y)
-    if nrm == 0.0:
-        raise ValueError("y must be nonzero")
-    return float(y @ adjacency_matrix(g) @ y) / nrm

@@ -8,7 +8,7 @@ from bht import cli
 from bht import families as F
 from bht.graphs import canonical_form, disjoint_union, from_graph6, parse_edge_list, to_graph6
 from bht.spectral import spectral_radius
-from conftest import brute_isomorphic, graph_of_form
+from conftest import brute_isomorphic, check_embedding, graph_of_form
 
 
 def run(capsys, *argv):
@@ -39,6 +39,8 @@ def test_family_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "family", "--name", "theta", "--params", "p=1")
     assert code == 2
+    code, out, err = run(capsys, "family", "--name", "book", "--params", "m")
+    assert (code, out, err) == (2, "", "error: bad parameter 'm'; expected k=v\n")
 
 
 def test_lambda_json(capsys, tmp_path):
@@ -77,9 +79,7 @@ def test_free_command(capsys, tmp_path):
     assert payload["c5"]["free"] and payload["c6"]["free"]
     assert not payload["theta122"]["free"]
     witness = payload["theta122"]["witness"]
-    from bht import forbidden
-
-    assert forbidden.check_embedding(F.book(9), "theta122", witness)
+    assert check_embedding(F.book(9), "theta122", witness)
     code, _, _ = run(capsys, "free", "--input", str(path), "--patterns", "c9")
     assert code == 2
 
@@ -300,6 +300,20 @@ def test_verify_range_reports_crossovers(capsys):
     assert any(l["flips"] == [[71, 73]] for l in flips)
 
 
+@pytest.mark.parametrize("command, text, reason", [
+    ("verify", "30:20", "empty range"),
+    ("crossover", "30:20", "empty range"),
+    ("verify", "22", "bad range '22'; expected lo:hi"),
+    ("verify", "22:x", "bad range '22:x'; expected lo:hi"),
+    ("verify", "x:22", "bad range 'x:22'; expected lo:hi"),
+    ("verify", "22:30:40", "bad range '22:30:40'; expected lo:hi"),
+])
+def test_range_errors_name_the_reason(capsys, command, text, reason):
+    flag = ("--thm", "all") if command == "verify" else ("--pair", "even")
+    code, out, err = run(capsys, command, *flag, "--range", text)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
 def test_certify_command(capsys):
     code, out, _ = run(capsys, "certify", "--m", "22", "--json")
     assert code == 0
@@ -313,3 +327,5 @@ def test_certify_command(capsys):
     assert any(not l["holds"] for l in lines)
     code, _, _ = run(capsys, "certify", "--m", "10")
     assert code == 2
+    code, out, err = run(capsys, "certify", "--m", "21", "--json")
+    assert (code, out, err) == (2, "", "error: certificates start at m = 22\n")

@@ -10,7 +10,13 @@ import pytest
 
 from bht import families as F
 from bht import forbidden as FB
-from conftest import brute_contains, random_connected, seen_dict_layer, unbroken_contains_subgraph
+from conftest import (
+    brute_contains,
+    check_embedding,
+    random_connected,
+    seen_dict_layer,
+    unbroken_contains_subgraph,
+)
 
 
 def test_identity_witness():
@@ -37,9 +43,9 @@ def test_known_containments():
 
 
 def test_free_filter_stats_examples():
-    stats = FB.free_filter_stats(F.r_chain(2))
+    stats = {name: FB.contains_subgraph(F.r_chain(2), name) is None for name in FB.NAMED_PATTERNS}
     assert stats["c5"] and stats["c6"] and not stats["theta122"]
-    stats = FB.free_filter_stats(F.cycle(6))
+    stats = {name: FB.contains_subgraph(F.cycle(6), name) is None for name in FB.NAMED_PATTERNS}
     assert stats["c5"] and not stats["c6"]
     # the 1-2-4 theta graph holds a 6-cycle (its 2-path plus 4-path)
     assert FB.contains_subgraph(F.theta(1, 2, 4), "c6") is not None
@@ -53,7 +59,7 @@ def test_witness_validity_on_random_graphs(rng):
             emb = FB.contains_subgraph(g, name)
             if emb is not None:
                 hits += 1
-                assert FB.check_embedding(g, name, emb)
+                assert check_embedding(g, name, emb)
     assert hits > 50  # the sample must actually exercise positives
 
 
@@ -113,9 +119,9 @@ def test_deterministic_witness():
 
 
 def test_check_embedding_rejects_hosts_out_of_range():
-    assert FB.check_embedding(F.cycle(5), "c5", [0, 1, 2, 3, 4])
-    assert not FB.check_embedding(F.cycle(5), "c5", [0, 1, 2, 3, 99])
-    assert not FB.check_embedding(F.cycle(5), "c5", [-1, 0, 1, 2, 3])
+    assert check_embedding(F.cycle(5), "c5", [0, 1, 2, 3, 4])
+    assert not check_embedding(F.cycle(5), "c5", [0, 1, 2, 3, 99])
+    assert not check_embedding(F.cycle(5), "c5", [-1, 0, 1, 2, 3])
 
 
 PIN_PATTERNS = list(FB.NAMED_PATTERNS) + [F.complete(3), F.complete(4), F.cycle(4), F.path(5)]

@@ -22,10 +22,9 @@ from bht.graphs import (
     join,
     labelling_and_automorphisms,
     parse_edge_list,
-    strip_isolated,
     to_graph6,
 )
-from conftest import brute_automorphisms, brute_isomorphic, graph_of_form
+from conftest import brute_automorphisms, brute_isomorphic, enumerate_connected, graph_of_form
 
 
 def test_from_edge_list_triangle():
@@ -101,11 +100,6 @@ def test_connectivity():
     assert is_connected(families.split_pendant(7, 2, 1))
     assert not is_connected(Graph(0, ()))
     assert is_connected(Graph(1, (0,)))
-
-
-def test_strip_isolated():
-    g = disjoint_union(families.complete(3), families.empty(2))
-    assert strip_isolated(g).n == 3
 
 
 @st.composite
@@ -234,7 +228,7 @@ CANONICAL_PIN = (1096, "1eeff25c834c5883581927a9991e00b8e3e1cef8d919335e968aff93
 
 
 def test_canonical_bytes_are_pinned():
-    graphs = [g for m in range(1, 10) for g in search.enumerate_connected(m)]
+    graphs = [g for m in range(1, 10) for g in enumerate_connected(m)]
     graphs += [g for m in range(22, 121, 13) for _, g in families.theorem_candidates(m)]
     digest = hashlib.sha256()
     for g in graphs:

@@ -308,7 +308,6 @@ def test_even_difference_identity():
 def test_closed_forms():
     assert abs(P.book_lambda(9) - (1 + math.sqrt(33)) / 2) <= 1e-15
     assert P.book_lambda(3) == 2.0
-    assert abs(P.ks1_lower(26) - 5.04) <= 1e-12
 
 
 def test_candidate_roots_live_between_gates():

@@ -14,13 +14,14 @@ from bht import search as SR
 from bht.forbidden import NAMED_PATTERNS, is_free
 from bht.graphs import (
     Graph,
+    bits,
     canonical_form,
     from_edge_list,
     is_connected,
 )
 from bht.polynomials import book_lambda
-from bht.spectral import extremal_vertex, spectral_radius
-from conftest import graph_of_form, seen_dict_layer
+from bht.spectral import spectral_radius
+from conftest import enumerate_connected, extremal_vertex, graph_of_form, seen_dict_layer
 
 # Totals per edge count, frozen from the oracle runs below (the Burnside
 # cross-check recomputes the layer counts live on every test run).
@@ -30,21 +31,21 @@ FROZEN_CLASS_COUNTS = {1: 1, 2: 1, 3: 3, 4: 5, 5: 12, 6: 30, 7: 79, 8: 227, 9: 7
 def test_frozen_totals():
     for m, expected in FROZEN_CLASS_COUNTS.items():
         if m <= 8:
-            assert len(list(SR.enumerate_connected(m))) == expected
+            assert len(list(enumerate_connected(m))) == expected
 
 
 def test_frozen_totals_nine_ten():
-    assert len(list(SR.enumerate_connected(9))) == FROZEN_CLASS_COUNTS[9]
-    assert len(list(SR.enumerate_connected(10))) == FROZEN_CLASS_COUNTS[10]
+    assert len(list(enumerate_connected(9))) == FROZEN_CLASS_COUNTS[9]
+    assert len(list(enumerate_connected(10))) == FROZEN_CLASS_COUNTS[10]
 
 
 def test_no_duplicates_and_determinism():
     for m in range(1, 8):
-        first = [canonical_form(g) for g in SR.enumerate_connected(m)]
-        second = [canonical_form(g) for g in SR.enumerate_connected(m)]
+        first = [canonical_form(g) for g in enumerate_connected(m)]
+        second = [canonical_form(g) for g in enumerate_connected(m)]
         assert first == second
         assert len(set(first)) == len(first)
-        for g in SR.enumerate_connected(m):
+        for g in enumerate_connected(m):
             assert is_connected(g) and g.m == m and min(g.adj) > 0
 
 
@@ -96,7 +97,7 @@ def test_tree_layers_against_pruefer_oracle():
             last = [u for u in avail if degree[u] == 1]
             edges.append((last[0], last[1]))
             seen.add(canonical_form(from_edge_list(edges)))
-        assert len(SR.trees(n)) == len(seen)
+        assert len(SR.connected_layer(n, n - 1)) == len(seen)
 
 
 def _burnside_all_graph_classes(n: int, m: int) -> int:
@@ -301,7 +302,7 @@ def test_maximizers_cut_vertex_consistency():
         for g, _ in rep.maximizers:
             assert is_connected(g)
             u = extremal_vertex(g)
-            closed = {u, *g.neighbors(u)}
+            closed = {u, *bits(g.adj[u])}
             assert _articulation_points(g) <= closed
 
 

@@ -11,7 +11,16 @@ from bht import spectral as S
 from bht.graphs import disjoint_union
 from bht.partition import adjacency_charpoly
 from bht.polynomials import largest_real_root
-from conftest import random_connected
+from conftest import (
+    bound_clique_free,
+    bound_vertex_deletion,
+    eigen_identity_residuals,
+    extremal_vertex,
+    is_complete_bipartite,
+    random_connected,
+    rayleigh_lower_bound,
+    rewire_monotonicity,
+)
 
 
 def test_complete_graphs():
@@ -49,40 +58,40 @@ def test_perron_contract_on_random_suite(rng):
         g = random_connected(rng, 2, 16)
         res = S.spectral_radius(g)
         assert res.residual <= 1e-10
-        arr = res.as_array()
+        arr = np.array(res.perron)
         assert abs(float(arr @ arr) - 1.0) <= 1e-12
         assert min(res.perron) > 0.0
         assert max(res.perron) <= 1 / math.sqrt(2) + 1e-12
 
 
 def test_extremal_vertex():
-    assert S.extremal_vertex(F.book(9)) == 0
-    assert S.extremal_vertex(F.complete(6)) == 0
-    assert S.extremal_vertex(F.star_matching(10, 1)) == 0
+    assert extremal_vertex(F.book(9)) == 0
+    assert extremal_vertex(F.complete(6)) == 0
+    assert extremal_vertex(F.star_matching(10, 1)) == 0
     with pytest.raises(ValueError):
-        S.extremal_vertex(disjoint_union(F.complete(2), F.complete(2)))
+        extremal_vertex(disjoint_union(F.complete(2), F.complete(2)))
 
 
 def test_eigen_identities():
     for g in (F.cycle(5), F.complete(4), F.book(9), F.split_pendant_for_size(23, 2)):
-        r1, r2 = S.eigen_identity_residuals(g)
+        r1, r2 = eigen_identity_residuals(g)
         assert r1 <= 1e-8 and r2 <= 1e-8
 
 
 def test_eigen_identities_random(rng):
     for _ in range(200):
         g = random_connected(rng, 3, 12)
-        r1, r2 = S.eigen_identity_residuals(g)
+        r1, r2 = eigen_identity_residuals(g)
         assert r1 <= 1e-8 and r2 <= 1e-8
 
 
 def test_clique_free_bound():
-    lhs, rhs, holds = S.bound_clique_free(F.cycle(5), 2)
+    lhs, rhs, holds = bound_clique_free(F.cycle(5), 2)
     assert holds and abs(lhs - 2.0) <= 1e-10 and abs(rhs - math.sqrt(5)) <= 1e-12
-    lhs, rhs, holds = S.bound_clique_free(F.complete_bipartite(3, 6), 2)
+    lhs, rhs, holds = bound_clique_free(F.complete_bipartite(3, 6), 2)
     assert holds and abs(lhs - rhs) <= 1e-9  # equality for complete bipartite
     with pytest.raises(ValueError, match="contains"):
-        S.bound_clique_free(F.complete(4), 3)
+        bound_clique_free(F.complete(4), 3)
 
 
 def test_clique_free_equality_cases_exhaustive():
@@ -95,27 +104,27 @@ def test_clique_free_equality_cases_exhaustive():
             for g in search.connected_layer(n, m):
                 if contains_subgraph(g, F.complete(3)) is not None:
                     continue
-                lhs, rhs, holds = S.bound_clique_free(g, 2)
+                lhs, rhs, holds = bound_clique_free(g, 2)
                 assert holds
-                assert (abs(lhs - rhs) <= 1e-9) == F.is_complete_bipartite(g)
+                assert (abs(lhs - rhs) <= 1e-9) == is_complete_bipartite(g)
 
 
 def test_vertex_deletion_bound():
-    lhs, rhs, holds, eq = S.bound_vertex_deletion(F.star(8), 3)
+    lhs, rhs, holds, eq = bound_vertex_deletion(F.star(8), 3)
     assert holds and eq and abs(lhs - rhs) <= 1e-9
-    lhs, rhs, holds, eq = S.bound_vertex_deletion(F.complete(6), 2)
+    lhs, rhs, holds, eq = bound_vertex_deletion(F.complete(6), 2)
     assert holds and eq and abs(lhs - rhs) <= 1e-9
-    lhs, rhs, holds, eq = S.bound_vertex_deletion(F.cycle(6), 0)
+    lhs, rhs, holds, eq = bound_vertex_deletion(F.cycle(6), 0)
     assert holds and not eq and rhs - lhs > 1e-3
     with pytest.raises(ValueError):
-        S.bound_vertex_deletion(disjoint_union(F.complete(2), F.empty(1)), 2)
+        bound_vertex_deletion(disjoint_union(F.complete(2), F.empty(1)), 2)
 
 
 def test_vertex_deletion_random(rng):
     for _ in range(300):
         g = random_connected(rng, 3, 12)
         v = rng.randrange(g.n)
-        lhs, rhs, holds, eq = S.bound_vertex_deletion(g, v)
+        lhs, rhs, holds, eq = bound_vertex_deletion(g, v)
         assert holds
         if abs(lhs - rhs) <= 1e-9:
             assert eq
@@ -139,10 +148,10 @@ def test_deletion_monotone_and_edge_addition_strict(rng):
 def test_rewire_monotonicity_examples():
     # the star centre absorbs a leaf's private neighbour from a path tail
     g = F.star(5).add_vertex().add_edge(2, 5).add_vertex().add_edge(5, 6)
-    before, after, holds = S.rewire_monotonicity(g, 0, 2, [5])
+    before, after, holds = rewire_monotonicity(g, 0, 2, [5])
     assert holds and after > before
     # empty move leaves the radius unchanged
-    before, after, holds = S.rewire_monotonicity(g, 0, 2, [])
+    before, after, holds = rewire_monotonicity(g, 0, 2, [])
     assert holds and after == before
 
 
@@ -151,27 +160,27 @@ def test_rewire_end_block_relocation():
     g = F.complete(5)
     for edge in [(4, 5), (5, 6), (6, 7)]:
         g = g.add_vertex().add_edge(*edge)
-    u = S.extremal_vertex(g)
+    u = extremal_vertex(g)
     assert u != 6
-    before, after, holds = S.rewire_monotonicity(g, u, 6, [7])
+    before, after, holds = rewire_monotonicity(g, u, 6, [7])
     assert holds and after > before + 1e-9
 
 
 def test_rewire_precondition_errors():
     g = F.star(6)
     with pytest.raises(ValueError, match="x_u >= x_v"):
-        S.rewire_monotonicity(g, 1, 0, [2])
+        rewire_monotonicity(g, 1, 0, [2])
     with pytest.raises(ValueError, match="not movable"):
-        S.rewire_monotonicity(g, 0, 1, [2])
+        rewire_monotonicity(g, 0, 1, [2])
 
 
 def test_rayleigh_quotient():
     g = F.cycle(5)
-    assert abs(S.rayleigh_lower_bound(g, [1.0] * 5) - 2.0) <= 1e-12
+    assert abs(rayleigh_lower_bound(g, [1.0] * 5) - 2.0) <= 1e-12
     res = S.spectral_radius(g)
-    assert abs(S.rayleigh_lower_bound(g, list(res.perron)) - res.lam) <= 1e-10
+    assert abs(rayleigh_lower_bound(g, list(res.perron)) - res.lam) <= 1e-10
     with pytest.raises(ValueError):
-        S.rayleigh_lower_bound(g, [0.0] * 5)
+        rayleigh_lower_bound(g, [0.0] * 5)
 
 
 def test_rayleigh_star_vector_lower_bound():
@@ -181,7 +190,7 @@ def test_rayleigh_star_vector_lower_bound():
         y = np.zeros(m)
         y[0] = 1 / math.sqrt(2)
         y[1:] = 1 / math.sqrt(2 * (m - 1))
-        val = S.rayleigh_lower_bound(g, y)
+        val = rayleigh_lower_bound(g, y)
         assert abs(val - (math.sqrt(m - 1) + 1 / (m - 1))) <= 1e-12
         assert val <= S.spectral_radius(g).lam + 1e-12
 
@@ -192,7 +201,7 @@ def test_rayleigh_never_exceeds_lambda(rng):
         y = [rng.uniform(-1, 1) for _ in range(g.n)]
         if all(abs(v) < 1e-9 for v in y):
             continue
-        assert S.rayleigh_lower_bound(g, y) <= S.spectral_radius(g).lam + 1e-12
+        assert rayleigh_lower_bound(g, y) <= S.spectral_radius(g).lam + 1e-12
 
 
 def test_lambda_matches_exact_charpoly_root():
