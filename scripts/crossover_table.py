@@ -16,6 +16,8 @@ def main() -> None:
     ap.add_argument("--hi", type=int, default=120)
     ap.add_argument("--parity", choices=(*P.CROSSOVER, "both"), default="both")
     args = ap.parse_args()
+    if args.lo > args.hi:
+        ap.error("empty range")
 
     parities = tuple(P.CROSSOVER) if args.parity == "both" else (args.parity,)
     for parity in parities:

@@ -260,16 +260,6 @@ class Quad:
             return str(self.a)
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
-    def bounds(self, scale: int = 1 << 80) -> tuple[Fraction, Fraction]:
-        """Enclosing rational interval (exact when b = 0)."""
-        if self.b == 0:
-            return self.a, self.a
-        s = math.isqrt(self.d * scale * scale)
-        lo_rt, hi_rt = Fraction(s, scale), Fraction(s + 1, scale)
-        if self.b > 0:
-            return self.a + self.b * lo_rt, self.a + self.b * hi_rt
-        return self.a + self.b * hi_rt, self.a + self.b * lo_rt
-
 
 def _quad_sign(a, b, d: int) -> int:
     """Sign of a + b*sqrt(d) for d >= 0: the sign of a and b when they agree,
@@ -623,30 +613,21 @@ def book_lambda(m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rational_between(lo: Quad, hi: Quad) -> Fraction:
-    """An exact rational strictly between two quadratic values (lo < hi)."""
-    scale = 1 << 40
-    while True:
-        _, lo_hi = lo.bounds(scale)
-        hi_lo, _ = hi.bounds(scale)
-        if lo_hi < hi_lo:
-            return (lo_hi + hi_lo) / 2
-        if (hi - lo).sign() <= 0 and lo.d == hi.d:
-            raise ValueError("interval is empty")
-        scale <<= 20
-        if scale > 1 << 400:
-            raise ValueError("points too close to separate")
-
-
 def positive_on_ray(p: Polynomial, x0: Quad | Fraction) -> bool:
     """Certify p(x) > 0 for every x >= x0 (Sturm count + endpoint sign)."""
     return sign_at(p, x0) > 0 and count_roots(p, x0, POS_INF) == 0
 
 
 def positive_on_open_interval(p: Polynomial, lo: Quad, hi: Quad) -> bool:
-    """Certify p(x) > 0 on (lo, hi): no roots inside, positive at a point."""
-    inside = count_roots(p, lo, hi) - (sign_at(p, hi) == 0)
-    return inside == 0 and sign_at(p, rational_between(lo, hi)) > 0
+    """Certify p(x) > 0 on (lo, hi), for lo < hi: no roots inside, and p
+    positive just right of lo."""
+    if count_roots(p, lo, hi) - (sign_at(p, hi) == 0):
+        return False
+    # with no root in (lo, hi), p has there the sign of its first
+    # derivative that is nonzero at lo
+    while p.coeffs and sign_at(p, lo) == 0:
+        p = p.derivative()
+    return sign_at(p, lo) > 0
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,13 @@ edges and a strictly larger spectral radius, and it is still free of
 every 2-connected pattern (all the named ones), since a path adds no
 cycle.  Layers whose connected-graph ceiling sqrt(2m - n + 1) cannot
 reach the running best are skipped; that bound is standard for connected
-graphs with minimum degree one and is validated against unpruned runs in
-the test suite.
+graphs with minimum degree one (Y. Hong, Linear Algebra Appl. 108, 1988)
+and is validated against unpruned runs in the test suite.  The running
+best starts at -1 and comes from the scanned layers alone.  No known
+graph could seed it usefully: one on n_s vertices has lambda at most
+sqrt(2m - n_s + 1), so it could prune only layers n > n_s, and the scan
+reaches its own layer n_s first.  The reported ``best_lambda`` is thus
+the lambda of the first listed maximizer's canonical graph.
 """
 
 from __future__ import annotations
@@ -482,14 +487,7 @@ def extremal_search(
     )
     t0 = time.perf_counter()
     pruned = 0
-
-    # seed the running best with the closed-form candidates so sparse
-    # layers prune immediately
     best = -1.0
-    if prune and m >= 4:
-        for _, g in families.theorem_candidates(m):
-            if forbidden.is_free(g, patterns) and canonical_form(g) not in excl:
-                best = max(best, connected_radius(g))
 
     ckpt_path = None if cache_dir is None else _checkpoint_path(cache_dir, m, patterns, excl)
     checkpoint = {} if ckpt_path is None else _load_checkpoint(ckpt_path, m, patterns, excl)

@@ -393,13 +393,10 @@ def test_positivity_primitives():
     assert not P.positive_on_ray(up, P.Quad.of(3))  # zero at the endpoint
     assert P.positive_on_open_interval(up, P.Quad.of(Fraction(-1)), P.Quad.of(Fraction(1, 2)))
     assert not P.positive_on_open_interval(up, P.Quad.of(0), P.Quad.of(2))
-
-
-def test_rational_between():
-    lo = P.gate(30, 7)
-    hi = P.gate(30, 3)
-    q = P.rational_between(lo, hi)
-    assert (P.Quad.of(q) - lo).sign() > 0 and (hi - P.Quad.of(q)).sign() > 0
+    assert P.positive_on_open_interval(up, P.Quad.of(3), P.Quad.of(5))  # root at lo
+    assert not P.positive_on_open_interval(up, P.Quad.of(1), P.Quad.of(3))  # roots at both ends
+    square = P.Polynomial([0, 0, 1])
+    assert P.positive_on_open_interval(square, P.Quad.of(0), P.Quad.of(1))  # double root at lo
 
 
 def test_nested_radical_certificates():

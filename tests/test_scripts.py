@@ -27,6 +27,13 @@ def test_crossover_table_flips():
     assert "flips: [(71, 73)]" in lines
 
 
+def test_crossover_table_empty_range_is_a_usage_error():
+    proc = run_script("crossover_table.py", "--lo", "30", "--hi", "20")
+    assert proc.returncode == 2
+    assert "empty range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("name, args", [
     ("threshold_window.py", ("--lo", "22", "--hi", "22")),
     ("small_m_maximizers.py", ("--max-m", "5")),

@@ -20,7 +20,7 @@ from bht.graphs import (
     is_connected,
 )
 from bht.polynomials import book_lambda
-from bht.spectral import spectral_radius
+from bht.spectral import connected_radius, spectral_radius
 from conftest import enumerate_connected, extremal_vertex, graph_of_form, seen_dict_layer
 
 # Totals per edge count, frozen from the oracle runs below (the Burnside
@@ -252,6 +252,22 @@ def test_pruning_soundness():
             assert pruned.best_lambda == unpruned.best_lambda
             assert [c for _, c in pruned.maximizers] == [c for _, c in unpruned.maximizers]
             assert pruned.counts["pruned"] > 0
+
+
+@pytest.mark.parametrize("patterns", [["theta123"], ["theta124"], ["c5"], ["c6"],
+                                      ["theta122", "theta123"]], ids="+".join)
+def test_best_lambda_and_hong_pruned_count(patterns):
+    """best_lambda is the radius of the first listed maximizer, bit for bit,
+    and the pruned layers are exactly those whose Hong ceiling
+    sqrt(2m - n + 1) falls below it."""
+    for m in range(4, 10):
+        for excl in ([], [F.book(m)]) if m % 2 else ([],):
+            rep = SR.extremal_search(m, patterns, excl)
+            assert rep.best_lambda == connected_radius(rep.maximizers[0][0]), (m, excl)
+            below = sum(1 for n in range(2, m + 2)
+                        if n - 1 <= m <= math.comb(n, 2)
+                        and math.sqrt(2 * m - n + 1) < rep.best_lambda - SR.TIE_TOL)
+            assert rep.counts["pruned"] == below, (m, excl)
 
 
 def test_search_determinism():
