@@ -21,7 +21,7 @@ def main() -> None:
 
     for m in range(args.lo, args.hi + 1):
         print(f"\n== m = {m} ==")
-        for thm in ("c5_runner_up", "c6_runner_up", "theta_pair_runner_up"):
+        for thm in (t for t, claim in search.CLAIMS.items() if not claim.book):
             rep = search.verify_theorem(thm, m)
             flat = ", ".join(f"{n}={'ok' if ok else 'FAIL'}" for n, ok, _ in rep.checks)
             print(f"  {thm:22s} {rep.status:12s} {flat}")

@@ -167,7 +167,7 @@ def cmd_poly(args) -> int:
     payload: dict = {"id": args.id, "m": args.m, **params,
                      "coeffs": [str(c) for c in poly.coeffs], "poly": str(poly)}
     lines = [f"{args.id}(m={args.m}{''.join(f', {k}={v}' for k, v in params.items())}) = {poly}"]
-    if args.root or not args.coeffs:
+    if not args.coeffs:
         value, bracket = polynomials.largest_real_root(poly)
         payload["largest_root"] = value
         payload["bracket"] = [str(bracket.lo), str(bracket.hi)]
@@ -248,7 +248,7 @@ def cmd_verify(args) -> int:
                     f"{name}{'' if ok else ' FAILED'}" for name, ok, _ in rep.checks
                 )
                 print(f"{thm} m={m}: {rep.status}  [{detail}]")
-        if thm == "c6_runner_up" and len(ms) > 1:
+        if search.CLAIMS[thm].rival is not None and len(ms) > 1:
             pair_lo = max(min(ms), search.CLAIMS[thm].start)
             for parity, cx in polynomials.CROSSOVER.items():
                 rep2 = polynomials.crossover_scan(cx.cone, cx.split, parity, (pair_lo, max(ms)))
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--p", type=int)
-    p.add_argument("--root", action="store_true")
     p.add_argument("--coeffs", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_poly)

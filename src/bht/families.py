@@ -94,7 +94,13 @@ def split_pendant(n: int, k: int, t: int) -> Graph:
     base = complete_split(n - t, k)
     if t and k == 0 and n - t > 1:
         raise ValueError("pendants need a dominating vertex, so k >= 1")
-    g = base
+    return _pendants(base, t)
+
+
+def _pendants(g: Graph, t: int) -> Graph:
+    """g with t new vertices, each pendant on vertex 0, after g's vertices."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     for _ in range(t):
         g = g.add_vertex().add_edge(0, g.n)
     return g
@@ -157,46 +163,6 @@ def r_chain(k: int) -> Graph:
     return from_edge_list(edges) if k else empty(1)
 
 
-def _max_degree_vertex(g: Graph) -> int:
-    if g.n == 0:
-        raise ValueError("graph is empty")
-    degs = [g.degree(v) for v in range(g.n)]
-    return degs.index(max(degs))
-
-
-def hts_circ(h: Graph, t_side: list[int], g: Graph) -> Graph:
-    """Join the first max-degree vertex of g to the side ``t_side`` of bipartite h.
-
-    ``t_side`` must be one side of a bipartition of h (so no edges inside
-    it and none inside its complement).  Layout: g's vertices first.
-    """
-    tset = set(t_side)
-    if not tset <= set(range(h.n)):
-        raise ValueError("t_side out of range")
-    sset = set(range(h.n)) - tset
-    for u, v in h.edges():
-        if (u in tset) == (v in tset):
-            raise ValueError(f"h is not bipartite with the given sides: edge ({u},{v})")
-    if g.n == 0:
-        raise ValueError("g must be nonempty")
-    out = disjoint_union(g, h)
-    hub = _max_degree_vertex(g)
-    for v in sorted(tset):
-        out = out.add_edge(hub, g.n + v)
-    return out
-
-
-def diamond_join(h: Graph, g: Graph) -> Graph:
-    """Join the first max-degree vertex of g to every vertex of h."""
-    if g.n == 0:
-        raise ValueError("g must be nonempty")
-    out = disjoint_union(g, h)
-    hub = _max_degree_vertex(g)
-    for v in range(h.n):
-        out = out.add_edge(hub, g.n + v)
-    return out
-
-
 def double_star(a: int, b: int) -> Graph:
     """Adjacent centres with a and b leaves respectively; a+b+1 edges."""
     if a < 0 or b < 0:
@@ -255,7 +221,10 @@ def star_diamond_k4(m: int) -> Graph:
     """
     if m % 2 == 0 or m < 9:
         raise ValueError(f"star_diamond_k4 needs odd m >= 9, got {m}")
-    return diamond_join(star((m - 7) // 2 + 1), complete(4))
+    g = disjoint_union(complete(4), star((m - 7) // 2 + 1))
+    for v in range(4, g.n):
+        g = g.add_edge(0, v)
+    return g
 
 
 # name -> (constructor, the CLI's parameter names in argument order);
@@ -279,7 +248,7 @@ FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...] | None]] = {
     "kplus": (kplus, ("s", "t")),
     "k1_join_star_edge": (k1_join_star_edge, ("m", "r")),
     "k1_join_candidate": (k1_join_candidate, ("m",)),
-    "hts0_r_chain": (lambda t, k: hts_circ(empty(t), list(range(t)), r_chain(k)), ("t", "k")),
+    "hts0_r_chain": (lambda t, k: _pendants(r_chain(k), t), ("t", "k")),
     "star_diamond_k4": (star_diamond_k4, ("m",)),
 }
 

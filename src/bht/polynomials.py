@@ -718,20 +718,19 @@ def inequality_certificates(m: int) -> list[Certificate]:
 
     if m % 2:
         # the diamond-over-K4 chain (the graph needs odd m)
-        if m >= 9:
-            ell = diamond_k4_poly(m)
-            d2 = ell.derivative().derivative()
-            d1 = ell.derivative()
-            v_d2, v_d1, v_l = d2(g7), d1(g7), ell(g7)
-            add("diamond_k4_second_derivative", "l'' > 0 at the gate (= 2(5m-9))",
-                v_d2.sign() > 0 and v_d2 == Quad.of(2 * (5 * m - 9)),
-                f"value = {v_d2}")
-            add("diamond_k4_first_derivative", "l' > 0 at the gate (= (m-2)sqrt(4m-7)-3)",
-                v_d1.sign() > 0 and v_d1 == Quad.of(-3, m - 2, 4 * m - 7))
-            add("diamond_k4_value", "l > 0 at the gate (= (7m - 3 sqrt(4m-7) - 52)/2)",
-                v_l.sign() > 0 and v_l == Quad.of(Fraction(7 * m - 52, 2), Fraction(-3, 2), 4 * m - 7))
-            add("diamond_k4_ray", "l > 0 for x >= (1+sqrt(4m-7))/2",
-                positive_on_ray(ell, g7))
+        ell = diamond_k4_poly(m)
+        d2 = ell.derivative().derivative()
+        d1 = ell.derivative()
+        v_d2, v_d1, v_l = d2(g7), d1(g7), ell(g7)
+        add("diamond_k4_second_derivative", "l'' > 0 at the gate (= 2(5m-9))",
+            v_d2.sign() > 0 and v_d2 == Quad.of(2 * (5 * m - 9)),
+            f"value = {v_d2}")
+        add("diamond_k4_first_derivative", "l' > 0 at the gate (= (m-2)sqrt(4m-7)-3)",
+            v_d1.sign() > 0 and v_d1 == Quad.of(-3, m - 2, 4 * m - 7))
+        add("diamond_k4_value", "l > 0 at the gate (= (7m - 3 sqrt(4m-7) - 52)/2)",
+            v_l.sign() > 0 and v_l == Quad.of(Fraction(7 * m - 52, 2), Fraction(-3, 2), 4 * m - 7))
+        add("diamond_k4_ray", "l > 0 for x >= (1+sqrt(4m-7))/2",
+            positive_on_ray(ell, g7))
 
         # cone-over-double-star comparison quadratic, positive on the bracket
         if m >= 25:

@@ -380,9 +380,9 @@ def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes]):
 
 
 # Part of every checkpoint's file name.  Raise it when what a checkpoint
-# stores changes, so files written before are never read: version 3 drops
-# the per-layer best, which the tied lambdas give; 2 stores canonical graphs.
-CHECKPOINT_VERSION = 3
+# stores changes, so files written before are never read: version 4 stores
+# only the tied graphs; 3 drops the per-layer best; 2 stores canonical graphs.
+CHECKPOINT_VERSION = 4
 
 
 def _checkpoint_path(cache_dir: str | Path, m: int, patterns, exclusions) -> Path:
@@ -399,26 +399,24 @@ def _checkpoint_path(cache_dir: str | Path, m: int, patterns, exclusions) -> Pat
 
 
 _LAYER_KEYS = ("tied", "enumerated", "free")
-_NUMBER = (int, float)  # exact types, so JSON true/false are not numbers
 
 
 def _decode_tie(item, key: str, m: int, patterns, exclusions: frozenset[bytes]):
-    """A ``[graph6, hex, number]`` triple of layer ``key`` as (graph, canon,
-    lambda), after checking that this search could have kept it there."""
-    if not (type(item) is list and [type(v) for v in item[:2]] == [str, str]
-            and len(item) == 3 and type(item[2]) in _NUMBER):
+    """A tied entry of layer ``key``, the graph6 of its class's canonical
+    graph, as (graph, canon, lambda) derived as ``_scan`` derives them,
+    after checking that this search could have kept it there."""
+    if type(item) is not str:
         raise ValueError(f"bad tied entry {item!r}")
-    g, canon, lam = from_graph6(item[0]), bytes.fromhex(item[1]), item[2]
+    g = from_graph6(item)
     if str(g.n) != key or g.m != m or not is_connected(g):
-        raise ValueError(f"tied entry {item[0]!r} is not a connected graph "
+        raise ValueError(f"tied entry {item!r} is not a connected graph "
                          f"with {key} vertices and {m} edges")
-    if canonical_form(g) != canon:
-        raise ValueError(f"tied entry {item[0]!r} does not have canonical form {item[1]}")
+    canon, labelling, _ = labelling_and_automorphisms(g)
+    if g.relabel(labelling) != g:
+        raise ValueError(f"tied entry {item!r} is not its class's canonical graph")
     if not forbidden.is_free(g, patterns) or canon in exclusions:
-        raise ValueError(f"tied entry {item[0]!r} is not admissible")
-    if abs(connected_radius(g) - lam) > TIE_TOL:
-        raise ValueError(f"tied entry {item[0]!r} does not have spectral radius {lam!r}")
-    return g, canon, lam
+        raise ValueError(f"tied entry {item!r} is not admissible")
+    return g, canon, connected_radius(g)
 
 
 def _load_checkpoint(path: Path, m: int, patterns, exclusions: frozenset[bytes]) -> dict[str, tuple]:
@@ -446,8 +444,7 @@ def _load_checkpoint(path: Path, m: int, patterns, exclusions: frozenset[bytes])
 def _save_checkpoint(path: Path, layers: dict[str, tuple]) -> None:
     """Replace the file in one step, so an interrupted save leaves the old one."""
     data = {
-        key: dict(zip(_LAYER_KEYS, ([[to_graph6(g), c.hex(), lam] for g, c, lam in tied],
-                                    enumerated, free)))
+        key: dict(zip(_LAYER_KEYS, ([to_graph6(g) for g, _, _ in tied], enumerated, free)))
         for key, (tied, enumerated, free) in layers.items()
     }
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -577,19 +574,25 @@ def _c6_regimes(m: int) -> tuple[Graph, Graph]:
 
 @dataclass(frozen=True)
 class Claim:
-    """One maximality claim; the callables take m and run only inside its range."""
+    """One maximality claim; the callables take m and run only inside its range.
+
+    ``book``: the book bound (1 + sqrt(4m - 3)) / 2 is the maximum.
+    ``rival``: the graph of the other regime, which the claimed graph beats.
+    """
 
     start: int
     patterns: tuple[str, ...]
     exclusions: Callable[[int], list[Graph]]
     graph: Callable[[int], Graph | None]
     poly: Callable[[int], Polynomial]
+    book: bool = False
+    rival: Callable[[int], Graph] | None = None
 
 
 def _book_claim(start: int, pattern: str) -> Claim:
     return Claim(start, (pattern,), lambda m: [],
                  lambda m: families.book(m) if m % 2 else None,
-                 lambda m: Polynomial([-(m - 1), -1, 1]))
+                 lambda m: Polynomial([-(m - 1), -1, 1]), book=True)
 
 
 CLAIMS = {
@@ -599,7 +602,8 @@ CLAIMS = {
         22, ("c5",), _book_exclusion,
         lambda m: families.split_pendant_for_size(m, crossover_at(m).split_t), c5_extremal),
     "c6_runner_up": Claim(
-        22, ("c6",), _book_exclusion, lambda m: _c6_regimes(m)[0], c6_extremal),
+        22, ("c6",), _book_exclusion, lambda m: _c6_regimes(m)[0], c6_extremal,
+        rival=lambda m: _c6_regimes(m)[1]),
     "theta_pair_runner_up": Claim(
         26, ("theta122", "theta123"), _complete_bipartite_exclusions,
         lambda m: families.star_matching(m, 1), star_matching_cubic),
@@ -614,8 +618,9 @@ def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationRepor
     Construction mode (any m in the claim's range) checks the claimed
     graph's size, freeness, exclusion-set membership and the agreement of
     its spectral radius with the stated polynomial root.  Oracle mode
-    (m small enough to enumerate) additionally asserts that no competitor
-    exceeds the claimed value and that the maximizer set is as claimed.
+    covers the claims that start at or below ``DEFAULT_CAP`` (today
+    ``theta123`` at m = 8..12), all book claims: an exhaustive search also
+    asserts the book bound and, at odd m, the book as unique maximizer.
     """
     if theorem not in CLAIMS:
         raise ValueError(f"unknown theorem id {theorem!r}; known: {THEOREM_IDS}")
@@ -636,7 +641,7 @@ def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationRepor
         root, _ = largest_real_root(poly)
         report.record("edge_count", claimed.m == m, f"edges={claimed.m}")
         report.record("pattern_free", forbidden.is_free(claimed, patterns))
-        if theorem in ("theta123", "theta124"):
+        if claim.book:
             report.record("lambda_closed_form", abs(lam - bound) <= 1e-9,
                           f"lambda={lam!r} vs (1+sqrt(4m-3))/2={bound!r}")
             report.record("lambda_poly_root", abs(lam - root) <= 1e-9)
@@ -648,8 +653,8 @@ def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationRepor
                           f"lambda={lam!r} root={root!r}")
             report.record("below_book_bound", lam < bound + 1e-9,
                           f"claimed lambda {lam!r} vs book bound {bound!r}")
-        if theorem == "c6_runner_up":
-            lam_alt = spectral_radius(_c6_regimes(m)[1]).lam
+        if claim.rival is not None:
+            lam_alt = spectral_radius(claim.rival(m)).lam
             report.record("beats_other_regime", lam > lam_alt - 1e-12,
                           f"claimed {lam!r} vs alternative {lam_alt!r}")
 
@@ -658,28 +663,18 @@ def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationRepor
         report.notes.append(
             f"oracle mode: enumerated {result.counts['enumerated']} classes"
         )
-        if theorem in ("theta123", "theta124"):
-            report.record("oracle_bound", result.best_lambda <= bound + 1e-9,
-                          f"best={result.best_lambda!r}")
-            if m % 2:
-                book_canon = canonical_form(families.book(m))
-                report.record(
-                    "oracle_unique_maximizer",
-                    [c for _, c in result.maximizers] == [book_canon],
-                    f"{len(result.maximizers)} maximizers",
-                )
-                report.record("oracle_equality", abs(result.best_lambda - bound) <= 1e-9)
-            else:
-                report.record("oracle_strict", result.best_lambda < bound - 1e-9,
-                              f"best={result.best_lambda!r}")
-        else:
-            assert claimed is not None
+        report.record("oracle_bound", result.best_lambda <= bound + 1e-9,
+                      f"best={result.best_lambda!r}")
+        if m % 2:
             report.record(
-                "oracle_maximizer",
-                [c for _, c in result.maximizers] == [canonical_form(claimed)]
-                and abs(result.best_lambda - lam) <= 1e-9,
-                f"best={result.best_lambda!r}",
+                "oracle_unique_maximizer",
+                [c for _, c in result.maximizers] == [canonical_form(claimed)],
+                f"{len(result.maximizers)} maximizers",
             )
+            report.record("oracle_equality", abs(result.best_lambda - bound) <= 1e-9)
+        else:
+            report.record("oracle_strict", result.best_lambda < bound - 1e-9,
+                          f"best={result.best_lambda!r}")
     else:
         report.notes.append(
             "construction mode only: exhaustive enumeration is infeasible at this size"

@@ -7,7 +7,6 @@ import pytest
 from bht import cli
 from bht import families as F
 from bht.graphs import canonical_form, disjoint_union, from_graph6, parse_edge_list, to_graph6
-from bht.spectral import spectral_radius
 from conftest import brute_isomorphic, check_embedding, graph_of_form
 
 
@@ -139,6 +138,18 @@ def test_bad_edge_list_names_its_line(capsys, tmp_path):
     assert code == 2 and "line 2" in err and "graph6" not in err
 
 
+def test_poly_coeffs_flag_omits_the_root(capsys):
+    args = ("poly", "--id", "split_pendant", "--m", "30", "--t", "2")
+    code, out, _ = run(capsys, *args, "--coeffs", "--json")
+    assert code == 0
+    assert "largest_root" not in json.loads(out) and "bracket" not in json.loads(out)
+    code, out, _ = run(capsys, *args, "--coeffs")
+    assert code == 0 and "largest root" not in out
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--root"])
+    assert exc.value.code == 2
+
+
 def test_poly_command(capsys):
     code, out, _ = run(capsys, "poly", "--id", "split_pendant", "--m", "30",
                        "--t", "2", "--json")
@@ -249,26 +260,29 @@ def test_search_rejects_malformed_checkpoint(capsys, tmp_path):
         data[layer].update(fields)
         return json.dumps(data)
 
+    (g6,) = json.loads(good)[layer]["tied"]
     for bad in ("[]", json.dumps({"5": {"best": 1.0}}), good[: len(good) // 2],
-                edited(tied=[1]), edited(enumerated="x"), edited(tied=[["??", "zz", 1.0]])):
+                edited(tied=[1]), edited(enumerated="x"), edited(tied=["??"]),
+                edited(tied=[[g6, "00", 1.0]])):
         path.write_text(bad)
         code, _, err = run(capsys, *args)
         assert code == 2, bad
         assert "corrupt checkpoint" in err and str(path) in err, err
 
     def tie(g):
-        return [to_graph6(g), canonical_form(g).hex(), spectral_radius(g).lam]
+        return to_graph6(graph_of_form(canonical_form(g)))
 
     # well-typed ties that this search could not have kept
-    (g6, hexform, lam), = json.loads(good)[layer]["tied"]
+    stored = from_graph6(g6)
+    relabelled = next(h for h in (stored.relabel([*range(i, stored.n), *range(i)])
+                                  for i in range(1, stored.n)) if h != stored)
     c5_chords = F.cycle(5).add_edge(0, 2).add_edge(0, 3)
     k4_k2 = disjoint_union(F.complete(4), F.complete(2))
-    for bad, why in ((edited(tied=[["@", "00", 99.0]]), "not a connected graph"),
+    for bad, why in ((edited(tied=["@"]), "not a connected graph"),
                      (edited(tied=[tie(F.complete(5))]), "not a connected graph"),
                      (json.dumps({"6": {"tied": [tie(k4_k2)], "enumerated": 1, "free": 1}}),
                       "not a connected graph"),
-                     (edited(tied=[[g6, "00051fc1", lam]]), "canonical form"),
-                     (edited(tied=[[g6, hexform, 99.0]]), "spectral radius"),
+                     (edited(tied=[to_graph6(relabelled)]), "canonical graph"),
                      (edited(tied=[tie(c5_chords)]), "not admissible")):
         path.write_text(bad)
         code, _, err = run(capsys, *args)

@@ -105,33 +105,29 @@ def test_hts_over_k4_chain_is_below_book_bound():
             m = 6 * k + t
             if m < 8:
                 continue
-            g = F.hts_circ(F.empty(t), list(range(t)), F.r_chain(k))
+            g = F.FAMILIES["hts0_r_chain"][0](t, k)
             assert g.m == m
             assert spectral_radius(g).lam < (1 + math.sqrt(4 * m - 3)) / 2 - 1e-9
 
 
-def test_hts_circ():
-    rk = F.r_chain(2)
+def test_hts0_r_chain():
+    """The chain's vertices first, then t pendants on its shared vertex 0."""
+    hts0_r_chain = F.FAMILIES["hts0_r_chain"][0]
     for t in (0, 1, 3):
-        h = F.empty(t)
-        g = F.hts_circ(h, list(range(t)), rk)
+        g = hts0_r_chain(t, 2)
         assert g.m == 12 + t
-    # empty side: disjoint union, same canonical form once padding is ignored
-    g = F.hts_circ(F.empty(0), [], rk)
-    assert canonical_form(g) == canonical_form(rk)
-    g = F.hts_circ(F.complete_bipartite(2, 2), [0, 1], F.complete(3))
-    assert g.m == 4 + 3 + 2
-    with pytest.raises(ValueError, match="bipartite"):
-        F.hts_circ(F.complete(3), [0, 1], F.complete(3))
+        assert set(g.edges()) == set(F.r_chain(2).edges()) | {(0, 7 + i) for i in range(t)}
+    assert set(hts0_r_chain(2, 0).edges()) == {(0, 1), (0, 2)}
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        hts0_r_chain(-1, 1)
 
 
-def test_diamond_join():
-    assert canonical_form(F.diamond_join(F.empty(0), F.cycle(5))) == canonical_form(F.cycle(5))
-    g = F.diamond_join(F.empty(1), F.complete(3))
-    assert (g.n, g.m) == (4, 4)
+def test_star_diamond_k4():
+    """K_4 on 0..3, the star's centre 4 and leaves after, vertex 0 joined to the star."""
     for m in (9, 23, 41):
-        star = F.star((m - 7) // 2 + 1)
-        assert F.diamond_join(star, F.complete(4)).m == m
+        assert F.star_diamond_k4(m).m == m
+    k4 = {(a, b) for a in range(4) for b in range(a + 1, 4)}
+    assert set(F.star_diamond_k4(11).edges()) == k4 | {(4, 5), (4, 6), (0, 4), (0, 5), (0, 6)}
 
 
 def test_double_star():

@@ -338,13 +338,27 @@ def test_checkpoint_resume(tmp_path):
     assert first.counts == third.counts
 
 
+def test_resumed_search_equals_fresh(tmp_path, monkeypatch):
+    """A run read wholly from its checkpoint gives the fresh run's report,
+    best_lambda bits included; only wall_time may differ."""
+    for m, patterns, excl in ((9, ["c5"], []), (10, ["theta123"], []),
+                              (9, ["theta122", "theta123"], [F.book(9)])):
+        fresh = SR.extremal_search(m, patterns, excl, cache_dir=tmp_path).to_json()
+        with monkeypatch.context() as patch:
+            patch.setattr(SR, "_scan", None)  # every layer must come from the file
+            resumed = SR.extremal_search(m, patterns, excl, cache_dir=tmp_path).to_json()
+        fresh["wall_time"] = resumed["wall_time"] = 0.0
+        assert json.dumps(resumed) == json.dumps(fresh)
+
+
 def test_checkpoints_of_earlier_versions_are_not_read(tmp_path):
     """Files under the names of format version 1 (the tag ended in the
-    connected-only flag) and version 2 (layers stored a best) are never
-    opened; a fresh run writes the new name."""
+    connected-only flag), version 2 (layers stored a best) and version 3
+    (ties stored their form and lambda) are never opened; a fresh run
+    writes the new name."""
     excl = [canonical_form(F.book(7))]
     olds = set()
-    for last in (True, 2):
+    for last in (True, 2, 3):
         tag = json.dumps([7, ["c5"], [e.hex() for e in excl], last])
         old = tmp_path / f"search_m7_{hashlib.sha256(tag.encode()).hexdigest()[:16]}.json"
         old.write_text("not a checkpoint")
@@ -355,6 +369,12 @@ def test_checkpoints_of_earlier_versions_are_not_read(tmp_path):
     assert all(old.read_text() == "not a checkpoint" for old in olds)
     assert set(tmp_path.iterdir()) == olds | {new}
     assert rep.to_json()["maximizers"] == SR.extremal_search(7, ["c5"], excl).to_json()["maximizers"]
+
+
+def test_only_book_claims_start_within_the_cap():
+    """Oracle mode checks the book bound, so it is sound only while every
+    claim that starts at or below the cap is a book claim."""
+    assert all(c.book or c.start > SR.DEFAULT_CAP for c in SR.CLAIMS.values())
 
 
 def test_verify_theorem_oracle_modes():
