@@ -28,7 +28,7 @@ from .graphs import (
     parse_edge_list,
     to_graph6,
 )
-from .spectral import spectral_radius
+
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
@@ -63,6 +63,16 @@ def _parse_params(text: str) -> dict[str, int]:
         key, val = item.split("=", 1)
         out[key.strip()] = int(val)
     return out
+
+
+def _parse_patterns(text: str) -> list[str]:
+    names = [p.strip() for p in text.split(",") if p.strip()]
+    if not names:
+        raise ValueError(f"no pattern names in {text!r}; known: {forbidden.NAMED_PATTERNS}")
+    for name in names:
+        if name not in forbidden.NAMED_PATTERNS:
+            raise ValueError(f"unknown pattern {name!r}; known: {forbidden.NAMED_PATTERNS}")
+    return names
 
 
 def _usage_error(msg: str) -> int:
@@ -107,6 +117,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_lambda(args) -> int:
+    from .spectral import spectral_radius
+
     g = _read_graph(args.input, args.format)
     res = spectral_radius(g)
     payload = {"lambda": res.lam, "residual": res.residual, "n": g.n, "m": g.m}
@@ -120,12 +132,9 @@ def cmd_lambda(args) -> int:
 
 def cmd_free(args) -> int:
     g = _read_graph(args.input, args.format)
-    names = [p.strip() for p in args.patterns.split(",") if p.strip()]
     results = {}
     lines = []
-    for name in names:
-        if name not in forbidden.NAMED_PATTERNS:
-            return _usage_error(f"unknown pattern {name!r}; known: {forbidden.NAMED_PATTERNS}")
+    for name in _parse_patterns(args.patterns):
         witness = forbidden.contains_subgraph(g, name)
         results[name] = {"free": witness is None, "witness": witness}
         lines.append(f"{name:10s} {'free' if witness is None else f'contained, witness {witness}'}")
@@ -155,15 +164,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    params = {}
-    for key in ("t", "r", "p"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
-    try:
-        poly = polynomials.instantiate(args.id, args.m, **params)
-    except TypeError as exc:
-        return _usage_error(str(exc))
+    params = {k: getattr(args, k) for k in ("t", "r", "p") if getattr(args, k) is not None}
+    poly = polynomials.instantiate(args.id, args.m, **params)
     payload: dict = {"id": args.id, "m": args.m, **params,
                      "coeffs": [str(c) for c in poly.coeffs], "poly": str(poly)}
     lines = [f"{args.id}(m={args.m}{''.join(f', {k}={v}' for k, v in params.items())}) = {poly}"]
@@ -204,10 +206,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_search(args) -> int:
-    patterns = [p.strip() for p in args.forbid.split(",") if p.strip()]
-    for p in patterns:
-        if p not in forbidden.NAMED_PATTERNS:
-            return _usage_error(f"unknown pattern {p!r}")
+    patterns = _parse_patterns(args.forbid)
     exclusions: list[bytes] = []
     if args.exclude_book:
         if args.m % 2 == 0:

@@ -266,6 +266,8 @@ def spec_from_params(name: str, params: dict[str, int]) -> FamilySpec:
         return FamilySpec(name, tuple(params[k] for k in sorted(params)))
     if any(k not in params for k in names):
         raise ValueError(f"{name} needs parameters {names}")
+    if unknown := sorted(set(params) - set(names)):
+        raise ValueError(f"{name} takes no parameters {unknown}; expected {names}")
     return FamilySpec(name, tuple(params[k] for k in names))
 
 

@@ -595,10 +595,17 @@ POLY_IDS = tuple(sorted(_INSTANTIATORS))
 
 
 def instantiate(poly_id: str, m: int, **params: int) -> Polynomial:
-    """Build a named polynomial; raises on out-of-range or wrong-parity input."""
+    """Build a named polynomial; raises on a missing or unknown parameter
+    (named as the ``bht poly`` flag) and on out-of-range or wrong-parity input."""
     if poly_id not in _INSTANTIATORS:
         raise ValueError(f"unknown polynomial id {poly_id!r}; known: {POLY_IDS}")
-    return _INSTANTIATORS[poly_id](m, **params)
+    fn = _INSTANTIATORS[poly_id]
+    names = fn.__code__.co_varnames[1:fn.__code__.co_argcount]  # its parameters after m
+    if extra := [k for k in params if k not in names]:
+        raise ValueError(f"{poly_id} takes no {', '.join('--' + k for k in extra)}")
+    if missing := [k for k in names if k not in params]:
+        raise ValueError(f"{poly_id} needs {', '.join('--' + k for k in missing)}")
+    return fn(m, **params)
 
 
 def book_lambda(m: int) -> float:

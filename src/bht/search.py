@@ -76,7 +76,6 @@ from .polynomials import (
     largest_real_root,
     star_matching_cubic,
 )
-from .spectral import connected_radius, spectral_radius
 
 TIE_TOL = 1e-9
 DEFAULT_CAP = 12
@@ -361,6 +360,8 @@ def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes]):
     order resets the best, and after it no other graph is kept or resets
     it.  The contenders' lambda is taken again on the canonical graph.
     """
+    from .spectral import connected_radius
+
     lams = [(connected_radius(c.graph), i) for i, c in enumerate(layer)
             if forbidden.is_free(c.graph, patterns)]
     lams.sort(reverse=True)
@@ -405,6 +406,8 @@ def _decode_tie(item, key: str, m: int, patterns, exclusions: frozenset[bytes]):
     """A tied entry of layer ``key``, the graph6 of its class's canonical
     graph, as (graph, canon, lambda) derived as ``_scan`` derives them,
     after checking that this search could have kept it there."""
+    from .spectral import connected_radius
+
     if type(item) is not str:
         raise ValueError(f"bad tied entry {item!r}")
     g = from_graph6(item)
@@ -622,6 +625,8 @@ def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationRepor
     ``theta123`` at m = 8..12), all book claims: an exhaustive search also
     asserts the book bound and, at odd m, the book as unique maximizer.
     """
+    from .spectral import spectral_radius
+
     if theorem not in CLAIMS:
         raise ValueError(f"unknown theorem id {theorem!r}; known: {THEOREM_IDS}")
     claim = CLAIMS[theorem]

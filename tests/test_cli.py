@@ -1,6 +1,10 @@
 """CLI surface: formats, exit codes under the claim contract, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,16 @@ def test_family_usage_errors(capsys):
     assert (code, out, err) == (2, "", "error: bad parameter 'm'; expected k=v\n")
 
 
+def test_family_rejects_parameters_it_does_not_take(capsys):
+    code, out, err = run(capsys, "family", "--name", "book", "--params", "m=5,x=2")
+    assert (code, out, err) == (2, "", "error: book takes no parameters ['x']; expected ('m',)\n")
+    # generalized_theta takes any keys, as path lengths in key order
+    code, out, _ = run(capsys, "family", "--name", "generalized_theta",
+                       "--params", "z=3,x=1,y=2", "--format", "graph6")
+    assert code == 0
+    assert canonical_form(from_graph6(out.strip())) == canonical_form(F.generalized_theta([1, 2, 3]))
+
+
 def test_lambda_json(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 2\n2 0\n")
@@ -81,6 +95,25 @@ def test_free_command(capsys, tmp_path):
     assert check_embedding(F.book(9), "theta122", witness)
     code, _, _ = run(capsys, "free", "--input", str(path), "--patterns", "c9")
     assert code == 2
+
+
+KNOWN_PATTERNS = "known: ('c5', 'c6', 'theta122', 'theta123', 'theta124')"
+
+
+@pytest.mark.parametrize("command, text, reason", [
+    ("free", "", f"no pattern names in ''; {KNOWN_PATTERNS}"),
+    ("free", " , ", f"no pattern names in ' , '; {KNOWN_PATTERNS}"),
+    ("free", "c5,c9", f"unknown pattern 'c9'; {KNOWN_PATTERNS}"),
+    ("search", "c9", f"unknown pattern 'c9'; {KNOWN_PATTERNS}"),
+    ("search", ",", f"no pattern names in ','; {KNOWN_PATTERNS}"),
+])
+def test_pattern_list_errors_name_the_reason(capsys, tmp_path, command, text, reason):
+    path = tmp_path / "book.txt"
+    path.write_text("\n".join(f"{u} {v}" for u, v in F.book(9).edges()))
+    argv = (["free", "--input", str(path), "--patterns", text] if command == "free"
+            else ["search", "--m", "5", "--forbid", text])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
 
 
 def test_quotient_command(capsys, tmp_path):
@@ -159,6 +192,16 @@ def test_poly_command(capsys):
     assert abs(payload["largest_root"] - 5.8175056127685) <= 1e-9
     code, _, _ = run(capsys, "poly", "--id", "cone_star_matching_even", "--m", "23")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("bipartite_minus", "--m", "10"), "bipartite_minus needs --p"),
+    (("split_pendant", "--m", "30", "--t", "2", "--r", "3"), "split_pendant takes no --r"),
+    (("c5_extremal", "--m", "30", "--t", "2", "--p", "3"), "c5_extremal takes no --t, --p"),
+])
+def test_poly_parameter_errors_name_the_flag(capsys, argv, reason):
+    code, out, err = run(capsys, "poly", "--id", *argv)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
 
 
 def test_crossover_command(capsys):
@@ -343,3 +386,47 @@ def test_certify_command(capsys):
     assert code == 2
     code, out, err = run(capsys, "certify", "--m", "21", "--json")
     assert (code, out, err) == (2, "", "error: certificates start at m = 22\n")
+
+
+# Runs in a fresh interpreter, since this suite has numpy loaded already.
+# Prints, per command, its exit code and whether numpy is loaded after it.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import bht.cli
+bht.cli.build_parser()
+seen = [["build_parser", None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = bht.cli.main(argv)
+    seen.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_exact_commands_start_without_numpy(tmp_path):
+    path = tmp_path / "book.txt"
+    path.write_text("\n".join(f"{u} {v}" for u, v in F.book(9).edges()))
+    commands = [
+        ["certify", "--m", "50"],
+        ["poly", "--id", "split_pendant", "--m", "30", "--t", "2"],
+        ["crossover", "--pair", "odd", "--range", "22:80"],
+        ["family", "--name", "book", "--params", "m=9", "--output", str(tmp_path / "out.txt")],
+        ["free", "--input", str(path), "--patterns", "c5,theta122"],
+        # the control: an eigen-solve loads numpy, so the probe can see it
+        ["lambda", "--input", str(path)],
+    ]
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["build_parser", None, False],
+        ["certify", 1, False],
+        ["poly", 0, False],
+        ["crossover", 0, False],
+        ["family", 0, False],
+        ["free", 0, False],
+        ["lambda", 0, True],
+    ]
