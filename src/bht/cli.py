@@ -247,10 +247,11 @@ def cmd_verify(args) -> int:
                     f"{name}{'' if ok else ' FAILED'}" for name, ok, _ in rep.checks
                 )
                 print(f"{thm} m={m}: {rep.status}  [{detail}]")
-        if search.CLAIMS[thm].rival is not None and len(ms) > 1:
-            pair_lo = max(min(ms), search.CLAIMS[thm].start)
+        claim = search.CLAIMS[thm]
+        if claim.rival is not None and len(ms) > 1 and hi >= claim.start:
+            pair = (max(lo, claim.start), hi)
             for parity, cx in polynomials.CROSSOVER.items():
-                rep2 = polynomials.crossover_scan(cx.cone, cx.split, parity, (pair_lo, max(ms)))
+                rep2 = polynomials.crossover_scan(cx.cone, cx.split, parity, pair)
                 line = {"schema": 1, "crossover": parity, "flips": [list(f) for f in rep2.flips]}
                 print(json.dumps(line) if args.json else
                       f"crossover ({parity}): flips at {rep2.flips}")

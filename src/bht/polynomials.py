@@ -1,14 +1,16 @@
 """Exact polynomial families, certified root isolation and sign certificates.
 
 Everything here is exact: coefficients are rationals, root brackets are
-dyadic rationals certified by Sturm counts, and every reported inequality
+rationals certified by Sturm counts, and every reported inequality
 has an exact sign decision behind it.  The inner loops run on integers: a
 sign at a rational a/b or at a quadratic point (A + B sqrt(d))/C is one
 Horner sum, in Z or in Z[sqrt(d)], over the primitive integer polynomial
 that is a positive multiple of p, and Sturm chains and gcds are primitive
 pseudo-remainder sequences (Collins 1967) whose elements are positive
 multiples of the rational remainders.  A polynomial's Sturm chain is built
-once, on first use, and kept on it.
+once, on first use, and kept on it.  Bisection runs on integer numerators
+over one denominator, of the form (the Cauchy bound's denominator) x 2^k,
+so no step takes a gcd; a bracket's Fractions are built once, at the end.
 Largest roots are ordered exactly: equal when the gcd of the squarefree
 parts has a root where the brackets overlap, else by bisecting until the
 brackets separate.  The nested-radical ceilings square away both radicals
@@ -128,7 +130,7 @@ class Polynomial:
         return Polynomial(quot), Polynomial(rem)
 
     def squarefree(self) -> "Polynomial":
-        g = _poly_gcd(self, self.derivative())
+        g = _poly_gcd(self.primitive, self.derivative().primitive)
         if g.degree <= 0:
             return self
         q, _ = self.divmod(g)
@@ -177,9 +179,8 @@ def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _content_free(rem)
 
 
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """The monic gcd, by a primitive remainder sequence."""
-    x, y = a.primitive, b.primitive
+def _poly_gcd(x: tuple[int, ...], y: tuple[int, ...]) -> Polynomial:
+    """The monic gcd of two integer polynomials, by a primitive remainder sequence."""
     while y:
         x, y = y, _prem(x, y)
     return Polynomial([Fraction(c, x[-1]) for c in x])
@@ -321,8 +322,12 @@ def _sign_at(p: Polynomial, x) -> int:
                 c_pow *= c
             return _quad_sign(u, v, d)
         x = x.a
-    # x = a/b, and b^degree * p(x) times a positive integer is acc
-    a, b = x.numerator, x.denominator
+    return _horner_sign(cs, x.numerator, x.denominator)
+
+
+def _horner_sign(cs: tuple[int, ...], a: int, b: int) -> int:
+    """Sign at a/b, for b > 0, of the integer polynomial cs: b^degree times
+    its value is one Horner sum in Z."""
     acc, b_pow = 0, 1
     for k in reversed(cs):
         acc = acc * a + k * b_pow
@@ -330,15 +335,15 @@ def _sign_at(p: Polynomial, x) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: tuple[Polynomial, ...], x) -> int:
-    signs = [s for s in (_sign_at(q, x) for q in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(signs: Iterable[int]) -> int:
+    nonzero = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
 def count_roots(p: Polynomial, lo, hi) -> int:
     """Number of distinct real roots in the half-open interval (lo, hi]."""
     chain = sturm_chain(p)
-    return _variations(chain, lo) - _variations(chain, hi)
+    return _variations(_sign_at(q, lo) for q in chain) - _variations(_sign_at(q, hi) for q in chain)
 
 
 def sign_at(p: Polynomial, x) -> int:
@@ -355,40 +360,52 @@ def cauchy_bound(p: Polynomial) -> Fraction:
 
 @dataclass(frozen=True)
 class RootBracket:
-    """Dyadic interval (lo, hi] certified to hold exactly one distinct root."""
+    """Interval (lo, hi] certified to hold exactly one distinct root.  Its
+    ends were bisected as integer numerators over one denominator, of the
+    form (the Cauchy bound's denominator) x 2^k."""
 
     lo: Fraction
     hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def midpoint(self) -> float:
         return float((self.lo + self.hi) / 2)
 
 
-def _isolate(p: Polynomial) -> tuple[Polynomial, Fraction, Fraction]:
-    """The squarefree part of p and a Sturm-certified bracket (lo, hi] that
-    holds its largest root, with no root of p above hi."""
+def _isolate(p: Polynomial) -> tuple[tuple[int, ...], int, int, int]:
+    """The primitive squarefree part of p and a Sturm-certified bracket
+    (lo/den, hi/den] that holds its largest root, with no root of p above
+    hi/den."""
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    sf = sturm_chain(p)[0]
-    bound = cauchy_bound(sf)
-    lo, hi = -bound, bound
-    above = count_roots(p, lo, POS_INF)
+    chain = sturm_chain(p)
+    prims = [q.primitive for q in chain]
+    at_inf = _variations(_sign_at(q, POS_INF) for q in chain)
+    bound = cauchy_bound(chain[0])
+    lo, hi, den = -bound.numerator, bound.numerator, bound.denominator
+    above = _variations(_horner_sign(cs, lo, den) for cs in prims) - at_inf
     if above == 0:
         raise ValueError(f"no real root of {p} in [-{bound}, {bound}]")
     # no root lies above hi, so (lo, hi] isolates the largest root once
     # exactly one root lies above lo
     while above != 1:
-        mid = (lo + hi) / 2
-        count = count_roots(p, mid, POS_INF)
+        mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+        count = _variations(_horner_sign(cs, mid, den) for cs in prims) - at_inf
         if count >= 1:
             lo, above = mid, count
         else:
             hi = mid
-    return sf, lo, hi
+    return prims[0], lo, hi, den
+
+
+def _halve(cs: tuple[int, ...], lo: int, hi: int, den: int) -> tuple[int, int, int]:
+    """The half of an _isolate bracket (lo/den, hi/den] that keeps the largest
+    root of cs.  cs has the sign of its leading coefficient above that root
+    and the opposite sign below it, so an exact midpoint hit keeps the root
+    at the closed upper endpoint."""
+    mid = lo + hi
+    if _horner_sign(cs, mid, 2 * den) * cs[-1] < 0:
+        return mid, 2 * hi, 2 * den
+    return 2 * lo, mid, 2 * den
 
 
 def largest_real_root(p: Polynomial) -> tuple[float, RootBracket]:
@@ -398,23 +415,11 @@ def largest_real_root(p: Polynomial) -> tuple[float, RootBracket]:
     no root of p lies above hi, and the squarefree part of p changes sign
     over [lo, hi].
     """
-    sf, lo, hi = _isolate(p)
-    bracket = RootBracket(*_bisect(sf, lo, hi, Fraction(1, 10**13)))
+    cs, lo, hi, den = _isolate(p)
+    while (hi - lo) * 10**13 > den:  # to width 1e-13
+        lo, hi, den = _halve(cs, lo, hi, den)
+    bracket = RootBracket(Fraction(lo, den), Fraction(hi, den))
     return bracket.midpoint(), bracket
-
-
-def _bisect(sf: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink (lo, hi] around its single root; exact midpoint hits keep the
-    root at the closed upper endpoint so the bracket invariant survives."""
-    s_hi = sign_at(sf, hi)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s_mid = sign_at(sf, mid)
-        if s_mid != 0 and s_mid * s_hi <= 0:
-            lo = mid
-        else:
-            hi, s_hi = mid, s_mid
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -431,20 +436,22 @@ def compare_largest_roots(p: Polynomial, q: Polynomial) -> RootComparison:
     equal iff the gcd of the squarefree parts has a root where the brackets
     overlap.  Otherwise the wider bracket is halved until the two separate.
     """
-    sp, plo, phi = _isolate(p)
-    sq, qlo, qhi = _isolate(q)
-    lo, hi = max(plo, qlo), min(phi, qhi)
-    g = _poly_gcd(sp, sq)
+    ps, plo, phi, pd = _isolate(p)
+    qs, qlo, qhi, qd = _isolate(q)
+    lo, hi = max(Fraction(plo, pd), Fraction(qlo, qd)), min(Fraction(phi, pd), Fraction(qhi, qd))
+    g = _poly_gcd(ps, qs)
     if lo < hi and g.degree > 0 and count_roots(g, lo, hi) > 0:
         order = "eq"
     else:
-        while qlo < phi and plo < qhi:
-            if phi - plo >= qhi - qlo:
-                plo, phi = _bisect(sp, plo, phi, (phi - plo) / 2)
+        # the brackets overlap while qlo/qd < phi/pd and plo/pd < qhi/qd
+        while qlo * pd < phi * qd and plo * qd < qhi * pd:
+            if (phi - plo) * qd >= (qhi - qlo) * pd:
+                plo, phi, pd = _halve(ps, plo, phi, pd)
             else:
-                qlo, qhi = _bisect(sq, qlo, qhi, (qhi - qlo) / 2)
-        order = "lt" if phi <= qlo else "gt"
-    return RootComparison(order, RootBracket(plo, phi), RootBracket(qlo, qhi))
+                qlo, qhi, qd = _halve(qs, qlo, qhi, qd)
+        order = "lt" if phi * qd <= qlo * pd else "gt"
+    return RootComparison(order, RootBracket(Fraction(plo, pd), Fraction(phi, pd)),
+                          RootBracket(Fraction(qlo, qd), Fraction(qhi, qd)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 from bht import families, search
 from bht.forbidden import as_pattern, contains_subgraph
 from bht.graphs import Graph, bits, canonical_form, components, from_edge_list, is_connected
-from bht.polynomials import NEG_INF, Polynomial, Quad
+from bht.polynomials import (NEG_INF, POS_INF, Polynomial, Quad, RootBracket, RootComparison,
+                             cauchy_bound, count_roots, sign_at, sturm_chain)
 from bht.spectral import SpectralResult, adjacency_matrix, spectral_radius
 
 
@@ -275,6 +276,66 @@ def fraction_count_roots(p: Polynomial, lo, hi) -> int:
 
     return variations(lo) - variations(hi)
 
+
+
+def fraction_isolate(p: Polynomial) -> tuple[Polynomial, Fraction, Fraction]:
+    """Sturm isolation of p's largest root with Fraction endpoints: the
+    oracle for the integer-numerator ``polynomials._isolate``."""
+    if p.degree < 1:
+        raise ValueError("need a nonconstant polynomial")
+    sf = sturm_chain(p)[0]
+    bound = cauchy_bound(sf)
+    lo, hi = -bound, bound
+    above = count_roots(p, lo, POS_INF)
+    if above == 0:
+        raise ValueError(f"no real root of {p} in [-{bound}, {bound}]")
+    while above != 1:
+        mid = (lo + hi) / 2
+        count = count_roots(p, mid, POS_INF)
+        if count >= 1:
+            lo, above = mid, count
+        else:
+            hi = mid
+    return sf, lo, hi
+
+
+def fraction_bisect(sf: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Shrink (lo, hi] around its single root with Fraction midpoints; exact
+    midpoint hits keep the root at the closed upper endpoint."""
+    s_hi = sign_at(sf, hi)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s_mid = sign_at(sf, mid)
+        if s_mid != 0 and s_mid * s_hi <= 0:
+            lo = mid
+        else:
+            hi, s_hi = mid, s_mid
+    return lo, hi
+
+
+def fraction_largest_root_bracket(p: Polynomial) -> RootBracket:
+    """The bracket of ``polynomials.largest_real_root``, bisected on Fractions."""
+    sf, lo, hi = fraction_isolate(p)
+    return RootBracket(*fraction_bisect(sf, lo, hi, Fraction(1, 10**13)))
+
+
+def fraction_compare_largest_roots(p: Polynomial, q: Polynomial) -> RootComparison:
+    """``polynomials.compare_largest_roots`` on Fraction brackets, with the
+    gcd by rational remainders."""
+    sp, plo, phi = fraction_isolate(p)
+    sq, qlo, qhi = fraction_isolate(q)
+    lo, hi = max(plo, qlo), min(phi, qhi)
+    g = _fraction_gcd(sp, sq)
+    if lo < hi and g.degree > 0 and count_roots(g, lo, hi) > 0:
+        order = "eq"
+    else:
+        while qlo < phi and plo < qhi:
+            if phi - plo >= qhi - qlo:
+                plo, phi = fraction_bisect(sp, plo, phi, (phi - plo) / 2)
+            else:
+                qlo, qhi = fraction_bisect(sq, qlo, qhi, (qhi - qlo) / 2)
+        order = "lt" if phi <= qlo else "gt"
+    return RootComparison(order, RootBracket(plo, phi), RootBracket(qlo, qhi))
 
 def _mask(vs) -> int:
     m = 0

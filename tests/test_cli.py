@@ -282,6 +282,17 @@ def test_verify_command(capsys):
     assert code == 2
 
 
+
+def test_verify_range_below_a_rival_claims_start(capsys):
+    """A range wholly below c6_runner_up's start reports not_claimed and
+    runs no crossover scan, so it ends cleanly."""
+    code, out, err = run(capsys, "verify", "--thm", "c6_runner_up", "--range", "5:6")
+    assert (code, err, len(out.splitlines())) == (0, "", 2)
+    code, out, err = run(capsys, "verify", "--thm", "all", "--range", "20:21")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 10 and lines[-1].startswith("theta_pair_runner_up m=21: not_claimed")
+
 def test_verify_reads_cache_dir_from_env(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("BHT_CACHE_DIR", str(tmp_path))
     code, _, _ = run(capsys, "verify", "--thm", "theta123", "--m", "9")

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bht import polynomials as P
-from conftest import fraction_count_roots, fraction_sturm_chain, interval_nested_radical_below
+from conftest import (fraction_compare_largest_roots, fraction_count_roots,
+                      fraction_largest_root_bracket, fraction_sturm_chain,
+                      interval_nested_radical_below)
 
 
 # -- polynomial arithmetic ---------------------------------------------------
@@ -162,7 +164,7 @@ def test_largest_root_quadratic_closed_form():
     for m in (9, 22, 59, 200):
         value, bracket = P.largest_real_root(P.Polynomial([-(m - 1), -1, 1]))
         assert abs(value - (1 + math.sqrt(4 * m - 3)) / 2) <= 1e-12
-        assert bracket.width <= Fraction(1, 10**13)
+        assert bracket.hi - bracket.lo <= Fraction(1, 10**13)
 
 
 def test_largest_root_trivial_product():
@@ -227,6 +229,83 @@ def test_compare_largest_roots():
     assert cmp.order == "lt" and cmp.left.hi <= cmp.right.lo
     assert cmp.left.lo < 1 <= cmp.left.hi
 
+
+
+def _linear_product(roots, cofactor: P.Polynomial, scale: Fraction) -> P.Polynomial:
+    return scale * math.prod((P.Polynomial([-r, 1]) for r in roots), start=cofactor)
+
+
+nonzero_scales = small_fractions.filter(lambda k: k != 0)
+# rational roots and scales make Cauchy bounds that are not integers; the
+# cofactors may have no real root, and the polys may have none at all
+rooted = st.one_of(
+    polys.filter(lambda p: p.degree >= 1),
+    st.builds(_linear_product, st.lists(small_fractions, min_size=1, max_size=3),
+              st.lists(small_fractions, max_size=3).map(P.Polynomial).filter(lambda p: p.coeffs),
+              nonzero_scales),
+)
+
+
+@st.composite
+def shared_largest_root(draw):
+    """Two polynomials with one common factor whose largest root, above 1,
+    is the largest root of both: a rational one, or sqrt(d) for d >= 2."""
+    if draw(st.booleans()):
+        shared = P.Polynomial([-draw(st.fractions(1, 30, max_denominator=12)), 1])
+    else:
+        shared = P.Polynomial([-draw(st.integers(2, 400)), 0, 1])
+    lower_roots = st.lists(st.fractions(-30, 1, max_denominator=12), max_size=3)
+    no_real_root = st.sampled_from([P.Polynomial([1]), P.Polynomial([1, 0, 1]),
+                                    P.Polynomial([5, -2, 1])])
+    return tuple(_linear_product(draw(lower_roots), shared * draw(no_real_root),
+                                 draw(nonzero_scales)) for _ in range(2))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted, rooted)
+def test_integer_bisection_matches_fraction_oracle(p, q):
+    """Integer numerators over one denominator give the very brackets and
+    orders that Fraction bisection gives."""
+    got = _outcome(P.largest_real_root, p)
+    want = _outcome(fraction_largest_root_bracket, p)
+    assert (got if isinstance(got, str) else got[1]) == want
+    assert _outcome(P.compare_largest_roots, p, q) == _outcome(fraction_compare_largest_roots, p, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_largest_root())
+def test_shared_largest_roots_tie_as_in_fraction_oracle(pair):
+    cmp = P.compare_largest_roots(*pair)
+    assert cmp.order == "eq"
+    assert cmp == fraction_compare_largest_roots(*pair)
+
+
+def test_bisection_builds_no_fraction_per_step(monkeypatch):
+    """largest_real_root builds as many Fractions for a root near 1e20 as for
+    one near 1.4: the halvings run on integers, and only the Cauchy bound
+    and the final bracket are Fractions."""
+    new = Fraction.__new__
+    counts = []
+    for p in (P.Polynomial([-2, 0, 1]), P.Polynomial([-2 * 10**40, 0, 1])):
+        P.sturm_chain(p)
+        calls = []
+
+        def counting(cls, *args, **kwargs):
+            calls.append(1)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        P.largest_real_root(p)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 12, counts
 
 # -- named instances ---------------------------------------------------------
 
