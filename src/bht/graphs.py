@@ -171,15 +171,10 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 def join(g: Graph, h: Graph) -> Graph:
     """All edges of both graphs plus every cross edge."""
-    u = disjoint_union(g, h)
     gmask = (1 << g.n) - 1
     hmask = ((1 << h.n) - 1) << g.n
-    rows = list(u.adj)
-    for v in range(g.n):
-        rows[v] |= hmask
-    for v in range(g.n, u.n):
-        rows[v] |= gmask
-    return Graph(u.n, tuple(rows))
+    rows = [row | hmask for row in g.adj] + [row << g.n | gmask for row in h.adj]
+    return Graph(g.n + h.n, tuple(rows))
 
 
 # -- connectivity ------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 A quotient matrix of an equitable partition shares its largest eigenvalue
 with the adjacency matrix, which is what makes the closed-form
-polynomials of the extremal families exactly reproducible.  All quotient
-entries and characteristic polynomials here are exact rationals, and
-`charpoly` computes them in integers, on the matrix cleared of its
-denominators; the float world only enters in `charpoly_lambda_check`,
-which confronts the exact largest root with the dense eigenvalue solver.
+polynomials of the extremal families exactly reproducible.  Quotient
+matrices hold integer neighbour counts, and `charpoly` runs on integers,
+clearing denominators only where an entry is a Fraction, so its exact
+polynomial needs no Fraction; the float world only enters in
+`charpoly_lambda_check`, which confronts the exact largest root with the
+dense eigenvalue solver.
 Each vertex's neighbour count in every block is read off one table per
 (graph, partition), which decides equitability, gives the quotient rows
 and drives each round of the refinement.
@@ -67,28 +68,29 @@ def is_equitable(g: Graph, blocks: Sequence[Sequence[int]]) -> bool:
     return _equitable(bl, _neighbour_counts(g, bl))
 
 
-def quotient(g: Graph, blocks: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Exact quotient matrix; requires an equitable partition."""
+def quotient(g: Graph, blocks: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The quotient matrix, of neighbour counts; requires an equitable partition."""
     bl = validate_partition(g, blocks)
     counts = _neighbour_counts(g, bl)
     if not _equitable(bl, counts):
         raise ValueError("partition is not equitable")
-    return [[Fraction(c) for c in counts[vs[0]]] for vs in bl]
+    return [list(counts[vs[0]]) for vs in bl]
 
 
-def charpoly(matrix: Sequence[Sequence[Fraction]]) -> Polynomial:
+def charpoly(matrix: Sequence[Sequence[int | Fraction]]) -> Polynomial:
     """det(xI - M) with exact rational coefficients.
 
     Faddeev-LeVerrier runs on the integer matrix N = D*M, with D the lcm of
     the entries' denominators: det(yI - N) has integer coefficients e_k, so
     every division by k is exact, and det(xI - M) = D^-n det(DxI - N) has
-    coefficients e_k / D^k.  Quotient and adjacency matrices have D = 1.
+    coefficients e_k / D^k, the integers e_k D^(n-k) over D^n.  Quotient and
+    adjacency matrices are integer matrices, D = 1, and no Fraction is built.
     """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    m = [[Fraction(x) for x in row] for row in matrix]
+    m = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in matrix]
     den = math.lcm(*(x.denominator for row in m for x in row))
     ints = [[x.numerator * (den // x.denominator) for x in row] for row in m]
     coeffs = [1]  # e_0, e_1, ...
@@ -102,7 +104,7 @@ def charpoly(matrix: Sequence[Sequence[Fraction]]) -> Polynomial:
         e_k, r = divmod(-sum(aux[i][i] for i in range(n)), k)
         assert r == 0, "Faddeev-LeVerrier division left a remainder"
         coeffs.append(e_k)
-    return Polynomial([Fraction(e, den**k) for k, e in enumerate(coeffs)][::-1])
+    return Polynomial([e * den ** (n - k) for k, e in enumerate(coeffs)][::-1], den**n)
 
 
 def adjacency_charpoly(g: Graph) -> Polynomial:

@@ -1,16 +1,15 @@
 """Exact polynomial families, certified root isolation and sign certificates.
 
-Everything here is exact: coefficients are rationals, root brackets are
-rationals certified by Sturm counts, and every reported inequality
-has an exact sign decision behind it.  The inner loops run on integers: a
-sign at a rational a/b or at a quadratic point (A + B sqrt(d))/C is one
-Horner sum, in Z or in Z[sqrt(d)], over the primitive integer polynomial
-that is a positive multiple of p, and Sturm chains and gcds are primitive
-pseudo-remainder sequences (Collins 1967) whose elements are positive
-multiples of the rational remainders.  A polynomial's Sturm chain is built
-once, on first use, and kept on it.  Bisection runs on integer numerators
-over one denominator, of the form (the Cauchy bound's denominator) x 2^k,
-so no step takes a gcd; a bracket's Fractions are built once, at the end.
+Everything here is exact and runs on integers.  A polynomial is integer
+numerators over one positive denominator, so its arithmetic needs no
+Fraction, and its numerators are a positive multiple of it: a sign or value
+at a rational a/b or a quadratic point (A + B sqrt(d))/C is one Horner sum
+on them, in Z or in Z[sqrt(d)].  Sturm chains and gcds are primitive
+pseudo-remainder sequences (Collins 1967), positive multiples of the
+rational remainders; a chain is built once, on first use, and kept on its
+polynomial.  Bisection runs on integer numerators over one denominator,
+(the Cauchy bound's denominator) x 2^k, so no step takes a gcd.  Fractions
+are built only for output: coefficients when read, a bracket at the end.
 Largest roots are ordered exactly: equal when the gcd of the squarefree
 parts has a root where the brackets overlap, else by bisecting until the
 brackets separate.  The nested-radical ceilings square away both radicals
@@ -34,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, Iterable
 
 # ---------------------------------------------------------------------------
@@ -42,102 +42,120 @@ from typing import Callable, Iterable
 
 
 class Polynomial:
-    """Univariate polynomial with exact rational coefficients, ascending."""
+    """Univariate polynomial with exact rational coefficients, held as integer
+    numerators ``num``, ascending, over one denominator ``den``, in a unique
+    form: no trailing zero in ``num``, ``den`` > 0, and no prime dividing
+    ``den`` and every numerator (the zero polynomial has ``den`` = 1).  So
+    equality, hashing and the arithmetic run on integers; the Fractions of
+    ``coeffs`` are built on first read, for output."""
 
-    __slots__ = ("coeffs", "_primitive", "_chain")
+    __slots__ = ("num", "den", "_coeffs", "_chain")
 
-    def __init__(self, coeffs: Iterable[Fraction | int]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        self._primitive: tuple[int, ...] | None = None
+    def __init__(self, coeffs: Iterable[Fraction | int], den: int = 1):
+        """The polynomial sum(coeffs[i] x^i) / den, for an integer den != 0."""
+        num = list(coeffs)
+        if any(type(c) is not int for c in num):
+            cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in num]
+            lcm = math.lcm(*(c.denominator for c in cs))
+            num, den = [c.numerator * (lcm // c.denominator) for c in cs], den * lcm
+        while num and num[-1] == 0:
+            num.pop()
+        g = math.gcd(den, *num) * (1 if den > 0 else -1)
+        self.num: tuple[int, ...] = tuple(c // g for c in num) if g != 1 else tuple(num)
+        self.den: int = den // g
+        self._coeffs: tuple[Fraction, ...] | None = None
         self._chain: tuple[Polynomial, ...] | None = None
 
     @property
-    def primitive(self) -> tuple[int, ...]:
-        """The primitive integer polynomial that is a positive multiple of
-        this one, ascending: it has the same sign at every point."""
-        if self._primitive is None:
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            self._primitive = _content_free([c.numerator * (den // c.denominator) for c in self.coeffs])
-        return self._primitive
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients, ascending."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(c, self.den) for c in self.num)
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __call__(self, x):
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0) if isinstance(x, Fraction) else 0.0
+        """p(x): a Fraction at an int or Fraction, a Quad at a Quad, else a float."""
+        if isinstance(x, (int, Fraction)):
+            return self(Quad.of(x)).a
+        if isinstance(x, Quad):
+            u, v, c = _quad_horner(self.num, x)
+            e = self.den * c ** max(self.degree, 0)
+            return Quad.of(Fraction(u, e), Fraction(v, e), x.d)
+        acc, *rest = [k / self.den for k in reversed(self.num)] or [0.0]
+        for c in rest:
+            acc = acc * x + c
         return acc
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return isinstance(other, Polynomial) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.num]
+        b = [c * (den // other.den) for c in other.num]
         if len(a) < len(b):
             a, b = b, a
-        return Polynomial([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
+        for i, c in enumerate(b):
+            a[i] += c
+        return Polynomial(a, den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial([-c for c in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if not self.coeffs or not other.coeffs:
-                return Polynomial([])
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
+            out = [0] * (len(self.num) + len(other.num) - 1)
+            for i, a in enumerate(self.num):
+                for j, b in enumerate(other.num):
                     out[i + j] += a * b
-            return Polynomial(out)
-        return Polynomial([c * other for c in self.coeffs])
+            return Polynomial(out, self.den * other.den)
+        s = other if isinstance(other, (int, Fraction)) else Fraction(other)
+        return Polynomial([c * s.numerator for c in self.num], self.den * s.denominator)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Polynomial([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if not other.coeffs:
+        """Quotient and remainder by pseudo-division, l^k num = Q other.num + R
+        with l = other.num[-1] and k = deg p - deg other + 1, in integers."""
+        b = other.num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading
+        d, lead = len(b) - 1, b[-1]
+        scale = lead ** max(0, len(self.num) - d)
+        rem = [c * scale for c in self.num]
+        quot = [0] * max(0, len(rem) - d)
         for i in range(len(rem) - 1, d - 1, -1):
-            f = rem[i] / lead
-            quot[i - d] = f
-            for j, c in enumerate(other.coeffs):
+            f = quot[i - d] = rem[i] // lead
+            for j, c in enumerate(b):
                 rem[i - d + j] -= f * c
-        return Polynomial(quot), Polynomial(rem)
+        den = self.den * scale
+        return Polynomial([q * other.den for q in quot], den), Polynomial(rem, den)
 
     def squarefree(self) -> "Polynomial":
-        g = _poly_gcd(self.primitive, self.derivative().primitive)
-        if g.degree <= 0:
-            return self
-        q, _ = self.divmod(g)
-        return q
+        g = _poly_gcd(self.num, self.derivative().num)
+        return self if g.degree <= 0 else self.divmod(g)[0]
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "0"
         parts = []
         for i in range(self.degree, -1, -1):
@@ -156,14 +174,6 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _content_free(cs: list[int]) -> tuple[int, ...]:
-    """cs divided by the gcd of its entries, trailing zeros dropped."""
-    while cs and cs[-1] == 0:
-        cs.pop()
-    g = math.gcd(*cs)
-    return tuple(c // g for c in cs) if g > 1 else tuple(cs)
-
-
 def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """|lc(b)|^(deg a - deg b + 1) times the remainder of a by b, divided by
     its content: a positive multiple of that remainder, in integers."""
@@ -176,14 +186,17 @@ def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         for j, c in enumerate(b):
             rem[i - n + j] -= f * c
         rem.pop()
-    return _content_free(rem)
+    while rem and rem[-1] == 0:
+        rem.pop()
+    g = math.gcd(*rem)
+    return tuple(c // g for c in rem) if g > 1 else tuple(rem)
 
 
 def _poly_gcd(x: tuple[int, ...], y: tuple[int, ...]) -> Polynomial:
     """The monic gcd of two integer polynomials, by a primitive remainder sequence."""
     while y:
         x, y = y, _prem(x, y)
-    return Polynomial([Fraction(c, x[-1]) for c in x])
+    return Polynomial(x, x[-1] if x else 1)
 
 
 X = Polynomial([0, 1])
@@ -232,9 +245,6 @@ class Quad:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
 
     def __neg__(self):
         return Quad(-self.a, -self.b, self.d)
@@ -290,10 +300,11 @@ def sturm_chain(p: Polynomial) -> tuple[Polynomial, ...]:
     multiple of the rational Sturm chain's element, so that sign variations
     are the same.  Built on first use and kept on p."""
     if p._chain is None:
-        sf = Polynomial(p.squarefree().coeffs)  # a copy, so that p never holds itself
-        chain = [sf, Polynomial([i * c for i, c in enumerate(sf.primitive)][1:])]
-        while chain[-1].coeffs:
-            r = _prem(chain[-2].primitive, chain[-1].primitive)
+        sf = p.squarefree()
+        sf = Polynomial(sf.num, sf.den)  # a copy, so that p never holds itself
+        chain = [sf, Polynomial([i * c for i, c in enumerate(sf.num)][1:])]
+        while chain[-1].num:
+            r = _prem(chain[-2].num, chain[-1].num)
             if not r:
                 break
             chain.append(Polynomial([-c for c in r]))
@@ -302,7 +313,7 @@ def sturm_chain(p: Polynomial) -> tuple[Polynomial, ...]:
 
 
 def _sign_at(p: Polynomial, x) -> int:
-    cs = p.primitive
+    cs = p.num
     if not cs:
         return 0
     if isinstance(x, str):
@@ -310,19 +321,24 @@ def _sign_at(p: Polynomial, x) -> int:
         return -s if x == NEG_INF and len(cs) % 2 == 0 else s
     if isinstance(x, Quad):
         if x.b:
-            # x = (a + b sqrt(d))/c in integers, and c^degree * p(x) times a
-            # positive integer is u + v sqrt(d)
-            c = math.lcm(x.a.denominator, x.b.denominator)
-            a, b, d = x.a.numerator * (c // x.a.denominator), x.b.numerator * (c // x.b.denominator), x.d
-            bd = b * d
-            u = v = 0
-            c_pow = 1
-            for k in reversed(cs):
-                u, v = u * a + v * bd + k * c_pow, u * b + v * a
-                c_pow *= c
-            return _quad_sign(u, v, d)
+            u, v, _ = _quad_horner(cs, x)
+            return _quad_sign(u, v, x.d)
         x = x.a
     return _horner_sign(cs, x.numerator, x.denominator)
+
+
+def _quad_horner(cs: tuple[int, ...], x: Quad) -> tuple[int, int, int]:
+    """Integers u, v, c with c > 0 and c^degree cs(x) = u + v sqrt(d), for
+    x = a + b sqrt(d) = (A + B sqrt(d))/c: one Horner sum in Z[sqrt(d)]."""
+    c = math.lcm(x.a.denominator, x.b.denominator)
+    a, b = x.a.numerator * (c // x.a.denominator), x.b.numerator * (c // x.b.denominator)
+    bd = b * x.d
+    u = v = 0
+    c_pow = 1
+    for k in reversed(cs):
+        u, v = u * a + v * bd + k * c_pow, u * b + v * a
+        c_pow *= c
+    return u, v, c
 
 
 def _horner_sign(cs: tuple[int, ...], a: int, b: int) -> int:
@@ -352,10 +368,11 @@ def sign_at(p: Polynomial, x) -> int:
 
 
 def cauchy_bound(p: Polynomial) -> Fraction:
+    """1 + max |c_i / c_n|, which bounds the absolute value of every root."""
     if p.degree < 0:
         raise ValueError("zero polynomial")
-    lead = abs(p.leading)
-    return 1 + max((abs(c) / lead for c in p.coeffs[:-1]), default=Fraction(0))
+    lead = abs(p.num[-1])
+    return Fraction(lead + max(map(abs, p.num[:-1]), default=0), lead)
 
 
 @dataclass(frozen=True)
@@ -372,13 +389,13 @@ class RootBracket:
 
 
 def _isolate(p: Polynomial) -> tuple[tuple[int, ...], int, int, int]:
-    """The primitive squarefree part of p and a Sturm-certified bracket
+    """The numerators of p's squarefree part and a Sturm-certified bracket
     (lo/den, hi/den] that holds its largest root, with no root of p above
     hi/den."""
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     chain = sturm_chain(p)
-    prims = [q.primitive for q in chain]
+    prims = [q.num for q in chain]
     at_inf = _variations(_sign_at(q, POS_INF) for q in chain)
     bound = cauchy_bound(chain[0])
     lo, hi, den = -bound.numerator, bound.numerator, bound.denominator
@@ -639,7 +656,7 @@ def positive_on_open_interval(p: Polynomial, lo: Quad, hi: Quad) -> bool:
         return False
     # with no root in (lo, hi), p has there the sign of its first
     # derivative that is nonzero at lo
-    while p.coeffs and sign_at(p, lo) == 0:
+    while p.num and sign_at(p, lo) == 0:
         p = p.derivative()
     return sign_at(p, lo) > 0
 
@@ -668,16 +685,7 @@ def nested_radical_below(m: int, inner_shift: int) -> bool:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def inequality_certificates(m: int) -> list[Certificate]:
@@ -847,19 +855,11 @@ def crossover_scan(
     if lo > hi:
         raise ValueError("empty range")
     rem = {"even": 0, "odd": 1}[parity]
-    orders: list[tuple[int, str]] = []
-    for m in range(lo, hi + 1):
-        if m % 2 != rem:
-            continue
-        cmp = compare_largest_roots(left(m), right(m))
-        orders.append((m, cmp.order))
-    runs: list[tuple[int, int, str]] = []
-    flips: list[tuple[int, int]] = []
-    for m, order in orders:
-        if runs and runs[-1][2] == order:
-            runs[-1] = (runs[-1][0], m, order)
-        else:
-            if runs:
-                flips.append((runs[-1][1], m))
-            runs.append((m, m, order))
+    orders = [(m, compare_largest_roots(left(m), right(m)).order)
+              for m in range(lo, hi + 1) if m % 2 == rem]
+    runs = []
+    for order, group in groupby(orders, key=lambda mo: mo[1]):
+        ms = [m for m, _ in group]
+        runs.append((ms[0], ms[-1], order))
+    flips = [(a[1], b[0]) for a, b in zip(runs, runs[1:])]
     return CrossoverReport(parity, tuple(orders), tuple(runs), tuple(flips))

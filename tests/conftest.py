@@ -234,24 +234,122 @@ def fraction_charpoly(matrix) -> Polynomial:
     return Polynomial(list(reversed(coeffs)))
 
 
-def _fraction_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+class FractionPolynomial:
+    """Univariate polynomial on a tuple of Fraction coefficients, ascending,
+    with schoolbook arithmetic in Q: the oracle for the integer numerators
+    over one denominator of ``polynomials.Polynomial``."""
+
+    def __init__(self, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def leading(self) -> Fraction:
+        if not self.coeffs:
+            raise ValueError("zero polynomial")
+        return self.coeffs[-1]
+
+    def __call__(self, x):
+        acc = None
+        for c in reversed(self.coeffs):
+            acc = c if acc is None else acc * x + c
+        if acc is None:
+            return Fraction(0) if isinstance(x, Fraction) else 0.0
+        return acc
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionPolynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return FractionPolynomial([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return FractionPolynomial([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, FractionPolynomial):
+            if not self.coeffs or not other.coeffs:
+                return FractionPolynomial([])
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return FractionPolynomial(out)
+        return FractionPolynomial([c * other for c in self.coeffs])
+
+    __rmul__ = __mul__
+
+    def derivative(self):
+        return FractionPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def divmod(self, other):
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        quot = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        d = other.degree
+        lead = other.leading
+        for i in range(len(rem) - 1, d - 1, -1):
+            f = rem[i] / lead
+            quot[i - d] = f
+            for j, c in enumerate(other.coeffs):
+                rem[i - d + j] -= f * c
+        return FractionPolynomial(quot), FractionPolynomial(rem)
+
+    def squarefree(self):
+        g = _fraction_gcd(self, self.derivative())
+        return self if g.degree <= 0 else self.divmod(g)[0]
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i in range(self.degree, -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            mag = abs(c)
+            term = "" if (mag == 1 and i > 0) else str(mag)
+            if i >= 1:
+                term += "x" if i == 1 else f"x^{i}"
+            parts.append(("- " if c < 0 else "+ ") + term)
+        joined = " ".join(parts)
+        return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+
+
+def _fraction_gcd(a: FractionPolynomial, b: FractionPolynomial) -> FractionPolynomial:
+    """The monic gcd by rational remainders (zero for two zeros)."""
     while b.coeffs:
         a, b = b, a.divmod(b)[1]
-    return Polynomial([c / a.leading for c in a.coeffs]) if a.coeffs else a
+    return FractionPolynomial([c / a.leading for c in a.coeffs]) if a.coeffs else a
 
 
 def fraction_sturm_chain(p: Polynomial) -> list[Polynomial]:
     """The Sturm chain of p's squarefree part by rational remainders: the
     oracle for the primitive integer chain of ``polynomials.sturm_chain``."""
-    g = _fraction_gcd(p, p.derivative())
-    sf = p if g.degree <= 0 else p.divmod(g)[0]
+    sf = FractionPolynomial(p.coeffs).squarefree()
     chain = [sf, sf.derivative()]
     while chain[-1].coeffs:
         _, r = chain[-2].divmod(chain[-1])
         if not r.coeffs:
             break
         chain.append(-r)
-    return chain
+    return [Polynomial(q.coeffs) for q in chain]
 
 
 def value_sign(p: Polynomial, x) -> int:
@@ -325,7 +423,7 @@ def fraction_compare_largest_roots(p: Polynomial, q: Polynomial) -> RootComparis
     sp, plo, phi = fraction_isolate(p)
     sq, qlo, qhi = fraction_isolate(q)
     lo, hi = max(plo, qlo), min(phi, qhi)
-    g = _fraction_gcd(sp, sq)
+    g = Polynomial(_fraction_gcd(FractionPolynomial(sp.coeffs), FractionPolynomial(sq.coeffs)).coeffs)
     if lo < hi and g.degree > 0 and count_roots(g, lo, hi) > 0:
         order = "eq"
     else:

@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes under the claim contract, round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bht import cli
+from bht import cli, partition, polynomials
 from bht import families as F
 from bht.graphs import canonical_form, disjoint_union, from_graph6, parse_edge_list, to_graph6
 from conftest import brute_isomorphic, check_embedding, graph_of_form
@@ -441,3 +442,58 @@ def test_exact_commands_start_without_numpy(tmp_path):
         ["free", 0, False],
         ["lambda", 0, True],
     ]
+
+
+PIN_SIZES = (22, 23, 40, 41, 120)
+# the parameter values tried for each polynomial id and reference partition
+# that takes one; values out of range at a size are skipped
+POLY_PARAMS = {"split_pendant": [{"t": t} for t in range(1, 8)],
+               "cone_star_edge": [{"r": r} for r in range(3, 9)],
+               "bipartite_minus": [{"p": p} for p in range(2, 12)],
+               "bipartite_plus": [{"p": p} for p in range(2, 12)]}
+PARTITION_PARAMS = {**POLY_PARAMS, "star_matching": [{"merged": True}, {"merged": False}]}
+
+
+def _exact_cli_records(capsys, tmp_path):
+    """[command, exit code, stdout, stderr] of `poly` for every id and
+    parameter at each pin size, plain, --json and --coeffs, and of
+    `quotient --json` on every reference partition at those sizes."""
+    for m in PIN_SIZES:
+        for poly_id in polynomials.POLY_IDS:
+            for params in POLY_PARAMS.get(poly_id, [{}]):
+                try:
+                    polynomials.instantiate(poly_id, m, **params)
+                except ValueError:
+                    continue
+                argv = ["poly", "--id", poly_id, "--m", str(m)]
+                argv += [f"--{k}={v}" for k, v in params.items()]
+                for extra in ([], ["--json"], ["--coeffs"]):
+                    yield [argv + extra, *run(capsys, *argv, *extra)]
+    path = tmp_path / "g.g6"
+    for m in PIN_SIZES:
+        for entry, build in sorted(partition.REFERENCE_PARTITIONS.items()):
+            for params in PARTITION_PARAMS.get(entry, [{}]):
+                try:
+                    g, blocks = build(m, **params)
+                except ValueError:
+                    continue
+                path.write_text(to_graph6(g) + "\n")
+                code, out, err = run(capsys, "quotient", "--input", str(path), "--blocks",
+                                     ";".join(",".join(map(str, b)) for b in blocks), "--json")
+                payload = json.loads(out)
+                # the dense eigen-solve's value is not exact-layer output
+                del payload["lambda_A"]
+                yield [["quotient", entry, m, params], code, payload, err]
+
+
+# (record count, sha256 of the records as JSON lines)
+EXACT_CLI_PIN = (408, "311fcf023f9eaa4f4d1db95a474c1876d36e95109e872ffdd5f9928e076e8170")
+
+
+def test_exact_layer_cli_output_is_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+    count = 0
+    for record in _exact_cli_records(capsys, tmp_path):
+        digest.update(json.dumps(record).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == EXACT_CLI_PIN

@@ -14,6 +14,30 @@ from conftest import (fraction_charpoly, mask_is_equitable, mask_quotient, mask_
                       random_connected)
 
 
+def test_integer_inputs_build_no_fraction(monkeypatch):
+    """The Sturm chain of an integer polynomial (with a repeated root, so that
+    its squarefree part is a proper factor), the quotient matrix of an
+    equitable partition and the characteristic polynomials of integer
+    matrices run on integers alone: none builds a Fraction."""
+    g, blocks = PT.cone_star_edge_partition(40, 3)
+    new = Fraction.__new__
+    calls = []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    chain = P.sturm_chain(P.Polynomial([4, -4, -3, 4, -1]) * P.Polynomial([-1, 1]))
+    cp = PT.charpoly(PT.quotient(g, blocks))
+    adj = PT.adjacency_charpoly(F.cycle(5))
+    monkeypatch.undo()
+    assert calls == []
+    assert chain[0] == P.Polynomial([-2, 1, 2, -1])  # -(x - 2)(x - 1)(x + 1)
+    assert cp == P.instantiate("cone_star_edge", 40, r=3)
+    assert adj == P.Polynomial([-2, 5, 0, -5, 0, 1])
+
+
 def test_is_equitable():
     g, blocks = PT.split_pendant_partition(23, 2)
     assert PT.is_equitable(g, blocks)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bht import polynomials as P
-from conftest import (fraction_compare_largest_roots, fraction_count_roots,
+from conftest import (FractionPolynomial, fraction_compare_largest_roots, fraction_count_roots,
                       fraction_largest_root_bracket, fraction_sturm_chain,
                       interval_nested_radical_below)
 
@@ -73,6 +73,54 @@ def _positive_multiple(p: P.Polynomial, q: P.Polynomial) -> bool:
         return True
     k = p.leading / q.leading
     return k > 0 and all(a == k * b for a, b in zip(p.coeffs, q.coeffs))
+
+
+def _same(poly: P.Polynomial, oracle: FractionPolynomial) -> bool:
+    return poly.coeffs == oracle.coeffs and str(poly) == str(oracle)
+
+
+# zero, constant, integer and non-integer coefficient lists
+coeff_lists = st.one_of(st.just([]), st.lists(small_fractions, min_size=1, max_size=1),
+                        st.lists(st.integers(-6, 6), max_size=6), st.lists(small_fractions, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeff_lists, coeff_lists, small_fractions, small_fractions, quad_points,
+       st.floats(-40, 40))
+def test_integer_polynomial_matches_fraction_oracle(a, b, s, x, q, f):
+    """Integer numerators over one denominator agree with arithmetic on
+    Fraction coefficients: coefficients, text, equality, hashing, the ring
+    operations, division, squarefree parts and values."""
+    p, r = P.Polynomial(a), P.Polynomial(b)
+    po, ro = FractionPolynomial(a), FractionPolynomial(b)
+    assert _same(p, po) and _same(r, ro)
+    assert (p == r) == (po == ro) and (p != r or hash(p) == hash(r))
+    assert p == P.Polynomial(po.coeffs) and hash(p) == hash(P.Polynomial(po.coeffs))
+    assert p == P.Polynomial(p.num, p.den) and hash(p) == hash(P.Polynomial(p.num, p.den))
+    for got, want in [(p + r, po + ro), (p - r, po - ro), (-p, -po), (p * r, po * ro),
+                      (p * s, po * s), (s * p, s * po), (p.derivative(), po.derivative()),
+                      (p.squarefree(), po.squarefree()),
+                      ((p * p * r).squarefree(), (po * po * ro).squarefree())]:
+        assert _same(got, want)
+    if r.degree >= 0:
+        (quot, rem), (quot_o, rem_o) = p.divmod(r), po.divmod(ro)
+        assert _same(quot, quot_o) and _same(rem, rem_o)
+    assert type(p(x)) is Fraction and p(x) == po(x)
+    want = po(q)
+    assert p(q) == (want if isinstance(want, P.Quad) else P.Quad.of(want))
+    assert type(p(f)) is float and p(f) == float(po(f))
+
+
+def test_constants_and_zero_are_exact_at_exact_points():
+    """A constant's value at a quadratic point is a Quad, and the zero
+    polynomial's value at an exact point is an exact zero."""
+    g = P.gate(30, 7)
+    five, zero = P.Polynomial([5]), P.Polynomial([])
+    assert five(g) == P.Quad.of(5) and five(g).sign() == 1
+    assert zero(g) == P.Quad.of(0) and zero(g).sign() == 0
+    assert P.Polynomial([Fraction(-1, 3), 0, 0])(g) == P.Quad.of(Fraction(-1, 3))
+    assert type(zero(Fraction(2))) is Fraction and zero(Fraction(2)) == 0
+    assert type(zero(2)) is Fraction and zero(2) == 0
 
 
 @settings(max_examples=200, deadline=None)
