@@ -29,6 +29,20 @@ E*(v_i) would make it lexicographically smaller than E*.  Hence E* meets
 every condition, and the constrained search, still trying hosts in
 ascending order, returns E*.  Tests pin the witnesses over a fixed
 corpus and compare them with the unconstrained search.
+
+Hosts are cut by open twins, the vertices with one adjacency row.  The
+books, split pendants and cones of the theorems have one large such
+class, and on a free host the search would walk partial embeddings
+through all of it.  When a class has more than p = |V(P)| members, the
+search takes only its p lowest-indexed vertices: the rest start out as
+used.  This keeps the witness too.  Swapping two open twins is an
+automorphism of the host.  If E* used a vertex beyond the first p of its
+class, some twin among those p would be unused, since E* has only p
+vertices, and the swap would give an embedding smaller than E*.  So E*
+avoids the cut vertices, and the search returns it.
+``g.n - len(set(g.adj)) >= p`` is necessary for a class to exceed p, so
+other hosts pay one ``set``.  Closed twins need no cut: a closed-twin
+class of more than p vertices is a clique K_{p+1}, which contains P.
 """
 
 from __future__ import annotations
@@ -100,10 +114,12 @@ def _build_plan(key: str | tuple[int, ...]) -> _Plan:
     return unbroken._replace(below=tuple(map(tuple, below)))
 
 
-def _extend(adj: tuple[int, ...], plan: _Plan, assign: list[int], start: int) -> bool:
+def _extend(adj: tuple[int, ...], plan: _Plan, assign: list[int], start: int,
+            used: int = 0) -> bool:
     """Complete ``assign[:start]`` (position -> host vertex) in place to an
-    embedding into the host with rows ``adj``, trying hosts in ascending
-    order; False, with ``assign[start:]`` unspecified, when none exists."""
+    embedding into the host with rows ``adj`` that avoids the hosts in the
+    bitset ``used``, trying hosts in ascending order; False, with
+    ``assign[start:]`` unspecified, when none exists."""
     n = len(plan.order)
     pdeg, back, below = plan.pdeg, plan.back, plan.below
     full = (1 << len(adj)) - 1
@@ -129,7 +145,6 @@ def _extend(adj: tuple[int, ...], plan: _Plan, assign: list[int], start: int) ->
                 return True
         return False
 
-    used = 0
     for h in assign[:start]:
         used |= 1 << h
     return extend(start, used)
@@ -144,12 +159,21 @@ def contains_subgraph(g: Graph, pattern: Graph | str) -> list[int] | None:
     witness deterministic.
     """
     plan = _plan(pattern)
-    if plan.graph.n > g.n or plan.m > g.m:
+    p = plan.graph.n
+    if p > g.n or plan.m > g.m:
         return None
-    assign = [-1] * plan.graph.n
-    if not _extend(g.adj, plan, assign, 0):
+    cut = 0  # the open twins beyond the first p of their class
+    if g.n - len(set(g.adj)) >= p:  # else no class exceeds p
+        room = dict.fromkeys(g.adj, p)
+        for v, row in enumerate(g.adj):
+            if room[row]:
+                room[row] -= 1
+            else:
+                cut |= 1 << v
+    assign = [-1] * p
+    if not _extend(g.adj, plan, assign, 0, cut):
         return None
-    embedding = [-1] * plan.graph.n
+    embedding = [-1] * p
     for v, h in zip(plan.order, assign):
         embedding[v] = h
     return embedding

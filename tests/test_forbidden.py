@@ -10,6 +10,7 @@ import pytest
 
 from bht import families as F
 from bht import forbidden as FB
+from bht.graphs import Graph, bits
 from conftest import (
     brute_contains,
     check_embedding,
@@ -154,6 +155,90 @@ def test_witnesses_match_unbroken_search(rng):
             assert witness == unbroken_contains_subgraph(g, p)
             found += witness is not None
     assert 0.2 < found / (150 * len(patterns)) < 0.8  # both outcomes are exercised
+
+
+# sha256 of json.dumps(contains_subgraph(g, name)), one per line, for every
+# theorem candidate at every m = 22..120 against each named pattern: the
+# witnesses as the search over the whole host found them
+CANDIDATE_WITNESS_PIN = (1730, "d62229d9871602f0601e2e18a018a158e6b0a092c25bff535abaf190c1ae1eac")
+
+
+def test_theorem_candidate_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for m in range(22, 121):
+        for _, g in F.theorem_candidates(m):
+            for name in FB.NAMED_PATTERNS:
+                digest.update(json.dumps(FB.contains_subgraph(g, name)).encode() + b"\n")
+                count += 1
+    assert (count, digest.hexdigest()) == CANDIDATE_WITNESS_PIN
+
+
+def _blow_up(rng, g):
+    """g with one or two vertices each grown into a class of 7-12 open twins,
+    then shuffled so that every class is spread over the indices."""
+    rows = list(g.adj)
+    for v in rng.sample(range(g.n), rng.randint(1, 2)):
+        for _ in range(rng.randint(7, 12) - 1):
+            for u in bits(rows[v]):
+                rows[u] |= 1 << len(rows)
+            rows.append(rows[v])
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return Graph(len(rows), tuple(rows)).relabel(perm)
+
+
+@pytest.fixture
+def extend_hosts(monkeypatch):
+    """(host rows, bitset of hosts marked used) of every ``_extend`` call."""
+    hosts = []
+    extend = FB._extend
+
+    def spy(adj, *args):  # args: plan, assign, start[, used]
+        hosts.append((adj, args[3] if len(args) > 3 else 0))
+        return extend(adj, *args)
+
+    monkeypatch.setattr(FB, "_extend", spy)
+    return hosts
+
+
+def test_twin_cut_hosts_match_unbroken_search(rng, extend_hosts):
+    """Hosts whose open-twin classes exceed p: the search on the cut host
+    returns the witness of the unconstrained search on the whole host."""
+    patterns = [FB.named_pattern(name) for name in FB.NAMED_PATTERNS]
+    patterns += [F.cycle(4), F.complete(3), F.complete(4), F.path(5), F.star(4)]
+    for p in patterns:
+        FB._plan(p)  # plan searches stay out of ``extend_hosts``
+    found = 0
+    for _ in range(200):
+        g = _blow_up(rng, random_connected(rng, 4, 9))
+        for p in patterns:
+            extend_hosts.clear()
+            witness = FB.contains_subgraph(g, p)
+            assert witness == unbroken_contains_subgraph(g, p)
+            assert [used != 0 for _, used in extend_hosts] == [True]  # the cut fired
+            found += witness is not None
+    assert 0.2 < found / (200 * len(patterns)) < 0.8  # both outcomes are exercised
+
+
+def test_twin_classes_are_cut_to_p_vertices(extend_hosts):
+    """The search may take at most p vertices per distinct adjacency row, and
+    a host with no open-twin class larger than p is searched whole."""
+    host = F.split_pendant_for_size(113, 2)
+    assert host.n == 59
+    for name in FB.NAMED_PATTERNS:
+        extend_hosts.clear()
+        FB.contains_subgraph(host, name)
+        p = FB._plan(name).graph.n
+        assert [(adj is host.adj, host.n - used.bit_count() <= p * len(set(host.adj)))
+                for adj, used in extend_hosts] == [(True, True)]
+    partite = reduce(F.join, [F.empty(2)] * 9)
+    for g, patterns in ((F.cycle(8), FB.NAMED_PATTERNS), (partite, [F.complete(9), F.complete(10)])):
+        for p in patterns:
+            FB._plan(p)
+            extend_hosts.clear()
+            FB.contains_subgraph(g, p)
+            assert extend_hosts == [(g.adj, 0)]
 
 
 def _automorphism_count(p):
