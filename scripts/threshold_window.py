@@ -10,7 +10,7 @@ so both readings can be compared without assuming either.
 import argparse
 
 from bht import families, polynomials, search
-from bht.spectral import spectral_radius
+from bht.spectral import radius
 
 
 def main() -> None:
@@ -26,7 +26,7 @@ def main() -> None:
             flat = ", ".join(f"{n}={'ok' if ok else 'FAIL'}" for n, ok, _ in rep.checks)
             print(f"  {thm:22s} {rep.status:12s} {flat}")
         ranked = sorted(
-            ((spectral_radius(g).lam, str(spec)) for spec, g in families.theorem_candidates(m)),
+            ((radius(g), str(spec)) for spec, g in families.theorem_candidates(m)),
             reverse=True,
         )
         print("  candidate ordering: " + "  >  ".join(f"{name} ({lam:.9f})" for lam, name in ranked))

@@ -14,6 +14,13 @@ written down by index:
 * ``theta(p, q, r)``: the two hubs are 0 and 1, path interiors follow.
 * ``double_star(a, b)``: adjacent centres 0 and 1, the a leaves of 0
   before the b leaves of 1.
+
+The three base constructors write their rows directly and skip the
+validation of ``Graph(n, adj)``, since the rows are valid by construction:
+``empty(n)`` has no edges, ``complete(n)`` gives each vertex every other
+vertex of 0..n-1, and ``complete_bipartite(a, b)`` gives each side the
+other side's full range.  The rest build through the valid-by-construction
+builders and edits of ``graphs``.
 """
 
 from __future__ import annotations
@@ -38,12 +45,12 @@ class FamilySpec:
 def empty(n: int) -> Graph:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return Graph(n, (0,) * n)
+    return Graph._trusted(n, (0,) * n)
 
 
 def complete(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
+    return Graph._trusted(n, tuple(full & ~(1 << v) for v in range(n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -51,7 +58,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
         raise ValueError("part sizes must be nonnegative")
     left = (1 << a) - 1
     right = ((1 << b) - 1) << a
-    return Graph(a + b, tuple(right for _ in range(a)) + tuple(left for _ in range(b)))
+    return Graph._trusted(a + b, tuple(right for _ in range(a)) + tuple(left for _ in range(b)))
 
 
 def star(n: int) -> Graph:

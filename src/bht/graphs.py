@@ -5,6 +5,20 @@ bitset, so the same representation covers both small graphs (single
 machine word) and the occasional larger one.  All editing operations
 return new Graph values; nothing here mutates.
 
+Validation happens at the public constructor: ``Graph(n, adj)`` checks
+that the rows are in range, loop-free and symmetric.  The builders here
+make rows that are valid by construction from arguments they check
+first, so they build with ``Graph._trusted`` and skip that O(m) walk:
+``from_edge_list`` rejects loops and negative endpoints, sets both bits
+of each pair and sizes n to the largest endpoint; ``from_graph6`` sets
+both bits of each upper-triangle pair below its declared n;
+``induced_subgraph`` checks its vertices and keeps the edges among them,
+renumbered; ``disjoint_union`` and ``join`` shift valid rows into
+disjoint bit ranges and add all or none of the cross pairs;
+``add_edge`` and ``remove_edge`` check both endpoints and flip both bits
+of a non-loop pair; ``add_vertex`` appends an empty row; ``relabel``
+checks its permutation.
+
 The canonical form is a partition-refinement labelling in the style of
 McKay's nauty.  Colours start as the dense ranks of the degrees.  Each
 refinement round gives every vertex one integer key that packs its
@@ -41,7 +55,11 @@ def bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph; ``adj[u]`` is the neighbour bitset of u."""
+    """Undirected simple graph; ``adj[u]`` is the neighbour bitset of u.
+
+    Calling ``Graph(n, adj)`` validates the rows.  The module's builders
+    and edits, valid by construction, use ``_trusted`` instead.
+    """
 
     n: int
     adj: tuple[int, ...]
@@ -62,8 +80,9 @@ class Graph:
 
     @classmethod
     def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """Build without ``__post_init__``, for an edit of a valid graph
-        whose arguments were checked, which cannot make it invalid."""
+        """Build without ``__post_init__``, for rows that are valid by
+        construction: an edit of a valid graph, or a builder, whose
+        arguments were checked and which cannot make invalid rows."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", adj)
@@ -108,7 +127,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
     def remove_vertex(self, v: int) -> "Graph":
         self._check_vertex(v)
@@ -147,7 +166,7 @@ def from_edge_list(pairs: Iterable[tuple[int, int]]) -> Graph:
     for u, v in pairs:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -161,12 +180,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
         for w in bits(g.adj[v]):
             if w in pos:
                 rows[pos[v]] |= 1 << pos[w]
-    return Graph(len(vs), tuple(rows))
+    return Graph._trusted(len(vs), tuple(rows))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph._trusted(g.n + h.n, tuple(rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -174,27 +193,30 @@ def join(g: Graph, h: Graph) -> Graph:
     gmask = (1 << g.n) - 1
     hmask = ((1 << h.n) - 1) << g.n
     rows = [row | hmask for row in g.adj] + [row << g.n | gmask for row in h.adj]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph._trusted(g.n + h.n, tuple(rows))
 
 
 # -- connectivity ------------------------------------------------------------
 
 
 def components(g: Graph) -> list[int]:
-    """Connected components as vertex bitsets, ordered by least vertex."""
-    seen = 0
+    """Connected components as vertex bitsets, ordered by least vertex.
+
+    Each component grows from its least vertex one breadth-first layer at
+    a time: the next layer is the union of the layer's rows, less the
+    vertices already reached."""
+    adj = g.adj
+    rest = (1 << g.n) - 1
     out = []
-    for s in range(g.n):
-        if seen >> s & 1:
-            continue
-        comp = 1 << s
-        frontier = [s]
-        while frontier:
-            v = frontier.pop()
-            for w in bits(g.adj[v] & ~comp):
-                comp |= 1 << w
-                frontier.append(w)
-        seen |= comp
+    while rest:
+        comp = layer = rest & -rest
+        while layer:
+            reach = 0
+            for v in bits(layer):
+                reach |= adj[v]
+            layer = reach & ~comp
+            comp |= layer
+        rest &= ~comp
         out.append(comp)
     return out
 
@@ -218,10 +240,12 @@ def _refine(nbrs: list[list[int]], colors: list[int], pw: tuple[int, ...], top: 
     writes v's neighbour counts per colour as base-(n+1) digits, colour 0
     first, and more neighbours of a smaller colour means a smaller sorted
     tuple.  The ranks of these keys refine ``colors`` in order, so the
-    colouring is stable once a round leaves the number of cells unchanged.
+    colouring is stable once a round leaves the number of cells unchanged,
+    and a discrete colouring (n cells) is stable without another round.
     """
+    n = len(colors)
     cells = max(colors) + 1
-    while True:
+    while cells < n:
         cp = [pw[c] for c in colors]
         keys = [c * top - sum(map(cp.__getitem__, nb)) for c, nb in zip(colors, nbrs)]
         ranks = sorted(set(keys))
@@ -230,6 +254,7 @@ def _refine(nbrs: list[list[int]], colors: list[int], pw: tuple[int, ...], top: 
         cells = len(ranks)
         dense = {k: i for i, k in enumerate(ranks)}
         colors = [dense[k] for k in keys]
+    return colors
 
 
 def twin_masks(adj: tuple[int, ...]) -> list[int]:
@@ -429,4 +454,4 @@ def from_graph6(text: str) -> Graph:
             if bitstring >> k & 1:
                 rows[row] |= 1 << col
                 rows[col] |= 1 << row
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))

@@ -132,9 +132,9 @@ def coarsest_equitable_refinement(g: Graph, seed: Sequence[Sequence[int]]) -> Bl
 
 def charpoly_lambda_check(g: Graph, cp: Polynomial) -> tuple[float, float, bool]:
     """Largest adjacency eigenvalue vs the largest root of cp, 1e-9 agreement."""
-    from .spectral import spectral_radius
+    from .spectral import radius
 
-    lam_a = spectral_radius(g).lam
+    lam_a = radius(g)
     lam_q, _ = largest_real_root(cp)
     return lam_a, lam_q, abs(lam_a - lam_q) <= 1e-9
 

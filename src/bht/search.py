@@ -625,7 +625,7 @@ def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationRepor
     ``theta123`` at m = 8..12), all book claims: an exhaustive search also
     asserts the book bound and, at odd m, the book as unique maximizer.
     """
-    from .spectral import spectral_radius
+    from .spectral import radius
 
     if theorem not in CLAIMS:
         raise ValueError(f"unknown theorem id {theorem!r}; known: {THEOREM_IDS}")
@@ -642,7 +642,7 @@ def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationRepor
     if claimed is None:
         report.notes.append("even m: the bound is claimed strict (no equality graph)")
     else:
-        lam = spectral_radius(claimed).lam
+        lam = radius(claimed)
         root, _ = largest_real_root(poly)
         report.record("edge_count", claimed.m == m, f"edges={claimed.m}")
         report.record("pattern_free", forbidden.is_free(claimed, patterns))
@@ -659,7 +659,7 @@ def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationRepor
             report.record("below_book_bound", lam < bound + 1e-9,
                           f"claimed lambda {lam!r} vs book bound {bound!r}")
         if claim.rival is not None:
-            lam_alt = spectral_radius(claim.rival(m)).lam
+            lam_alt = radius(claim.rival(m))
             report.record("beats_other_regime", lam > lam_alt - 1e-12,
                           f"claimed {lam!r} vs alternative {lam_alt!r}")
 

@@ -9,6 +9,12 @@ max-norm residual of that pair.  The residual is reported, not checked:
 nothing here compares it with a bound.  The test suite checks, on random
 connected graphs, that it stays below 1e-10 and that the Perron vector
 is strictly positive.
+
+Callers that read λ alone take it from ``radius`` (any graph) or
+``connected_radius`` (a graph known to be connected, without the
+component split).  Both return ``spectral_radius(g).lam`` to the bit;
+only ``bht lambda``, which prints the vector and the residual, needs
+``spectral_radius``.
 """
 
 from __future__ import annotations
@@ -52,6 +58,34 @@ def connected_radius(g: Graph) -> float:
     return _component_eigenpair(adjacency_matrix(g))[0]
 
 
+def _best_component(g: Graph) -> tuple[float, list[int], np.ndarray, np.ndarray]:
+    """λ, the vertices and the Perron vector of the first component that
+    attains the max, with the component's adjacency matrix.  A connected
+    graph is solved on its full matrix, which is the one the component
+    copy would hold, so λ has the same bits without the copy."""
+    if g.n == 0:
+        raise ValueError("spectral radius of the empty graph is undefined")
+    a_full = adjacency_matrix(g)
+    best: tuple[float, list[int], np.ndarray, np.ndarray] | None = None
+    for comp in components(g):
+        vs = list(bits(comp))
+        a = a_full if len(vs) == g.n else a_full[np.ix_(vs, vs)]
+        if len(vs) == 1:
+            lam, vec = 0.0, np.ones(1)
+        else:
+            lam, vec = _component_eigenpair(a)
+        if best is None or lam > best[0] + 1e-13:
+            best = (lam, vs, vec, a)
+    assert best is not None
+    return best
+
+
+def radius(g: Graph) -> float:
+    """The spectral radius of any non-empty graph: ``spectral_radius(g).lam``
+    to the bit, without the Perron tuple and residual."""
+    return _best_component(g)[0]
+
+
 def spectral_radius(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue with its (component-wise) Perron vector.
 
@@ -60,21 +94,8 @@ def spectral_radius(g: Graph) -> SpectralResult:
     zero-padded elsewhere (so the positivity guarantee applies only to
     connected inputs).
     """
-    if g.n == 0:
-        raise ValueError("spectral radius of the empty graph is undefined")
-    a_full = adjacency_matrix(g)
-    best: tuple[float, list[int], np.ndarray] | None = None
-    for comp in components(g):
-        vs = list(bits(comp))
-        if len(vs) == 1:
-            lam, vec = 0.0, np.ones(1)
-        else:
-            lam, vec = _component_eigenpair(a_full[np.ix_(vs, vs)])
-        if best is None or lam > best[0] + 1e-13:
-            best = (lam, vs, vec)
-    assert best is not None
-    lam, vs, vec = best
-    residual = float(np.max(np.abs(a_full[np.ix_(vs, vs)] @ vec - lam * vec)))
+    lam, vs, vec, a = _best_component(g)
+    residual = float(np.max(np.abs(a @ vec - lam * vec)))
     x = np.zeros(g.n)
     x[vs] = vec
     x /= np.linalg.norm(x)

@@ -57,6 +57,46 @@ def test_family_rejects_parameters_it_does_not_take(capsys):
     assert canonical_form(from_graph6(out.strip())) == canonical_form(F.generalized_theta([1, 2, 3]))
 
 
+# The message for each family with its first parameter -1 and any others 3
+# (generalized_theta: the lengths x=-1, y=3, z=3).
+NEGATIVE_PARAMETER_ERRORS = {
+    "complete": "negative shift count",
+    "complete_bipartite": "part sizes must be nonnegative",
+    "star": "a star needs at least one vertex",
+    "path": "n must be nonnegative",
+    "cycle": "cycles need n >= 3",
+    "complete_split": "need 0 <= k <= n, got k=3, n=-1",
+    "book": "book graph needs odd m >= 3, got -1",
+    "split_pendant": "no vertex left to attach pendants: n=-1, t=3",
+    "split_pendant_size": "m=-1 and t=3 must have opposite parity",
+    "star_matching": "need 0 <= 2k <= n-1, got n=-1, k=3",
+    "theta": "need 1 <= p <= q <= r and q >= 2, got (-1,3,3)",
+    "generalized_theta": "invalid path lengths [-1, 3, 3]: at most one length-1 path",
+    "r_chain": "k must be nonnegative",
+    "double_star": "leaf counts must be nonnegative",
+    "kminus": "need 2 <= s <= t, got (-1,3)",
+    "kplus": "need 2 <= s <= t, got (-1,3)",
+    "k1_join_star_edge": "need m >= 2r+2, got m=-1, r=3",
+    "k1_join_candidate": "odd cone candidate needs m >= 9",
+    "hts0_r_chain": "t must be nonnegative",
+    "star_diamond_k4": "star_diamond_k4 needs odd m >= 9, got -1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(F.FAMILIES))
+def test_family_bad_parameters_exit_2(capsys, name):
+    """A negative or a missing parameter is a usage error with its message,
+    for every family, whatever the constructors validate."""
+    names = F.FAMILIES[name][1] or ("x", "y", "z")
+    params = ",".join(f"{k}={-1 if i == 0 else 3}" for i, k in enumerate(names))
+    code, out, err = run(capsys, "family", "--name", name, "--params", params)
+    assert (code, out, err) == (2, "", f"error: {NEGATIVE_PARAMETER_ERRORS[name]}\n")
+    code, out, err = run(capsys, "family", "--name", name)
+    missing = ("need at least two paths" if name == "generalized_theta"
+               else f"{name} needs parameters {names}")
+    assert (code, out, err) == (2, "", f"error: {missing}\n")
+
+
 def test_lambda_json(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 2\n2 0\n")

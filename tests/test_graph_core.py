@@ -1,7 +1,7 @@
 """Graph value semantics, canonical forms and file formats."""
 
 import hashlib
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -124,12 +124,19 @@ def test_canonical_invariant_under_relabeling(case):
     assert canonical_form(g.relabel(perm)) == canonical_form(g)
 
 
+def _validated(g: Graph) -> Graph:
+    """``g`` rebuilt through the validating constructor, which raises on
+    rows that are out of range, looped or asymmetric."""
+    return Graph(g.n, g.adj)
+
+
 @settings(max_examples=200, deadline=None)
-@given(graph_and_perm(), st.data())
-def test_trusted_edits_equal_validated_graphs(case, data):
-    """add_edge and add_vertex skip re-validation; what they build must
+@given(graph_and_perm(), graph_and_perm(max_n=6), st.data())
+def test_trusted_edits_equal_validated_graphs(case, other, data):
+    """The edits and builders skip re-validation; what they build must
     equal the graph that full validation builds from the same rows."""
     g, _ = case
+    h, _ = other
     assume(g.n >= 2)
     u, v = data.draw(st.permutations(list(range(g.n))))[:2]
     rows = list(g.adj)
@@ -140,6 +147,44 @@ def test_trusted_edits_equal_validated_graphs(case, data):
     perm = data.draw(st.permutations(list(range(g.n))))
     relabelled = g.relabel(perm)
     assert relabelled == Graph(g.n, relabelled.adj)
+    grown = g.add_edge(u, v)
+    assert grown.remove_edge(u, v) == _validated(grown.remove_edge(u, v))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14))
+                               .filter(lambda e: e[0] != e[1]), max_size=30))
+    built = from_edge_list(pairs)
+    assert built == _validated(built)
+    assert built.m == len({frozenset(e) for e in pairs})
+    assert from_graph6(to_graph6(g)) == _validated(g)
+    kept = data.draw(st.sets(st.integers(0, g.n - 1)))
+    assert induced_subgraph(g, kept) == _validated(induced_subgraph(g, kept))
+    for combined in (disjoint_union(g, h), disjoint_union(h, g), join(g, h), join(h, g)):
+        assert combined == _validated(combined)
+
+
+def _family_arguments(names):
+    """Every argument tuple of a small grid: one parameter runs over
+    0..11, two over 0..7 each, three over 0..5 each, and the path lengths
+    of generalized_theta are 2 or 3 values in 0..5."""
+    if names is None:
+        return [ls for k in (2, 3) for ls in product(range(6), repeat=k)]
+    return list(product(range({1: 12, 2: 8, 3: 6}[len(names)]), repeat=len(names)))
+
+
+@pytest.mark.parametrize("name", sorted(families.FAMILIES))
+def test_family_builders_equal_validated_graphs(name):
+    """Every family constructor, over the small grid, builds only graphs
+    that full validation accepts unchanged, and the grid holds valid
+    arguments for each."""
+    build, names = families.FAMILIES[name]
+    valid = 0
+    for args in _family_arguments(names):
+        try:
+            g = build(*args)
+        except ValueError:
+            continue
+        valid += 1
+        assert g == _validated(g), (name, args)
+    assert valid, name
 
 
 @settings(max_examples=200, deadline=None)
@@ -319,6 +364,18 @@ def test_graph6_against_networkx(rng):
         assert theirs.decode().replace(">>graph6<<", "").strip() == ours
         back = nx.from_graph6_bytes(ours.encode())
         assert sorted(map(tuple, map(sorted, back.edges()))) == g.edges()
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_perm(max_n=16))
+def test_components_against_networkx(case):
+    nx = pytest.importorskip("networkx")
+    g, _ = case
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    theirs = sorted(nx.connected_components(nxg), key=min)
+    assert components(g) == [sum(1 << v for v in comp) for comp in theirs]
 
 
 def test_graph6_long_form():

@@ -9,7 +9,7 @@ from bht import families as F
 from bht import search
 from bht import spectral as S
 from bht.graphs import disjoint_union
-from bht.partition import adjacency_charpoly
+from bht.partition import adjacency_charpoly, charpoly, charpoly_lambda_check, quotient
 from bht.polynomials import largest_real_root
 from conftest import (
     bound_clique_free,
@@ -210,3 +210,36 @@ def test_lambda_matches_exact_charpoly_root():
         lam = S.spectral_radius(g).lam
         root, _ = largest_real_root(adjacency_charpoly(g))
         assert abs(lam - root) <= 1e-9
+
+
+def test_lambda_only_routines_keep_the_bits_on_every_claim_graph():
+    """verify_theorem reads λ alone; on each claimed graph and rival at
+    every m = 22..120 the λ-only routines equal spectral_radius(g).lam
+    exactly, with no tolerance."""
+    checked = 0
+    for claim in search.CLAIMS.values():
+        for m in range(max(22, claim.start), 121):
+            graphs = [claim.graph(m)] + ([claim.rival(m)] if claim.rival else [])
+            for g in filter(None, graphs):
+                lam = S.spectral_radius(g).lam
+                assert S.connected_radius(g) == lam, (m, g.n)
+                assert S.radius(g) == lam, (m, g.n)
+                checked += 1
+    assert checked >= 4 * 99
+
+
+def test_radius_keeps_the_bits_on_disconnected_graphs(rng):
+    """radius splits a disconnected graph into the components that
+    spectral_radius solves, and returns its λ exactly; so does the
+    quotient check that ``bht quotient`` runs on user input."""
+    g = disjoint_union(F.star(4), F.cycle(4))  # K_{1,3} and C_4
+    blocks = [[0], [1, 2, 3], [4, 5, 6, 7]]
+    lam_a, lam_q, equal = charpoly_lambda_check(g, charpoly(quotient(g, blocks)))
+    assert lam_a == S.spectral_radius(g).lam == S.radius(g)
+    assert equal and abs(lam_a - 2.0) <= 1e-12
+    for _ in range(200):
+        g = disjoint_union(F.empty(rng.randrange(2)), random_connected(rng, 2, 9))
+        for _ in range(rng.randrange(3)):
+            g = disjoint_union(random_connected(rng, 2, 9), g)
+        assert S.radius(g) == S.spectral_radius(g).lam
+    assert S.radius(F.empty(1)) == S.spectral_radius(F.empty(1)).lam == 0.0
