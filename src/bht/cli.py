@@ -60,8 +60,11 @@ def _parse_params(text: str) -> dict[str, int]:
     for item in text.split(","):
         if "=" not in item:
             raise ValueError(f"bad parameter {item!r}; expected k=v")
-        key, val = item.split("=", 1)
-        out[key.strip()] = int(val)
+        key, val = (s.strip() for s in item.split("=", 1))
+        try:
+            out[key] = int(val)
+        except ValueError:
+            raise ValueError(f"parameter {key} needs an integer, got {val!r}") from None
     return out
 
 

@@ -49,6 +49,8 @@ def empty(n: int) -> Graph:
 
 
 def complete(n: int) -> Graph:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     full = (1 << n) - 1
     return Graph._trusted(n, tuple(full & ~(1 << v) for v in range(n)))
 

@@ -2,18 +2,20 @@
 
 Everything here is exact and runs on integers.  A polynomial is integer
 numerators over one positive denominator, so its arithmetic needs no
-Fraction, and its numerators are a positive multiple of it: a sign or value
-at a rational a/b or a quadratic point (A + B sqrt(d))/C is one Horner sum
-on them, in Z or in Z[sqrt(d)].  Sturm chains and gcds are primitive
-pseudo-remainder sequences (Collins 1967), positive multiples of the
-rational remainders; a chain is built once, on first use, and kept on its
-polynomial.  Bisection runs on integer numerators over one denominator,
-(the Cauchy bound's denominator) x 2^k, so no step takes a gcd.  Fractions
-are built only for output: coefficients when read, a bracket at the end.
-Largest roots are ordered exactly: equal when the gcd of the squarefree
-parts has a root where the brackets overlap, else by bisecting until the
-brackets separate.  The nested-radical ceilings square away both radicals
-and become one sign in Q(sqrt(m-1)).
+Fraction, and its numerators are a positive multiple of it.  A quadratic
+point is a Quad, the integers of (A + B sqrt(d))/C in lowest terms, with no
+arithmetic of its own.  A sign or value at a rational a/b or at a Quad is
+one Horner sum on those integers, in Z or in Z[sqrt(d)].  Sturm chains and
+gcds are primitive pseudo-remainder sequences (Collins 1967), positive
+multiples of the rational remainders; a chain is built once, on first use,
+and kept on its polynomial.  Bisection runs on integer numerators over one
+denominator, (the Cauchy bound's denominator) x 2^k, so no step takes a
+gcd.  Fractions are built only for output: a polynomial's coefficients when
+read, a root bracket's two ends, and a Quad's text.  Largest roots are
+ordered exactly: equal when the gcd of the squarefree parts has a root
+where the brackets overlap, else by bisecting until the brackets separate.
+The nested-radical ceilings square away both radicals and become one sign
+in Z[sqrt(m-1)].
 
 Polynomial ids and their parameters:
 
@@ -86,11 +88,10 @@ class Polynomial:
     def __call__(self, x):
         """p(x): a Fraction at an int or Fraction, a Quad at a Quad, else a float."""
         if isinstance(x, (int, Fraction)):
-            return self(Quad.of(x)).a
+            value = self(Quad.of(x))
+            return Fraction(value.a, value.c)
         if isinstance(x, Quad):
-            u, v, c = _quad_horner(self.num, x)
-            e = self.den * c ** max(self.degree, 0)
-            return Quad.of(Fraction(u, e), Fraction(v, e), x.d)
+            return _quad(*_quad_horner(self.num, x), self.den * x.c ** max(self.degree, 0), x.d)
         acc, *rest = [k / self.den for k in reversed(self.num)] or [0.0]
         for c in rest:
             acc = acc * x + c
@@ -213,63 +214,38 @@ def _is_square(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Quad:
-    """Exact value a + b*sqrt(d) with rational a, b and integer d >= 0."""
+    """Exact value (a + b*sqrt(d))/c, held as integers in a unique form: c > 0,
+    no prime divides a, b and c, b = 0 iff d = 0, and d is not a square.  It
+    has no arithmetic of its own; signs and values read its integers."""
 
-    a: Fraction
-    b: Fraction
+    a: int
+    b: int
+    c: int
     d: int
 
     @staticmethod
     def of(a, b=0, d: int = 0) -> "Quad":
-        a, b = Fraction(a), Fraction(b)
-        if d < 0:
-            raise ValueError("radicand must be nonnegative")
-        if b == 0:
-            d = 0
-        elif _is_square(d):
-            a, b, d = a + b * math.isqrt(d), Fraction(0), 0
-        return Quad(a, b, d)
-
-    def _coerce(self, other) -> "Quad":
-        if isinstance(other, Quad):
-            if other.d and self.d and other.d != self.d:
-                raise ValueError(f"mixed radicands {self.d} and {other.d}")
-            return other
-        return Quad.of(Fraction(other))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Quad.of(self.a + o.a, self.b + o.b, self.d or o.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __neg__(self):
-        return Quad(-self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        d = self.d or o.d
-        return Quad.of(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-            d,
-        )
-
-    __rmul__ = __mul__
+        """a + b*sqrt(d) for rational a, b and an integer d >= 0."""
+        a, b = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (a, b))
+        c = math.lcm(a.denominator, b.denominator)
+        return _quad(a.numerator * (c // a.denominator), b.numerator * (c // b.denominator), c, d)
 
     def sign(self) -> int:
         return _quad_sign(self.a, self.b, self.d)
 
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a} + {self.b}*sqrt({self.d})"
+        a = Fraction(self.a, self.c)
+        return f"{a} + {Fraction(self.b, self.c)}*sqrt({self.d})" if self.b else str(a)
+
+
+def _quad(a: int, b: int, c: int, d: int) -> Quad:
+    """The Quad (a + b*sqrt(d))/c, for integers with c != 0 and d >= 0."""
+    if d < 0:
+        raise ValueError("radicand must be nonnegative")
+    if b and _is_square(d):
+        a, b = a + b * math.isqrt(d), 0
+    g = math.gcd(a, b, c) * (1 if c > 0 else -1)
+    return Quad(a // g, b // g, c // g, d if b else 0)
 
 
 def _quad_sign(a, b, d: int) -> int:
@@ -284,7 +260,7 @@ def _quad_sign(a, b, d: int) -> int:
 
 def gate(m: int, c: int) -> Quad:
     """The point (1 + sqrt(4m - c))/2 as an exact quadratic value."""
-    return Quad.of(Fraction(1, 2), Fraction(1, 2), 4 * m - c)
+    return _quad(1, 1, 2, 4 * m - c)
 
 
 # ---------------------------------------------------------------------------
@@ -321,24 +297,22 @@ def _sign_at(p: Polynomial, x) -> int:
         return -s if x == NEG_INF and len(cs) % 2 == 0 else s
     if isinstance(x, Quad):
         if x.b:
-            u, v, _ = _quad_horner(cs, x)
-            return _quad_sign(u, v, x.d)
-        x = x.a
+            return _quad_sign(*_quad_horner(cs, x), x.d)
+        return _horner_sign(cs, x.a, x.c)
     return _horner_sign(cs, x.numerator, x.denominator)
 
 
-def _quad_horner(cs: tuple[int, ...], x: Quad) -> tuple[int, int, int]:
-    """Integers u, v, c with c > 0 and c^degree cs(x) = u + v sqrt(d), for
-    x = a + b sqrt(d) = (A + B sqrt(d))/c: one Horner sum in Z[sqrt(d)]."""
-    c = math.lcm(x.a.denominator, x.b.denominator)
-    a, b = x.a.numerator * (c // x.a.denominator), x.b.numerator * (c // x.b.denominator)
+def _quad_horner(cs: tuple[int, ...], x: Quad) -> tuple[int, int]:
+    """Integers u, v with c^degree cs(x) = u + v sqrt(d), for the Quad
+    x = (a + b sqrt(d))/c: one Horner sum in Z[sqrt(d)]."""
+    a, b, c = x.a, x.b, x.c
     bd = b * x.d
     u = v = 0
     c_pow = 1
     for k in reversed(cs):
         u, v = u * a + v * bd + k * c_pow, u * b + v * a
         c_pow *= c
-    return u, v, c
+    return u, v
 
 
 def _horner_sign(cs: tuple[int, ...], a: int, b: int) -> int:
@@ -367,12 +341,13 @@ def sign_at(p: Polynomial, x) -> int:
     return _sign_at(p, x)
 
 
-def cauchy_bound(p: Polynomial) -> Fraction:
-    """1 + max |c_i / c_n|, which bounds the absolute value of every root."""
+def cauchy_bound(p: Polynomial) -> tuple[int, int]:
+    """Integers (b, |c_n|) with b/|c_n| = 1 + max |c_i / c_n|, which bounds the
+    absolute value of every root."""
     if p.degree < 0:
         raise ValueError("zero polynomial")
     lead = abs(p.num[-1])
-    return Fraction(lead + max(map(abs, p.num[:-1]), default=0), lead)
+    return lead + max(map(abs, p.num[:-1]), default=0), lead
 
 
 @dataclass(frozen=True)
@@ -384,9 +359,6 @@ class RootBracket:
     lo: Fraction
     hi: Fraction
 
-    def midpoint(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
 
 def _isolate(p: Polynomial) -> tuple[tuple[int, ...], int, int, int]:
     """The numerators of p's squarefree part and a Sturm-certified bracket
@@ -397,10 +369,11 @@ def _isolate(p: Polynomial) -> tuple[tuple[int, ...], int, int, int]:
     chain = sturm_chain(p)
     prims = [q.num for q in chain]
     at_inf = _variations(_sign_at(q, POS_INF) for q in chain)
-    bound = cauchy_bound(chain[0])
-    lo, hi, den = -bound.numerator, bound.numerator, bound.denominator
+    hi, den = cauchy_bound(chain[0])
+    lo = -hi
     above = _variations(_horner_sign(cs, lo, den) for cs in prims) - at_inf
     if above == 0:
+        bound = Fraction(hi, den)
         raise ValueError(f"no real root of {p} in [-{bound}, {bound}]")
     # no root lies above hi, so (lo, hi] isolates the largest root once
     # exactly one root lies above lo
@@ -435,8 +408,7 @@ def largest_real_root(p: Polynomial) -> tuple[float, RootBracket]:
     cs, lo, hi, den = _isolate(p)
     while (hi - lo) * 10**13 > den:  # to width 1e-13
         lo, hi, den = _halve(cs, lo, hi, den)
-    bracket = RootBracket(Fraction(lo, den), Fraction(hi, den))
-    return bracket.midpoint(), bracket
+    return (lo + hi) / (2 * den), RootBracket(Fraction(lo, den), Fraction(hi, den))
 
 
 @dataclass(frozen=True)
@@ -455,9 +427,10 @@ def compare_largest_roots(p: Polynomial, q: Polynomial) -> RootComparison:
     """
     ps, plo, phi, pd = _isolate(p)
     qs, qlo, qhi, qd = _isolate(q)
-    lo, hi = max(Fraction(plo, pd), Fraction(qlo, qd)), min(Fraction(phi, pd), Fraction(qhi, qd))
+    # the overlap (lo, hi] of the brackets, over the denominator pd * qd
+    lo, hi = max(plo * qd, qlo * pd), min(phi * qd, qhi * pd)
     g = _poly_gcd(ps, qs)
-    if lo < hi and g.degree > 0 and count_roots(g, lo, hi) > 0:
+    if lo < hi and g.degree > 0 and count_roots(g, *(_quad(x, 0, pd * qd, 0) for x in (lo, hi))):
         order = "eq"
     else:
         # the brackets overlap while qlo/qd < phi/pd and plo/pd < qhi/qd
@@ -676,12 +649,14 @@ def nested_radical_below(m: int, inner_shift: int) -> bool:
     (the bipartite ceiling); inner_shift = 1 uses E = m^2 - 4m + 8 (the
     double-star value).  Both sides are positive, and squaring twice turns
     the claim into E < r^2 with r = m - 2 + 4 sqrt(m-1)/(m-1) + 2/(m-1)^2 > 0,
-    one sign in Q(sqrt(m-1)).
+    one sign in Q(sqrt(m-1)).  With k = m - 1, s = (m-2)k^2 + 2 and
+    E = e + e' sqrt(k), k^2 r is s + 4k sqrt(k), so k^4 (r^2 - E) is
+    s^2 + 16k^3 - k^4 e + (8ks - k^4 e') sqrt(k): one sign in Z[sqrt(k)].
     """
     k = m - 1
-    r = Quad.of(m - 2 + Fraction(2, k * k), Fraction(4, k), k)
-    e = Quad.of(m * m - 4 * m + 8) if inner_shift else Quad.of(m * m - 4 * k, 4, k)
-    return (r * r - e).sign() > 0
+    s = (m - 2) * k * k + 2
+    e, e_root = (m * m - 4 * m + 8, 0) if inner_shift else (m * m - 4 * k, 4)
+    return _quad_sign(s * s + 16 * k**3 - k**4 * e, 8 * k * s - k**4 * e_root, k) > 0
 
 
 def _is_prime(n: int) -> bool:

@@ -480,7 +480,7 @@ def extremal_search(
     if m < 1:
         raise ValueError("need m >= 1")
     if m > DEFAULT_CAP and not force:
-        raise ValueError(f"m={m} exceeds the cap {DEFAULT_CAP}; pass force=True to override")
+        raise ValueError(f"m={m} exceeds the cap {DEFAULT_CAP}; pass --force (force=True) to override")
     patterns = list(patterns)
     excl = frozenset(
         e if isinstance(e, bytes) else canonical_form(e) for e in exclusions

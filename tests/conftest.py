@@ -256,6 +256,13 @@ class FractionPolynomial:
         return self.coeffs[-1]
 
     def __call__(self, x):
+        if isinstance(x, Quad):
+            # Horner in Q(sqrt d) on the pair (u, v) of u + v sqrt(d)
+            a, b = Fraction(x.a, x.c), Fraction(x.b, x.c)
+            u = v = Fraction(0)
+            for c in reversed(self.coeffs):
+                u, v = u * a + v * b * x.d + c, u * b + v * a
+            return Quad.of(u, v, x.d)
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
@@ -353,13 +360,14 @@ def fraction_sturm_chain(p: Polynomial) -> list[Polynomial]:
 
 
 def value_sign(p: Polynomial, x) -> int:
-    """Sign of p at +-inf, or of its value p(x) computed in Q or Q(sqrt d)."""
+    """Sign of p at +-inf, or of its value p(x) computed on Fraction
+    coefficients, in Q or Q(sqrt d)."""
     if not p.coeffs:
         return 0
     if isinstance(x, str):
         s = (p.leading > 0) - (p.leading < 0)
         return -s if x == NEG_INF and p.degree % 2 else s
-    val = p(x)
+    val = FractionPolynomial(p.coeffs)(x)
     return val.sign() if isinstance(val, Quad) else (val > 0) - (val < 0)
 
 
@@ -382,7 +390,7 @@ def fraction_isolate(p: Polynomial) -> tuple[Polynomial, Fraction, Fraction]:
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     sf = sturm_chain(p)[0]
-    bound = cauchy_bound(sf)
+    bound = Fraction(*cauchy_bound(sf))
     lo, hi = -bound, bound
     above = count_roots(p, lo, POS_INF)
     if above == 0:

@@ -45,6 +45,8 @@ def test_family_usage_errors(capsys):
     assert code == 2
     code, out, err = run(capsys, "family", "--name", "book", "--params", "m")
     assert (code, out, err) == (2, "", "error: bad parameter 'm'; expected k=v\n")
+    code, out, err = run(capsys, "family", "--name", "book", "--params", "m=x")
+    assert (code, out, err) == (2, "", "error: parameter m needs an integer, got 'x'\n")
 
 
 def test_family_rejects_parameters_it_does_not_take(capsys):
@@ -60,7 +62,7 @@ def test_family_rejects_parameters_it_does_not_take(capsys):
 # The message for each family with its first parameter -1 and any others 3
 # (generalized_theta: the lengths x=-1, y=3, z=3).
 NEGATIVE_PARAMETER_ERRORS = {
-    "complete": "negative shift count",
+    "complete": "n must be nonnegative",
     "complete_bipartite": "part sizes must be nonnegative",
     "star": "a star needs at least one vertex",
     "path": "n must be nonnegative",
@@ -284,6 +286,12 @@ def test_search_widen_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--m", "5", "--forbid", "c5", "--widen"])
     assert exc.value.code == 2
+
+
+def test_search_above_the_cap_names_the_force_flag(capsys):
+    code, out, err = run(capsys, "search", "--m", "13", "--forbid", "c5")
+    msg = "error: m=13 exceeds the cap 12; pass --force (force=True) to override\n"
+    assert (code, out, err) == (2, "", msg)
 
 
 def test_search_cap_flag_is_gone(capsys):

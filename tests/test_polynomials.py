@@ -1,9 +1,12 @@
 """Named polynomials, certified roots, exact signs, crossover scans."""
 
 import hashlib
+import importlib
 import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -106,8 +109,7 @@ def test_integer_polynomial_matches_fraction_oracle(a, b, s, x, q, f):
         (quot, rem), (quot_o, rem_o) = p.divmod(r), po.divmod(ro)
         assert _same(quot, quot_o) and _same(rem, rem_o)
     assert type(p(x)) is Fraction and p(x) == po(x)
-    want = po(q)
-    assert p(q) == (want if isinstance(want, P.Quad) else P.Quad.of(want))
+    assert p(q) == po(q)
     assert type(p(f)) is float and p(f) == float(po(f))
 
 
@@ -165,9 +167,7 @@ def test_certificates_build_each_chain_once(monkeypatch, m):
 @settings(max_examples=200, deadline=None)
 @given(polys, quad_points)
 def test_sign_at_quad_matches_field_value(p, x):
-    val = p(x)
-    expected = val.sign() if isinstance(val, P.Quad) else (val > 0) - (val < 0)
-    assert P.sign_at(p, x) == expected
+    assert P.sign_at(p, x) == FractionPolynomial(p.coeffs)(x).sign()
 
 
 # -- quadratic field values --------------------------------------------------
@@ -185,24 +185,43 @@ def test_quad_signs():
 
 def test_quad_square_radicand_normalizes():
     v = P.Quad.of(1, 2, 9)  # 1 + 2*3
-    assert v == P.Quad.of(7)
-    assert float(v) == 7.0
+    assert v == P.Quad.of(7) == P.Quad(7, 0, 1, 0)
+    assert P.Quad.of(Fraction(1, 2), 3, 1) == P.Quad(7, 0, 2, 0)
+    assert P.Quad.of(5, 4, 0) == P.Quad(5, 0, 1, 0)
 
 
-def test_quad_arithmetic_and_mixed_field_error():
-    a = P.Quad.of(1, 1, 3)
-    b = P.Quad.of(2, -1, 3)
-    assert a + b == P.Quad.of(3)
-    assert a * b == P.Quad.of(2 - 3 + 0, 1, 3) + P.Quad.of(0, 0, 0)  # (1+s)(2-s) = -1+s
-    assert a * b == P.Quad.of(-1, 1, 3)
-    with pytest.raises(ValueError, match="mixed"):
-        a + P.Quad.of(0, 1, 5)
+@given(small_fractions, small_fractions, st.integers(0, 60))
+def test_quad_is_integers_in_lowest_terms(a, b, d):
+    """Quad.of(a, b, d) holds (A + B sqrt(d'))/C in the unique form: C > 0,
+    gcd(A, B, C) = 1, B = 0 iff d' = 0, d' not a square, and the same
+    real number a + b sqrt(d)."""
+    q = P.Quad.of(a, b, d)
+    assert all(type(x) is int for x in (q.a, q.b, q.c, q.d))
+    assert q.c > 0 and math.gcd(q.a, q.b, q.c) == 1
+    assert (q.b == 0) == (q.d == 0) and (q.d == 0 or math.isqrt(q.d) ** 2 != q.d)
+    r = math.isqrt(d)
+    if r * r == d:
+        assert (Fraction(q.a, q.c), q.b) == (a + b * r, 0)
+    else:
+        assert (Fraction(q.a, q.c), Fraction(q.b, q.c), q.d) == (a, b, d if b else 0)
+    with pytest.raises(ValueError, match="radicand"):
+        P.Quad.of(a, b, -d - 1)
+
+
+def test_quad_has_no_arithmetic():
+    q = P.Quad.of(1, 1, 3)
+    for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__",
+                 "__float__", "_coerce"):
+        assert not hasattr(q, name), name
+    with pytest.raises(TypeError):
+        float(q)
 
 
 def test_gate_points():
     g = P.gate(22, 7)  # sqrt(81) = 9, so the gate is rational 5
-    assert g == P.Quad.of(5)
-    assert abs(float(P.gate(30, 3)) - (1 + math.sqrt(117)) / 2) < 1e-12
+    assert g == P.Quad.of(5) == P.Quad(5, 0, 1, 0)
+    assert P.gate(30, 3) == P.Quad(1, 1, 2, 117)  # (1 + sqrt(117))/2
+    assert str(P.gate(30, 3)) == "1/2 + 1/2*sqrt(117)"
 
 
 # -- root isolation ----------------------------------------------------------
@@ -336,9 +355,9 @@ def test_shared_largest_roots_tie_as_in_fraction_oracle(pair):
 
 
 def test_bisection_builds_no_fraction_per_step(monkeypatch):
-    """largest_real_root builds as many Fractions for a root near 1e20 as for
-    one near 1.4: the halvings run on integers, and only the Cauchy bound
-    and the final bracket are Fractions."""
+    """largest_real_root builds two Fractions, for a root near 1e20 as for
+    one near 1.4: the Cauchy bound and the halvings are integers, and only
+    the final bracket's two ends are Fractions."""
     new = Fraction.__new__
     counts = []
     for p in (P.Polynomial([-2, 0, 1]), P.Polynomial([-2 * 10**40, 0, 1])):
@@ -353,7 +372,55 @@ def test_bisection_builds_no_fraction_per_step(monkeypatch):
         P.largest_real_root(p)
         monkeypatch.undo()
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 12, counts
+    assert counts == [2, 2]
+
+
+def _fractions_built(monkeypatch, fn) -> int:
+    """How many Fractions fn() builds."""
+    new = Fraction.__new__
+    calls = []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    try:
+        fn()
+    finally:
+        monkeypatch.setattr(Fraction, "__new__", new)
+    return len(calls)
+
+
+@pytest.mark.parametrize("m", [22, 30, 61, 96])
+def test_gate_decisions_build_no_fraction(monkeypatch, m):
+    """Gates, polynomial values and signs at gates, root counts and
+    positivity on rays and intervals between gates, and the nested-radical
+    ceilings all read a Quad's integers: none builds a Fraction."""
+    cx = P.crossover_at(m)
+    polys = [cx.cone(m), cx.split(m), P.X * cx.split(m), P.star_matching_quartic(m),
+             P.star_matching_cubic(m), P.cone_star_edge_poly(m, 3), P.diamond_k4_poly(2 * m + 1)]
+    values = []
+
+    def decide():
+        gates = [P.gate(m, c) for c in range(3, 8)]  # descending; gate(22, 7) = 5
+        for p in polys:
+            for lo, hi in zip(gates[1:], gates):
+                values.append((p(hi), P.sign_at(p, hi), P.positive_on_ray(p, hi),
+                               P.count_roots(p, lo, hi), P.positive_on_open_interval(p, lo, hi)))
+        values.append((P.nested_radical_below(m, 0), P.nested_radical_below(m, 1)))
+
+    assert _fractions_built(monkeypatch, decide) == 0
+    assert all(type(v[0]) is P.Quad for v in values[:-1])
+
+
+def test_certify_range_pass_builds_few_fractions(monkeypatch):
+    """One pass of the benchmark's certify-range ops builds Fractions only for
+    output: coefficients when read, root brackets' ends and a Quad's text."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    ops, worker = importlib.import_module("ops"), importlib.import_module("worker")
+    one_pass = ops.build_ops("certify-range", random.Random(1))
+    assert _fractions_built(monkeypatch, lambda: [worker.execute(op) for op in one_pass]) <= 600
 
 # -- named instances ---------------------------------------------------------
 
