@@ -288,11 +288,15 @@ def build(spec: FamilySpec) -> Graph:
 def theorem_candidates(m: int) -> list[tuple[FamilySpec, Graph]]:
     """Every graph named by the main theorems at size m, with parity filtering.
 
-    Each returned graph is asserted to have exactly m edges.
+    Each returned graph is asserted to have exactly m edges.  The pendant
+    split has the pendant count of m's crossover class.
     """
+    from .polynomials import crossover_at  # here, so that importing families loads no polynomials
+
     if m < 4:
         raise ValueError("need m >= 4")
     out: list[tuple[FamilySpec, Graph]] = []
+    t = crossover_at(m).split_t
 
     def emit(spec: FamilySpec, g: Graph) -> None:
         assert g.m == m, f"{spec} has {g.m} edges, wanted {m}"
@@ -301,11 +305,11 @@ def theorem_candidates(m: int) -> list[tuple[FamilySpec, Graph]]:
     if m % 2 == 1:
         emit(FamilySpec("book", (m,)), book(m))
         if m >= 7:
-            emit(FamilySpec("split_pendant_size", (m, 2)), split_pendant_for_size(m, 2))
+            emit(FamilySpec("split_pendant_size", (m, t)), split_pendant_for_size(m, t))
         if m >= 9:
             emit(FamilySpec("k1_join_candidate", (m,)), k1_join_candidate(m))
     else:
-        emit(FamilySpec("split_pendant_size", (m, 1)), split_pendant_for_size(m, 1))
+        emit(FamilySpec("split_pendant_size", (m, t)), split_pendant_for_size(m, t))
         if m >= 8:
             emit(FamilySpec("k1_join_candidate", (m,)), k1_join_candidate(m))
     if m >= 4:

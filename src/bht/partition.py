@@ -187,8 +187,8 @@ def cone_star_edge_partition(m: int, r: int) -> tuple[Graph, Blocks]:
 
 def cone_double_star_partition(m: int) -> tuple[Graph, Blocks]:
     """Apex over a double star: 5 singleton-ish blocks per reference layout."""
-    if m % 2 == 0 or m < 9:
-        raise ValueError(f"need odd m >= 9, got {m}")
+    if m % 2 == 0 or m < 7:
+        raise ValueError(f"need odd m >= 7, got {m}")
     a = (m - 5) // 2
     g = families.join(families.empty(1), families.double_star(a, 1))
     # vertices: 0 apex, 1 centre u, 2 centre u', 3..a+2 leaves of u, a+3 leaf of u'
@@ -198,10 +198,8 @@ def cone_double_star_partition(m: int) -> tuple[Graph, Blocks]:
 
 def cone_double_star_alt_partition(m: int) -> tuple[Graph, Blocks]:
     """The rewired comparison graph: deep leaf detached, pendant on the apex."""
-    if m % 2 == 0 or m < 9:
-        raise ValueError(f"need odd m >= 9, got {m}")
-    a = (m - 5) // 2
     g, _ = cone_double_star_partition(m)
+    a = (m - 5) // 2
     g = g.remove_edge(2, a + 3).add_vertex().add_edge(0, g.n)
     blocks = ((0,), (1,), (a + 3,), (g.n - 1,), tuple(range(3, a + 3)) + (2,))
     return g, blocks

@@ -15,7 +15,10 @@ read, a root bracket's two ends, and a Quad's text.  Largest roots are
 ordered exactly: equal when the gcd of the squarefree parts has a root
 where the brackets overlap, else by bisecting until the brackets separate.
 The nested-radical ceilings square away both radicals and become one sign
-in Z[sqrt(m-1)].
+in Z[sqrt(m-1)].  The certificates at m are rows (name, statement, kind,
+arguments, detail) from one generator, and one evaluator decides each row by
+its kind: a sign at a point, an exact value, positivity on a ray or an open
+interval, a largest-root order, a discriminant or a nested radical.
 
 Polynomial ids and their parameters:
 
@@ -664,76 +667,86 @@ def _is_prime(n: int) -> bool:
 
 
 def inequality_certificates(m: int) -> list[Certificate]:
-    """Exact-sign evaluation of every delegated inequality at this m.
-
-    Only the certificates applicable to m's parity and range are emitted.
-    """
+    """Exact-sign evaluation of every delegated inequality that applies to
+    m's parity and range."""
     if m < 22:
         raise ValueError("certificates start at m = 22")
-    certs: list[Certificate] = []
-    g7 = gate(m, 7)
-    cx = crossover_at(m)
+    return [_certify(*row) for row in _certificate_rows(m)]
 
-    def add(name: str, statement: str, holds: bool, detail: str = "") -> None:
-        certs.append(Certificate(name, statement, holds, detail))
 
-    # pendant-split gate signs (both parities)
-    s1 = split_pendant_poly(m, 1)
-    s2 = split_pendant_poly(m, 2)
-    v1, v2 = s1(g7), s2(g7)
-    add("split1_below_gate7", "s1 at (1+sqrt(4m-7))/2 is negative", v1.sign() < 0,
-        f"value = {v1}")
-    add("split2_below_gate7", "s2 at (1+sqrt(4m-7))/2 is negative", v2.sign() < 0,
-        f"value = {v2}")
+def _certify(name: str, statement: str, kind: str, args: tuple, detail: str = "") -> Certificate:
+    """Decide one certificate row.  Its detail is a format string over the
+    evidence: the value at the point, the probe point, or the root comparison."""
+    evidence = None
+    if kind == "sign":  # p has sign s at x
+        p, evidence, s = args
+        holds = sign_at(p, evidence) == s
+    elif kind == "value":  # p(x) has sign s, and is `exact` when one is stated
+        p, x, s, exact = args
+        evidence = p(x)
+        holds = evidence.sign() == s and (exact is None or evidence == exact)
+    elif kind == "ray":  # p > 0 for x >= x0
+        holds = positive_on_ray(*args)
+    elif kind == "interval":  # p > 0 on (lo, hi)
+        holds = positive_on_open_interval(*args)
+    elif kind == "order":  # the largest roots of p and q compare as `order`
+        p, q, order = args
+        evidence = compare_largest_roots(p, q)
+        holds = evidence.order == order
+    elif kind == "discriminant":  # a real quadratic with this discriminant has no root
+        holds = args[0] < 0
+    else:  # "radical": the nested-radical ceiling at (m, inner_shift)
+        holds = nested_radical_below(*args)
+    return Certificate(name, statement, holds, detail.format(evidence))
 
-    # cone versus split side; against the odd cone quintic the split side
-    # is x*s2, so both sides have degree five
+
+def _certificate_rows(m: int) -> Iterable[tuple]:
+    """One row (name, statement, kind, args[, detail]) per certificate at m."""
+    g7, cx = gate(m, 7), crossover_at(m)
+
+    # pendant-split gate values (both parities)
+    for t in (1, 2):
+        yield (f"split{t}_below_gate7", f"s{t} at (1+sqrt(4m-7))/2 is negative", "value",
+               (split_pendant_poly(m, t), g7, -1, None), "value = {}")
+
+    # cone versus split side, each negative at one gate and positive on a
+    # ray; against the odd cone quintic the split side is x*s2, of degree five
     t, st, cone = cx.split_t, cx.split(m), cx.cone(m)
     neg_c, ray_c, cone_c = cx.gates
     parity, shape = ("odd", "quintic") if m % 2 else ("even", "quartic")
     side, tag, sym = (X * st, f"xsplit{t}", f"x*s{t}") if m % 2 else (st, f"split{t}", f"s{t}")
-    add(f"{tag}_neg_gate{neg_c}", f"{sym} < 0 at (1+sqrt(4m-{neg_c}))/2",
-        sign_at(side, gate(m, neg_c)) < 0)
-    add(f"{tag}_pos_ray_gate{ray_c}", f"{sym} > 0 for x >= (1+sqrt(4m-{ray_c}))/2",
-        positive_on_ray(side, gate(m, ray_c)))
-    add(f"cone_{parity}_neg_gate7", f"cone {shape} < 0 at (1+sqrt(4m-7))/2",
-        sign_at(cone, g7) < 0)
-    add(f"cone_{parity}_pos_ray_gate{cone_c}",
-        f"cone {shape} > 0 for x >= (1+sqrt(4m-{cone_c}))/2",
-        positive_on_ray(cone, gate(m, cone_c)))
+    for p_tag, p_sym, p, neg, ray in ((tag, sym, side, neg_c, ray_c),
+                                      (f"cone_{parity}", f"cone {shape}", cone, 7, cone_c)):
+        yield (f"{p_tag}_neg_gate{neg}", f"{p_sym} < 0 at (1+sqrt(4m-{neg}))/2", "sign",
+               (p, gate(m, neg), -1))
+        yield (f"{p_tag}_pos_ray_gate{ray}", f"{p_sym} > 0 for x >= (1+sqrt(4m-{ray}))/2", "ray",
+               (p, gate(m, ray)))
     if m <= cx.last_cone:
-        add(f"cone_beats_split_{parity}", f"{sym} - g{t} > 0 on the {parity} bracket",
-            positive_on_open_interval(side - cone, gate(m, neg_c), gate(m, ray_c)))
+        yield (f"cone_beats_split_{parity}", f"{sym} - g{t} > 0 on the {parity} bracket",
+               "interval", (side - cone, gate(m, neg_c), gate(m, ray_c)))
     elif m <= cx.last_window:
-        cmp = compare_largest_roots(st, cone)
-        add(f"split_beats_cone_window_{parity}",
-            "largest split root exceeds the cone root (gap window)",
-            cmp.order == "gt", f"split in ({cmp.left.lo}, {cmp.left.hi}]")
+        yield (f"split_beats_cone_window_{parity}",
+               "largest split root exceeds the cone root (gap window)", "order",
+               (st, cone, "gt"), "split in ({0.left.lo}, {0.left.hi}]")
     else:
-        add(f"split_beats_cone_{parity}", f"g{t} - {sym} > 0 on the {parity} bracket",
-            positive_on_open_interval(cone - side, g7, gate(m, cone_c)))
+        yield (f"split_beats_cone_{parity}", f"g{t} - {sym} > 0 on the {parity} bracket",
+               "interval", (cone - side, g7, gate(m, cone_c)))
 
     if m % 2:
         # the diamond-over-K4 chain (the graph needs odd m)
         ell = diamond_k4_poly(m)
-        d2 = ell.derivative().derivative()
-        d1 = ell.derivative()
-        v_d2, v_d1, v_l = d2(g7), d1(g7), ell(g7)
-        add("diamond_k4_second_derivative", "l'' > 0 at the gate (= 2(5m-9))",
-            v_d2.sign() > 0 and v_d2 == Quad.of(2 * (5 * m - 9)),
-            f"value = {v_d2}")
-        add("diamond_k4_first_derivative", "l' > 0 at the gate (= (m-2)sqrt(4m-7)-3)",
-            v_d1.sign() > 0 and v_d1 == Quad.of(-3, m - 2, 4 * m - 7))
-        add("diamond_k4_value", "l > 0 at the gate (= (7m - 3 sqrt(4m-7) - 52)/2)",
-            v_l.sign() > 0 and v_l == Quad.of(Fraction(7 * m - 52, 2), Fraction(-3, 2), 4 * m - 7))
-        add("diamond_k4_ray", "l > 0 for x >= (1+sqrt(4m-7))/2",
-            positive_on_ray(ell, g7))
+        yield ("diamond_k4_second_derivative", "l'' > 0 at the gate (= 2(5m-9))", "value",
+               (ell.derivative().derivative(), g7, 1, Quad.of(2 * (5 * m - 9))), "value = {}")
+        yield ("diamond_k4_first_derivative", "l' > 0 at the gate (= (m-2)sqrt(4m-7)-3)", "value",
+               (ell.derivative(), g7, 1, Quad.of(-3, m - 2, 4 * m - 7)))
+        yield ("diamond_k4_value", "l > 0 at the gate (= (7m - 3 sqrt(4m-7) - 52)/2)", "value",
+               (ell, g7, 1, _quad(7 * m - 52, -3, 2, 4 * m - 7)))
+        yield ("diamond_k4_ray", "l > 0 for x >= (1+sqrt(4m-7))/2", "ray", (ell, g7))
 
         # cone-over-double-star comparison quadratic, positive on the bracket
         if m >= 25:
-            h = Polynomial([m - 5, Fraction(m - 9, 2), -2])
-            add("double_star_shift_gain", "-2x^2 + (m-9)/2 x + (m-5) > 0 on the gate bracket",
-                positive_on_open_interval(h, g7, gate(m, 3)))
+            yield ("double_star_shift_gain", "-2x^2 + (m-9)/2 x + (m-5) > 0 on the gate bracket",
+                   "interval", (Polynomial([m - 5, Fraction(m - 9, 2), -2]), g7, gate(m, 3)))
 
     # apex/star-edge quintic versus the pendant-split quartics: positive on
     # the bounded window holding both largest roots (the difference has
@@ -741,65 +754,51 @@ def inequality_certificates(m: int) -> list[Certificate]:
     for r in range(3, 8):
         if m >= 4 * r + 12:
             fr = cone_star_edge_poly(m, r)
-            add(f"cone_star_edge_r{r}_vs_split{t}",
-                f"f_r - x*split{t} > 0 on the root window (r={r})",
-                positive_on_open_interval(fr - X * st, g7, gate(m, ray_c)))
-            add(f"cone_star_edge_r{r}_below_split{t}",
-                f"largest root of f_r below that of split{t} (r={r})",
-                compare_largest_roots(fr, st).order == "lt")
+            yield (f"cone_star_edge_r{r}_vs_split{t}",
+                   f"f_r - x*split{t} > 0 on the root window (r={r})", "interval",
+                   (fr - X * st, g7, gate(m, ray_c)))
+            yield (f"cone_star_edge_r{r}_below_split{t}",
+                   f"largest root of f_r below that of split{t} (r={r})", "order", (fr, st, "lt"))
 
     # monotonicity of the star-edge quintics in r: f_r - f_{r+1}
     for r in range(1, (m - 1) // 4 + 1):
         if 4 * r + 1 <= m <= 4 * r + 11:
             disc = (4 * r - m + 2) ** 2 + 8 * (4 * r - m)
-            add(f"cone_star_edge_step_r{r}",
-                f"discriminant of f_{r}-f_{r + 1} is negative (= {disc})", disc < 0)
+            yield (f"cone_star_edge_step_r{r}",
+                   f"discriminant of f_{r}-f_{r + 1} is negative (= {disc})", "discriminant",
+                   (disc,))
 
     if m >= 26:
         # bipartite ceiling probes at the divisors the argument uses.  The
         # probe asks for g < 0 at the crossing point of the quartic
         # difference; a failing probe is reported as such, and the exact
         # root comparison below records the true ordering either way.
-        g = star_matching_quartic(m)
-        cubic = star_matching_cubic(m)
+        g, cubic = star_matching_quartic(m), star_matching_cubic(m)
         for p in _relevant_divisors(m + 1, first=2 if m % 2 else 3):
-            point = Fraction(p, 2) + Fraction(m + 1, 2 * p) - Fraction(5, 2)
-            add(f"bipartite_minus_probe_p{p}",
-                f"star quartic < 0 at p/2+(m+1)/(2p)-5/2 (p={p})",
-                sign_at(g, point) < 0, f"probe point {point}")
-            order = compare_largest_roots(bipartite_minus_poly(m, p), cubic).order
-            add(f"bipartite_minus_vs_star_p{p}",
-                f"largest root: K-({p},{(m + 1) // p}) vs star-plus-edge",
-                order == "lt", f"exact order: {order}")
+            yield (f"bipartite_minus_probe_p{p}",
+                   f"star quartic < 0 at p/2+(m+1)/(2p)-5/2 (p={p})", "sign",
+                   (g, Fraction(p * p - 5 * p + m + 1, 2 * p), -1), "probe point {}")
+            yield (f"bipartite_minus_vs_star_p{p}",
+                   f"largest root: K-({p},{(m + 1) // p}) vs star-plus-edge", "order",
+                   (bipartite_minus_poly(m, p), cubic, "lt"), "exact order: {.order}")
         if m % 2 == 0:
             for p in _relevant_divisors(m - 1, first=3):
-                point = Fraction(m - 1, 2 * p) - 1
-                add(f"bipartite_plus_probe_p{p}",
-                    f"star quartic < 0 at (m-1)/(2p)-1 (p={p})",
-                    sign_at(g, point) < 0, f"probe point {point}")
-                order = compare_largest_roots(bipartite_plus_poly(m, p), cubic).order
-                add(f"bipartite_plus_vs_star_p{p}",
-                    f"largest root: K+({p},{(m - 1) // p}) vs star-plus-edge",
-                    order == "lt", f"exact order: {order}")
-        if m % 2 == 0:
-            both_prime = _is_prime(m - 1) and _is_prime(m + 1)
-            add("twin_prime_bipartite_ceiling",
-                "sqrt((m+sqrt(m^2-4(m-1-sqrt(m-1))))/2) < sqrt(m-1) + 1/(m-1)",
-                nested_radical_below(m, inner_shift=0),
-                "m-1 and m+1 both prime" if both_prime else "primality side condition not met")
-        add("double_star_ceiling",
-            "sqrt((m+sqrt(m^2-4m+8))/2) < sqrt(m-1) + 1/(m-1)",
-            nested_radical_below(m, inner_shift=1))
-
-    return certs
+                yield (f"bipartite_plus_probe_p{p}", f"star quartic < 0 at (m-1)/(2p)-1 (p={p})",
+                       "sign", (g, Fraction(m - 1 - 2 * p, 2 * p), -1), "probe point {}")
+                yield (f"bipartite_plus_vs_star_p{p}",
+                       f"largest root: K+({p},{(m - 1) // p}) vs star-plus-edge", "order",
+                       (bipartite_plus_poly(m, p), cubic, "lt"), "exact order: {.order}")
+            yield ("twin_prime_bipartite_ceiling",
+                   "sqrt((m+sqrt(m^2-4(m-1-sqrt(m-1))))/2) < sqrt(m-1) + 1/(m-1)", "radical",
+                   (m, 0), "m-1 and m+1 both prime" if _is_prime(m - 1) and _is_prime(m + 1)
+                   else "primality side condition not met")
+        yield ("double_star_ceiling", "sqrt((m+sqrt(m^2-4m+8))/2) < sqrt(m-1) + 1/(m-1)",
+               "radical", (m, 1))
 
 
 def _relevant_divisors(n: int, first: int) -> list[int]:
     """The least divisor >= first of n, when it stays below sqrt(n)."""
-    for p in range(first, math.isqrt(n) + 1):
-        if n % p == 0:
-            return [p]
-    return []
+    return [p for p in range(first, math.isqrt(n) + 1) if n % p == 0][:1]
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,22 @@ def test_double_star_quintics_exact_formulas():
         assert diff == P.Polynomial([m - 5, Fraction(m - 9, 2), -2])
 
 
+def test_cone_double_star_partitions_take_the_quintics_range():
+    """Both layouts take every odd m >= 7, as cone_double_star_poly and
+    cone_double_star_alt_poly do, and reproduce their quintics there."""
+    for m in (7, 9):
+        for layout, poly in ((PT.cone_double_star_partition, P.cone_double_star_poly),
+                             (PT.cone_double_star_alt_partition, P.cone_double_star_alt_poly)):
+            g, blocks = layout(m)
+            assert g.m == m
+            assert PT.charpoly(PT.quotient(g, blocks)) == poly(m)
+            assert PT.quotient_lambda_check(g, blocks)[2]
+    for m in (5, 8):
+        for layout in (PT.cone_double_star_partition, PT.cone_double_star_alt_partition):
+            with pytest.raises(ValueError, match=f"need odd m >= 7, got {m}"):
+                layout(m)
+
+
 def test_star_matching_partitions():
     for m in (9, 22, 35):
         g, merged = PT.star_matching_partition(m, merged=True)

@@ -589,6 +589,7 @@ def test_positivity_primitives():
     assert not P.positive_on_open_interval(up, P.Quad.of(0), P.Quad.of(2))
     assert P.positive_on_open_interval(up, P.Quad.of(3), P.Quad.of(5))  # root at lo
     assert not P.positive_on_open_interval(up, P.Quad.of(1), P.Quad.of(3))  # roots at both ends
+    assert P.positive_on_open_interval(up, P.Quad.of(-1), P.Quad.of(1))  # root at hi alone
     square = P.Polynomial([0, 0, 1])
     assert P.positive_on_open_interval(square, P.Quad.of(0), P.Quad.of(1))  # double root at lo
 
@@ -649,3 +650,18 @@ def test_exact_layer_is_pinned():
         digest.update(json.dumps(record).encode() + b"\n")
         count += 1
     assert (count, digest.hexdigest()) == EXACT_LAYER_PIN
+
+
+# (record count, sha256 of the records as JSON lines) for every certificate
+# at m = 201..400, in the record format of EXACT_LAYER_PIN
+CERTIFICATES_TO_400_PIN = (5220, "a89cfddf7dcd2cf9fe302e84f889026e511cd9415e200e75bb08726992c72ef9")
+
+
+def test_certificates_to_m400_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for m in range(201, 401):
+        for c in P.inequality_certificates(m):
+            digest.update(json.dumps([m, c.name, c.statement, c.holds, c.detail]).encode() + b"\n")
+            count += 1
+    assert (count, digest.hexdigest()) == CERTIFICATES_TO_400_PIN
