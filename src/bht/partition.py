@@ -151,8 +151,12 @@ def quotient_lambda_check(g: Graph, blocks: Sequence[Sequence[int]]) -> tuple[fl
 
 def split_pendant_partition(m: int, t: int) -> tuple[Graph, Blocks]:
     """4 blocks: pendant-carrying hub, other hub, independents, pendants."""
+    if t < 1:
+        raise ValueError(f"need 1 <= t and m >= t+1, got m={m}, t={t}")
     g = families.split_pendant_for_size(m, t)
     n_base = g.n - t
+    if n_base < 3:
+        raise ValueError(f"need m >= t+3 for a nonempty independent block, got m={m}, t={t}")
     blocks = (
         (0,),
         (1,),
@@ -219,7 +223,7 @@ def star_matching_partition(m: int, merged: bool = True) -> tuple[Graph, Blocks]
 
 def bipartite_minus_partition(m: int, p: int) -> tuple[Graph, Blocks]:
     """Complete bipartite minus an edge, 4 blocks isolating the missing pair."""
-    if (m + 1) % p or p < 2 or p * p > m + 1:
+    if p < 2 or (m + 1) % p or p * p > m + 1:
         raise ValueError(f"need p >= 2 dividing m+1, p <= sqrt(m+1); got m={m}, p={p}")
     q = (m + 1) // p
     g = families.kminus(p, q)
@@ -229,7 +233,7 @@ def bipartite_minus_partition(m: int, p: int) -> tuple[Graph, Blocks]:
 
 def bipartite_plus_partition(m: int, p: int) -> tuple[Graph, Blocks]:
     """Complete bipartite plus a pendant, 4 blocks isolating the new edge."""
-    if (m - 1) % p or p < 2 or p * p > m - 1:
+    if p < 2 or (m - 1) % p or p * p > m - 1:
         raise ValueError(f"need p >= 2 dividing m-1, p <= sqrt(m-1); got m={m}, p={p}")
     q = (m - 1) // p
     g = families.kplus(p, q)

@@ -7,25 +7,28 @@ Trees on n vertices grow from the trees on n - 1 by one leaf; a layer
 connected graph with a cycle stays connected when it loses a cycle edge.
 The canonical deletion of a graph C is chosen among its leaves (a tree)
 or its non-bridge edges (otherwise): those of the largest
-isomorphism-invariant key, and among them the one whose image under C's
-canonical labelling is least.  Each parent P is labelled once, which
-also yields generators of Aut(P), and one edit is tried per Aut(P) orbit
-of non-edges (or of vertices, for a leaf).  The child C = P + e is kept
-iff e lies in the Aut(C) orbit of C's canonical deletion, so each class
-is kept exactly once:
+isomorphism-invariant key.  Each parent P is labelled once, which also
+yields generators of Aut(P), and one edit e is tried per Aut(P) orbit of
+non-edges (or of vertices, for a leaf).  The child C = P + e is kept
+only if e has the largest key in C, and each class is kept exactly once:
 
 - most children are rejected because e's key is not the largest, which
   per-parent degrees, neighbour-degree sums and bridge sides decide in a
   few integer operations, with no labelling;
-- a child in which e alone has the largest key is kept unlabelled: e is
-  its canonical deletion, so any edit that gives its class lies in e's
-  Aut(P) orbit;
-- a child whose e ties with other leaves or edges is labelled, which
-  gives Aut(C), and kept iff e is in the orbit of the tied one of least
-  canonical image.
+- a class whose largest key belongs to one edit is generated exactly
+  once, as an untied child, one in which e alone has the largest key:
+  any edit that gives its class lies in e's Aut(P) orbit.  It is kept
+  unlabelled;
+- a class whose largest-key edits tie is never an untied child, since
+  the tie is a property of the class.  It is generated once per Aut(C)
+  orbit of its tied edits.  The layer's tied children are held until
+  the layer is grown and then bucketed by ``_signature``, an
+  isomorphism invariant, so all copies of a class share a bucket.  A
+  child alone in its bucket is kept unlabelled; a bucket of two or more
+  is labelled and keeps the first child of each canonical form.
 
 A layer holds one graph per class as generated, labelled only where it
-was a parent or a tied child.  ``connected_layer`` labels the rest on
+was a parent or shared its bucket.  ``connected_layer`` labels the rest on
 demand and returns each class's canonical graph (the graph relabelled by
 its canonical labelling), sorted by form.  The search scans the layers
 as generated and labels a graph only if its spectral radius comes within
@@ -84,7 +87,10 @@ DEFAULT_CAP = 12
 class _Class(NamedTuple):
     """One class of a layer: a graph and, once it is labelled, its
     canonical form, a labelling that attains it and generators of its
-    automorphism group (``form`` is None until then)."""
+    automorphism group (``form`` is None until then).  A class is
+    labelled when it grows the next layer, when it is a tied child that
+    shares its signature with another, or on demand (``connected_layer``,
+    ``_scan``)."""
 
     graph: Graph
     form: bytes | None = None
@@ -130,32 +136,29 @@ def _labelled(layer: list[_Class], i: int) -> _Class:
     return layer[i]
 
 
-def _orbit(t: tuple[int, ...], generators) -> list[tuple[int, ...]]:
-    """The orbit of a leaf ``(v,)`` or an edge ``(u, v)``, u < v."""
-    orbit, seen = [t], {t}
-    for s in orbit:
-        for p in generators:
-            if len(s) == 1:
-                u = (p[s[0]],)
-            else:
-                x, y = p[s[0]], p[s[1]]
-                u = (x, y) if x < y else (y, x)
-            if u not in seen:
-                seen.add(u)
-                orbit.append(u)
-    return orbit
-
-
 def _orbit_representatives(items: list[tuple[int, ...]], generators) -> list[tuple[int, ...]]:
-    """The least of ``items`` (an ascending, closed list) in each orbit."""
+    """The least of ``items`` (an ascending, closed list of leaves ``(v,)``
+    or edges ``(u, v)``, u < v) in each orbit."""
     if not generators:
         return items
     seen: set[tuple[int, ...]] = set()
     out = []
     for t in items:
-        if t not in seen:
-            out.append(t)
-            seen.update(_orbit(t, generators))
+        if t in seen:
+            continue
+        out.append(t)
+        seen.add(t)
+        orbit = [t]
+        for s in orbit:
+            for p in generators:
+                if len(s) == 1:
+                    u = (p[s[0]],)
+                else:
+                    x, y = p[s[0]], p[s[1]]
+                    u = (x, y) if x < y else (y, x)
+                if u not in seen:
+                    seen.add(u)
+                    orbit.append(u)
     return out
 
 
@@ -184,26 +187,36 @@ def _bridges(adj: tuple[int, ...]) -> dict[tuple[int, int], int]:
     return out
 
 
-def _accept(kept: list[_Class], child: Graph, new: tuple[int, ...],
-            tied: list[tuple[int, ...]]) -> None:
-    """Append the child's entry to ``kept`` if its canonical deletion lies
-    in the Aut(child) orbit of ``new``, the added leaf or edge.
+def _signature(g: Graph) -> int:
+    """An isomorphism invariant of g: its sorted (degree, neighbour-degree
+    sum) pairs, packed into one integer."""
+    n = g.n
+    deg = [row.bit_count() for row in g.adj]
+    sig = 0
+    for pair in sorted(d * n * n + sum(deg[w] for w in bits(row)) for d, row in zip(deg, g.adj)):
+        sig = sig * n ** 3 + pair
+    return sig
 
-    ``tied`` are the other leaves or edges that share ``new``'s largest
-    key.  With none, ``new`` is the canonical deletion and the child is
-    kept unlabelled; else the canonical deletion is the tied one whose
-    image under the child's canonical labelling is least.
-    """
-    if not tied:
-        kept.append(_Class(child))
-        return
-    form, labelling, generators = labelling_and_automorphisms(child)
-    pos = [0] * child.n
-    for i, v in enumerate(labelling):
-        pos[v] = i
-    least = min([new, *tied], key=lambda t: sorted(pos[v] for v in t))
-    if least == new or new in _orbit(least, generators):
-        kept.append(_Class(child, form, labelling, generators))
+
+def _with_tied(kept: list[_Class], tied: list[_Class]) -> list[_Class]:
+    """``kept`` and one child per class among ``tied``, the layer's tied
+    children.  Copies of a class share a signature: a child alone in its
+    bucket is kept unlabelled, and a bucket of more is labelled and keeps
+    the first child of each canonical form."""
+    buckets: dict[int, list[_Class]] = {}
+    for c in tied:
+        buckets.setdefault(_signature(c.graph), []).append(c)
+    for bucket in buckets.values():
+        if len(bucket) == 1:
+            kept += bucket
+            continue
+        forms = set()
+        for i in range(len(bucket)):
+            c = _labelled(bucket, i)
+            if c.form not in forms:
+                forms.add(c.form)
+                kept.append(c)
+    return kept
 
 
 def _grow_leaves(parents: list[_Class]) -> list[_Class]:
@@ -211,6 +224,7 @@ def _grow_leaves(parents: list[_Class]) -> list[_Class]:
     vertices.  A leaf's key is the degree and the neighbour-degree sum of
     its neighbour."""
     kept: list[_Class] = []
+    tied: list[_Class] = []
     for i in range(len(parents)):
         parent, _, _, generators = _labelled(parents, i)
         adj, x = parent.adj, parent.n
@@ -225,7 +239,7 @@ def _grow_leaves(parents: list[_Class]) -> list[_Class]:
                 return deg[y] + (y == v), nsum[y] + (y == v) + (adj[y] >> v & 1)
 
             mine = key(v)
-            tied = []
+            tie = False
             # v stops being a leaf; the point's child, the edge, needs no check
             for leaf in leaves:
                 if leaf == v:
@@ -233,11 +247,10 @@ def _grow_leaves(parents: list[_Class]) -> list[_Class]:
                 other = key(adj[leaf].bit_length() - 1)
                 if other > mine:
                     break
-                if other == mine:
-                    tied.append((leaf,))
+                tie |= other == mine
             else:
-                _accept(kept, grown.add_edge(v, x), (x,), tied)
-    return kept
+                (tied if tie else kept).append(_Class(grown.add_edge(v, x)))
+    return _with_tied(kept, tied)
 
 
 def _grow_edges(parents: list[_Class]) -> list[_Class]:
@@ -248,6 +261,7 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
     bridge of the parent stays one in the child iff the new edge's
     endpoints lie on the same side of it."""
     kept: list[_Class] = []
+    tied: list[_Class] = []
     for i in range(len(parents)):
         parent, _, _, generators = _labelled(parents, i)
         adj, n = parent.adj, parent.n
@@ -263,7 +277,7 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
             cd[v] += 1
             a, b = cd[u], cd[v]
             mine = a * n + b if a > b else b * n + a
-            tied = []
+            rivals = []
             for x, y, side in edges:
                 if side and not (side >> u ^ side >> v) & 1:
                     continue  # still a bridge
@@ -272,10 +286,10 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
                 if pair > mine:
                     break
                 if pair == mine:
-                    tied.append((x, y))
+                    rivals.append((x, y))
             else:
                 child = parent.add_edge(u, v)
-                if tied:
+                if rivals:
                     rows = child.adj
 
                     def rest(x: int, y: int) -> tuple[int, int, int]:
@@ -287,12 +301,14 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
                         return (rows[x] & rows[y]).bit_count(), max(sx, sy), min(sx, sy)
 
                     best = rest(u, v)
-                    rests = [rest(x, y) for x, y in tied]
+                    rests = [rest(x, y) for x, y in rivals]
                     if max(rests) > best:
                         continue
-                    tied = [t for t, r in zip(tied, rests) if r == best]
-                _accept(kept, child, (u, v), tied)
-    return kept
+                    if best in rests:
+                        tied.append(_Class(child))
+                        continue
+                kept.append(_Class(child))
+    return _with_tied(kept, tied)
 
 
 # ---------------------------------------------------------------------------

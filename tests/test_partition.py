@@ -1,6 +1,8 @@
 """Equitable partitions and exact quotient polynomial reproduction."""
 
+import inspect
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,25 @@ def test_bipartite_partitions():
     for m, p in [(28, 3), (46, 3), (26, 5)]:
         g, blocks = PT.bipartite_plus_partition(m, p)
         assert PT.charpoly(PT.quotient(g, blocks)) == P.bipartite_plus_poly(m, p)
+
+
+@pytest.mark.parametrize("name", sorted(PT.REFERENCE_PARTITIONS))
+def test_reference_partitions_build_or_raise_value_error(name):
+    """Over m = 1..39 and each required parameter in 0..11, a reference
+    layout is an equitable partition of its graph, or ValueError."""
+    layout = PT.REFERENCE_PARTITIONS[name]
+    required = sum(1 for q in inspect.signature(layout).parameters.values()
+                   if q.default is inspect.Parameter.empty)
+    built = 0
+    for m in range(1, 40):
+        for args in product(range(12), repeat=required - 1):
+            try:
+                g, blocks = layout(m, *args)
+            except ValueError:
+                continue
+            PT.quotient(g, blocks)
+            built += 1
+    assert built, name
 
 
 def test_quotient_charpoly_divides_adjacency_charpoly():
