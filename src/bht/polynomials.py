@@ -10,8 +10,8 @@ gcds are primitive pseudo-remainder sequences (Collins 1967), positive
 multiples of the rational remainders; a chain is built once, on first use,
 and kept on its polynomial.  Bisection runs on integer numerators over one
 denominator, (the Cauchy bound's denominator) x 2^k, so no step takes a
-gcd.  Fractions are built only for output: a polynomial's coefficients when
-read, a root bracket's two ends, and a Quad's text.  Largest roots are
+gcd.  Fractions are built only for output: a polynomial's coefficients and
+a root bracket's two ends when read, and a Quad's text.  Largest roots are
 ordered exactly: equal when the gcd of the squarefree parts has a root
 where the brackets overlap, else by bisecting until the brackets separate.
 The nested-radical ceilings square away both radicals and become one sign
@@ -353,14 +353,34 @@ def cauchy_bound(p: Polynomial) -> tuple[int, int]:
     return lead + max(map(abs, p.num[:-1]), default=0), lead
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootBracket:
     """Interval (lo, hi] certified to hold exactly one distinct root.  Its
     ends were bisected as integer numerators over one denominator, of the
-    form (the Cauchy bound's denominator) x 2^k."""
+    form (the Cauchy bound's denominator) x 2^k, and are kept so: ``lo``
+    and ``hi`` build their Fractions only when read.  Two brackets are
+    equal when their ends are equal as numbers."""
 
-    lo: Fraction
-    hi: Fraction
+    lo_num: int
+    hi_num: int
+    den: int
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_num, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_num, self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RootBracket):
+            return NotImplemented
+        return (self.lo_num * other.den == other.lo_num * self.den
+                and self.hi_num * other.den == other.hi_num * self.den)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
 
 def _isolate(p: Polynomial) -> tuple[tuple[int, ...], int, int, int]:
@@ -411,7 +431,7 @@ def largest_real_root(p: Polynomial) -> tuple[float, RootBracket]:
     cs, lo, hi, den = _isolate(p)
     while (hi - lo) * 10**13 > den:  # to width 1e-13
         lo, hi, den = _halve(cs, lo, hi, den)
-    return (lo + hi) / (2 * den), RootBracket(Fraction(lo, den), Fraction(hi, den))
+    return (lo + hi) / (2 * den), RootBracket(lo, hi, den)
 
 
 @dataclass(frozen=True)
@@ -443,8 +463,7 @@ def compare_largest_roots(p: Polynomial, q: Polynomial) -> RootComparison:
             else:
                 qlo, qhi, qd = _halve(qs, qlo, qhi, qd)
         order = "lt" if phi * qd <= qlo * pd else "gt"
-    return RootComparison(order, RootBracket(Fraction(plo, pd), Fraction(phi, pd)),
-                          RootBracket(Fraction(qlo, qd), Fraction(qhi, qd)))
+    return RootComparison(order, RootBracket(plo, phi, pd), RootBracket(qlo, qhi, qd))
 
 
 # ---------------------------------------------------------------------------

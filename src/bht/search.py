@@ -34,9 +34,13 @@ its canonical labelling), sorted by form.  The search scans the layers
 as generated and labels a graph only if its spectral radius comes within
 reach of the layer's best (see ``_scan``); those near-ties are admitted
 in form order with the radius of the canonical graph, so the search
-output does not depend on the order of generation either.  Layers are cached in-process and the
-search can checkpoint per-layer summaries to disk, under a name that
-carries the format version, making forced large runs resumable.
+output does not depend on the order of generation either.  The radii
+that order the scan are solved in one stacked eigen-solve per layer, once
+per class, and kept on the class for every later pattern set; they agree
+with the reported radii within rounding only, and are never reported.
+Layers are cached in-process and the search can checkpoint per-layer
+summaries to disk, under a name that carries the format version, making
+forced large runs resumable.
 
 Only connected graphs are scanned.  A disconnected graph has the
 spectral radius of a component with k < m edges; a pendant path of
@@ -90,12 +94,15 @@ class _Class(NamedTuple):
     automorphism group (``form`` is None until then).  A class is
     labelled when it grows the next layer, when it is a tied child that
     shares its signature with another, or on demand (``connected_layer``,
-    ``_scan``)."""
+    ``_scan``).  ``radius`` is the graph's spectral radius within
+    rounding, solved by the first scan that finds the class free and read
+    only to order the scans' walks (None until then)."""
 
     graph: Graph
     form: bytes | None = None
     labelling: list[int] | None = None
     generators: list[tuple[int, ...]] | None = None
+    radius: float | None = None
 
 
 # (n, m) -> one entry per class of the layer
@@ -131,8 +138,10 @@ def _layer(n: int, m: int) -> list[_Class]:
 
 def _labelled(layer: list[_Class], i: int) -> _Class:
     """``layer[i]``, labelled once and stored so."""
-    if layer[i].form is None:
-        layer[i] = _Class(layer[i].graph, *labelling_and_automorphisms(layer[i].graph))
+    c = layer[i]
+    if c.form is None:
+        form, labelling, generators = labelling_and_automorphisms(c.graph)
+        layer[i] = c._replace(form=form, labelling=labelling, generators=generators)
     return layer[i]
 
 
@@ -226,7 +235,8 @@ def _grow_leaves(parents: list[_Class]) -> list[_Class]:
     kept: list[_Class] = []
     tied: list[_Class] = []
     for i in range(len(parents)):
-        parent, _, _, generators = _labelled(parents, i)
+        labelled = _labelled(parents, i)
+        parent, generators = labelled.graph, labelled.generators
         adj, x = parent.adj, parent.n
         deg = [row.bit_count() for row in adj]
         nsum = [sum(deg[w] for w in bits(row)) for row in adj]
@@ -263,7 +273,8 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
     kept: list[_Class] = []
     tied: list[_Class] = []
     for i in range(len(parents)):
-        parent, _, _, generators = _labelled(parents, i)
+        labelled = _labelled(parents, i)
+        parent, generators = labelled.graph, labelled.generators
         adj, n = parent.adj, parent.n
         deg = [row.bit_count() for row in adj]
         nsum = [sum(deg[w] for w in bits(row)) for row in adj]
@@ -367,20 +378,27 @@ def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes]):
     over the admissible graphs of a layer, as ``_admit`` finds them in
     form order.
 
-    Walking the free graphs by lambda, largest first, the contenders are
-    the admissible ones down to the first gap wider than 2 * TIE_TOL
-    below the last of them; only the graphs met on the way are labelled.
-    A graph's lambda and its canonical graph's differ by rounding only,
-    far below TIE_TOL / 2, so each contender exceeds every other
-    admissible lambda by more than TIE_TOL: the first contender in form
-    order resets the best, and after it no other graph is kept or resets
-    it.  The contenders' lambda is taken again on the canonical graph.
+    The free classes whose ``radius`` is still None are solved together,
+    in one stacked ``layer_radii``, and keep it: a class is solved once,
+    however many pattern sets scan its layer.  Walking the free graphs by
+    that radius, largest first, the contenders are the admissible ones
+    down to the first gap wider than 2 * TIE_TOL below the last of them;
+    only the graphs met on the way are labelled.  A graph's radius and
+    its canonical graph's lambda differ by rounding only, far below
+    TIE_TOL / 2, so each contender exceeds every other admissible lambda
+    by more than TIE_TOL: the first contender in form order resets the
+    best, and after it no other graph is kept or resets it.  The
+    contenders' lambda, which ``_admit`` folds and the search reports, is
+    ``connected_radius`` of the canonical graph.
     """
-    from .spectral import connected_radius
+    from .spectral import connected_radius, layer_radii
 
-    lams = [(connected_radius(c.graph), i) for i, c in enumerate(layer)
-            if forbidden.is_free(c.graph, patterns)]
-    lams.sort(reverse=True)
+    free = [i for i, c in enumerate(layer) if forbidden.is_free(c.graph, patterns)]
+    unsolved = [i for i in free if layer[i].radius is None]
+    if unsolved:
+        for i, lam in zip(unsolved, layer_radii([layer[i].graph for i in unsolved])):
+            layer[i] = layer[i]._replace(radius=lam)
+    lams = sorted(((layer[i].radius, i) for i in free), reverse=True)
     contenders: list[tuple[float, _Class]] = []
     for lam, i in lams:
         if contenders and contenders[-1][0] - lam > 2 * TIE_TOL:
@@ -393,7 +411,7 @@ def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes]):
     for _, c in sorted(contenders, key=lambda t: t[1].form):
         g = c.graph.relabel(c.labelling)
         best = _admit(best, tied, (g, c.form, connected_radius(g)))
-    return tied, len(layer), len(lams)
+    return tied, len(layer), len(free)
 
 
 # Part of every checkpoint's file name.  Raise it when what a checkpoint

@@ -14,23 +14,43 @@ Callers that read λ alone take it from ``radius`` (any graph) or
 ``connected_radius`` (a graph known to be connected, without the
 component split).  Both return ``spectral_radius(g).lam`` to the bit;
 only ``bht lambda``, which prints the vector and the residual, needs
-``spectral_radius``.
+``spectral_radius``.  ``layer_radii`` solves many graphs of one order in
+one stacked ``eigvalsh``: its values agree with ``connected_radius``
+within rounding, not to the bit, so the search uses them only to order
+its walk and never reports them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .graphs import Graph, bits, components
 
 
+def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """The 0/1 adjacency matrices of graphs of one order n, unpacked from
+    the bit rows into one (k, n, n) array."""
+    n = graphs[0].n
+    width = (n + 7) // 8
+    packed = np.frombuffer(
+        b"".join(row.to_bytes(width, "little") for g in graphs for row in g.adj), np.uint8)
+    unpacked = np.unpackbits(packed, bitorder="little").reshape(len(graphs), n, 8 * width)
+    return unpacked[:, :, :n].astype(float)
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """The 0/1 adjacency matrix, unpacked from the bit rows."""
-    width = (g.n + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g.adj), np.uint8)
-    return np.unpackbits(packed, bitorder="little").reshape(g.n, 8 * width)[:, :g.n].astype(float)
+    return _adjacency_stack([g])[0]
+
+
+def layer_radii(graphs: Sequence[Graph]) -> list[float]:
+    """The largest eigenvalue of each of a non-empty list of graphs of one
+    order, from one stacked ``eigvalsh``: ``connected_radius`` of each
+    connected graph within rounding, not to the bit."""
+    return np.linalg.eigvalsh(_adjacency_stack(graphs))[:, -1].tolist()
 
 
 @dataclass(frozen=True)

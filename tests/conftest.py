@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -422,7 +422,13 @@ def fraction_bisect(sf: Polynomial, lo: Fraction, hi: Fraction, width: Fraction)
 def fraction_largest_root_bracket(p: Polynomial) -> RootBracket:
     """The bracket of ``polynomials.largest_real_root``, bisected on Fractions."""
     sf, lo, hi = fraction_isolate(p)
-    return RootBracket(*fraction_bisect(sf, lo, hi, Fraction(1, 10**13)))
+    return _bracket(*fraction_bisect(sf, lo, hi, Fraction(1, 10**13)))
+
+
+def _bracket(lo: Fraction, hi: Fraction) -> RootBracket:
+    """The RootBracket (lo, hi], its ends over their least common denominator."""
+    den = lcm(lo.denominator, hi.denominator)
+    return RootBracket(lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den)
 
 
 def fraction_compare_largest_roots(p: Polynomial, q: Polynomial) -> RootComparison:
@@ -441,7 +447,7 @@ def fraction_compare_largest_roots(p: Polynomial, q: Polynomial) -> RootComparis
             else:
                 qlo, qhi = fraction_bisect(sq, qlo, qhi, (qhi - qlo) / 2)
         order = "lt" if phi <= qlo else "gt"
-    return RootComparison(order, RootBracket(plo, phi), RootBracket(qlo, qhi))
+    return RootComparison(order, _bracket(plo, phi), _bracket(qlo, qhi))
 
 def _mask(vs) -> int:
     m = 0

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from bht import families as F
-from bht import graphs
+from bht import graphs, spectral
 from bht import search as SR
 from bht.forbidden import NAMED_PATTERNS, is_free
 from bht.graphs import (
@@ -20,7 +20,7 @@ from bht.graphs import (
     is_connected,
 )
 from bht.polynomials import book_lambda
-from bht.spectral import connected_radius, spectral_radius
+from bht.spectral import connected_radius, layer_radii, spectral_radius
 from conftest import enumerate_connected, extremal_vertex, graph_of_form, seen_dict_layer
 
 # Totals per edge count, frozen from the oracle runs below (the Burnside
@@ -242,6 +242,63 @@ def test_search_labels_tied_children_only_on_a_collision(monkeypatch):
     kept = sum(len(layer) for layer in SR._LAYERS.values())
     assert rep.counts["pruned"] == 0 and kept > 1000
     assert calls[0] <= 0.5 * kept, calls[0] / kept
+
+
+def _count_eigen_solves(monkeypatch) -> tuple[list[list[Graph]], list[Graph]]:
+    """Empty the layer cache and record the graphs that the search's
+    eigen-solves are given: one list per ``layer_radii`` call and one
+    graph per ``connected_radius`` call."""
+    stacked: list[list[Graph]] = []
+    single: list[Graph] = []
+
+    def stack(graphs):
+        stacked.append(list(graphs))
+        return layer_radii(graphs)
+
+    def one(g):
+        single.append(g)
+        return connected_radius(g)
+
+    monkeypatch.setattr(spectral, "layer_radii", stack)
+    monkeypatch.setattr(spectral, "connected_radius", one)
+    monkeypatch.setattr(SR, "_LAYERS", {})
+    return stacked, single
+
+
+def test_search_solves_each_scanned_layer_in_one_call(monkeypatch):
+    """A cold search solves each free class once, in at most one stacked
+    call per scanned layer, and takes ``connected_radius`` only of the
+    contenders it folds into the best, once each: 511 stacked solves in 5
+    calls and 5 contender solves, where the per-graph scan made 516."""
+    stacked, single = _count_eigen_solves(monkeypatch)
+    folded = []
+    admit = SR._admit
+
+    def counted_admit(best, tied, cand):
+        folded.append(cand[0])
+        return admit(best, tied, cand)
+
+    monkeypatch.setattr(SR, "_admit", counted_admit)
+    rep = SR.extremal_search(9, ["theta122", "theta123"])
+    scanned = sum(1 for n in range(2, 11) if n - 1 <= 9 <= math.comb(n, 2)) - rep.counts["pruned"]
+    assert 0 < len(stacked) <= scanned
+    assert all(len({g.n for g in graphs}) == 1 for graphs in stacked)
+    assert sum(map(len, stacked)) == rep.counts["free"]
+    # the search folds each scanned contender again from the layer's ties
+    assert [id(g) for g in single] == list(dict.fromkeys(map(id, folded)))
+
+
+def test_search_sweep_solves_no_class_twice(monkeypatch):
+    """Pattern sets that scan the same cached layer reuse its radii: over
+    m = 4..9 and five pattern sets, no class is solved twice: 754 stacked
+    solves in 20 calls, where solving every free graph in each scan took
+    850."""
+    stacked, _ = _count_eigen_solves(monkeypatch)
+    for m in range(4, 10):
+        for patterns in (["theta123"], ["theta124"], ["c5"], ["c6"], ["theta122", "theta123"]):
+            SR.extremal_search(m, patterns)
+    solved = [g for graphs in stacked for g in graphs]
+    assert len(solved) == len(set(solved))
 
 
 @pytest.mark.parametrize("pattern", NAMED_PATTERNS)
