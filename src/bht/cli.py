@@ -262,14 +262,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    certs = polynomials.inequality_certificates(args.m)
-    ok = all(c.holds for c in certs)
-    if args.json:
-        for c in certs:
-            print(json.dumps({"schema": 1, "m": args.m, "name": c.name,
-                              "statement": c.statement, "holds": c.holds,
-                              "detail": c.detail}))
-    else:
+    lo, hi = (args.m, args.m) if args.range is None else _parse_range(args.range)
+    ok = True
+    for m in range(lo, hi + 1):
+        certs = polynomials.inequality_certificates(m)
+        ok &= all(c.holds for c in certs)
+        if args.json:
+            for c in certs:
+                print(json.dumps({"schema": 1, "m": m, "name": c.name,
+                                  "statement": c.statement, "holds": c.holds,
+                                  "detail": c.detail}))
+            continue
+        if args.range is not None:
+            print(f"m={m}")
         width = max(len(c.name) for c in certs)
         for c in certs:
             mark = "ok " if c.holds else "VIOLATED"
@@ -345,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="exact-sign inequality certificates")
-    p.add_argument("--m", type=int, required=True)
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--m", type=int)
+    size.add_argument("--range", help="lo:hi")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_certify)
 

@@ -7,10 +7,15 @@ Trees on n vertices grow from the trees on n - 1 by one leaf; a layer
 connected graph with a cycle stays connected when it loses a cycle edge.
 The canonical deletion of a graph C is chosen among its leaves (a tree)
 or its non-bridge edges (otherwise): those of the largest
-isomorphism-invariant key.  Each parent P is labelled once, which also
-yields generators of Aut(P), and one edit e is tried per Aut(P) orbit of
-non-edges (or of vertices, for a leaf).  The child C = P + e is kept
-only if e has the largest key in C, and each class is kept exactly once:
+isomorphism-invariant key.  Every non-edge e of a parent P (or vertex,
+for a leaf) is tried on P unlabelled, and the child C = P + e is accepted
+only if e has the largest key in C.  That test reads only invariants of
+(P, e), so the accepted edits are a union of Aut(P) orbits, and the least
+edit of each orbit is kept.  P is labelled, which yields generators of
+Aut(P), only when two of its accepted edits share an invariant (the
+sorted degrees and neighbour-degree sums of their endpoints in P); an
+edit whose invariant is its own is alone in its orbit.  Each class is
+kept exactly once:
 
 - most children are rejected because e's key is not the largest, which
   per-parent degrees, neighbour-degree sums and bridge sides decide in a
@@ -28,9 +33,10 @@ only if e has the largest key in C, and each class is kept exactly once:
   is labelled and keeps the first child of each canonical form.
 
 A layer holds one graph per class as generated, labelled only where it
-was a parent or shared its bucket.  ``connected_layer`` labels the rest on
-demand and returns each class's canonical graph (the graph relabelled by
-its canonical labelling), sorted by form.  The search scans the layers
+was a parent with colliding edits or shared its bucket.
+``connected_layer`` labels the rest on demand and returns each class's
+canonical graph (the graph relabelled by its canonical labelling),
+sorted by form.  The search scans the layers
 as generated and labels a graph only if its spectral radius comes within
 reach of the layer's best (see ``_scan``); those near-ties are admitted
 in form order with the radius of the canonical graph, so the search
@@ -86,15 +92,17 @@ from .polynomials import (
 
 TIE_TOL = 1e-9
 DEFAULT_CAP = 12
+# the most classes that one stacked eigen-solve of ``_scan`` is given
+SOLVE_SLICE = 256
 
 
 class _Class(NamedTuple):
     """One class of a layer: a graph and, once it is labelled, its
     canonical form, a labelling that attains it and generators of its
     automorphism group (``form`` is None until then).  A class is
-    labelled when it grows the next layer, when it is a tied child that
-    shares its signature with another, or on demand (``connected_layer``,
-    ``_scan``).  ``radius`` is the graph's spectral radius within
+    labelled when two of the edits it accepts while growing the next
+    layer collide, when it is a tied child that shares its signature with
+    another, or on demand (``connected_layer``, ``_scan``).  ``radius`` is the graph's spectral radius within
     rounding, solved by the first scan that finds the class free and read
     only to order the scans' walks (None until then)."""
 
@@ -228,21 +236,37 @@ def _with_tied(kept: list[_Class], tied: list[_Class]) -> list[_Class]:
     return kept
 
 
+def _one_per_orbit(parents: list[_Class], i: int, accepted: list[tuple]) -> list[tuple]:
+    """The accepted edits of ``parents[i]`` whose edit is the least of its
+    Aut(parent) orbit.  ``accepted`` holds (edit, invariant, tie) in
+    ascending edit order; its edits are a union of orbits, since the
+    key test reads only invariants of (parent, edit).  An edit whose
+    invariant no other accepted edit shares is alone in its orbit, so the
+    parent is labelled only when two invariants collide."""
+    invariants = {a[1] for a in accepted}
+    if len(invariants) == len(accepted):
+        return accepted
+    least = set(_orbit_representatives([a[0] for a in accepted], _labelled(parents, i).generators))
+    return [a for a in accepted if a[0] in least]
+
+
 def _grow_leaves(parents: list[_Class]) -> list[_Class]:
     """The trees on one vertex more, one leaf per Aut(parent) orbit of
     vertices.  A leaf's key is the degree and the neighbour-degree sum of
-    its neighbour."""
+    its neighbour.  Every vertex of the unlabelled parent is tested; the
+    accepted ones are cut to one per orbit by ``_one_per_orbit``, with the
+    vertex's degree and neighbour-degree sum as the invariant."""
     kept: list[_Class] = []
     tied: list[_Class] = []
-    for i in range(len(parents)):
-        labelled = _labelled(parents, i)
-        parent, generators = labelled.graph, labelled.generators
+    for i, c in enumerate(parents):
+        parent = c.graph
         adj, x = parent.adj, parent.n
         deg = [row.bit_count() for row in adj]
         nsum = [sum(deg[w] for w in bits(row)) for row in adj]
         leaves = [leaf for leaf in range(x) if deg[leaf] == 1]
         grown = parent.add_vertex()
-        for (v,) in _orbit_representatives([(v,) for v in range(x)], generators):
+        accepted = []
+        for v in range(x):
 
             def key(y: int) -> tuple[int, int]:
                 # y's degree and neighbour-degree sum once x hangs from v
@@ -259,7 +283,9 @@ def _grow_leaves(parents: list[_Class]) -> list[_Class]:
                     break
                 tie |= other == mine
             else:
-                (tied if tie else kept).append(_Class(grown.add_edge(v, x)))
+                accepted.append(((v,), (deg[v], nsum[v]), tie))
+        for (v,), _, tie in _one_per_orbit(parents, i, accepted):
+            (tied if tie else kept).append(_Class(grown.add_edge(v, x)))
     return _with_tied(kept, tied)
 
 
@@ -269,12 +295,14 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
     degrees, then its endpoints' common neighbours and sorted
     neighbour-degree sums, computed only on a tie of the degrees.  A
     bridge of the parent stays one in the child iff the new edge's
-    endpoints lie on the same side of it."""
+    endpoints lie on the same side of it.  Every non-edge of the
+    unlabelled parent is tested; the accepted ones are cut to one per
+    orbit by ``_one_per_orbit``, with the sorted (degree, neighbour-degree
+    sum) pairs of the endpoints in the parent as the invariant."""
     kept: list[_Class] = []
     tied: list[_Class] = []
-    for i in range(len(parents)):
-        labelled = _labelled(parents, i)
-        parent, generators = labelled.graph, labelled.generators
+    for i, c in enumerate(parents):
+        parent = c.graph
         adj, n = parent.adj, parent.n
         deg = [row.bit_count() for row in adj]
         nsum = [sum(deg[w] for w in bits(row)) for row in adj]
@@ -282,7 +310,8 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
         edges = [(x, y, sides.get((x, y), 0)) for x, y in parent.edges()]
         full = (1 << n) - 1
         non_edges = [(u, v) for u in range(n) for v in bits(full & ~adj[u] & ~((2 << u) - 1))]
-        for u, v in _orbit_representatives(non_edges, generators):
+        accepted = []
+        for u, v in non_edges:
             cd = deg[:]
             cd[u] += 1
             cd[v] += 1
@@ -299,9 +328,11 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
                 if pair == mine:
                     rivals.append((x, y))
             else:
-                child = parent.add_edge(u, v)
+                tie = False
                 if rivals:
-                    rows = child.adj
+                    rows = list(adj)  # the child's rows
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
 
                     def rest(x: int, y: int) -> tuple[int, int, int]:
                         # common neighbours, sorted neighbour-degree sums in the child
@@ -315,10 +346,11 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
                     rests = [rest(x, y) for x, y in rivals]
                     if max(rests) > best:
                         continue
-                    if best in rests:
-                        tied.append(_Class(child))
-                        continue
-                kept.append(_Class(child))
+                    tie = best in rests
+                ends = tuple(sorted(((deg[u], nsum[u]), (deg[v], nsum[v]))))
+                accepted.append(((u, v), ends, tie))
+        for (u, v), _, tie in _one_per_orbit(parents, i, accepted):
+            (tied if tie else kept).append(_Class(parent.add_edge(u, v)))
     return _with_tied(kept, tied)
 
 
@@ -379,7 +411,9 @@ def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes]):
     form order.
 
     The free classes whose ``radius`` is still None are solved together,
-    in one stacked ``layer_radii``, and keep it: a class is solved once,
+    in one stacked ``layer_radii`` per ``SOLVE_SLICE`` of them (a stacked
+    solve gives each matrix the same bits whatever else is in the stack,
+    and the slice caps its memory), and keep it: a class is solved once,
     however many pattern sets scan its layer.  Walking the free graphs by
     that radius, largest first, the contenders are the admissible ones
     down to the first gap wider than 2 * TIE_TOL below the last of them;
@@ -395,8 +429,9 @@ def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes]):
 
     free = [i for i, c in enumerate(layer) if forbidden.is_free(c.graph, patterns)]
     unsolved = [i for i in free if layer[i].radius is None]
-    if unsolved:
-        for i, lam in zip(unsolved, layer_radii([layer[i].graph for i in unsolved])):
+    for lo in range(0, len(unsolved), SOLVE_SLICE):
+        part = unsolved[lo:lo + SOLVE_SLICE]
+        for i, lam in zip(part, layer_radii([layer[i].graph for i in part])):
             layer[i] = layer[i]._replace(radius=lam)
     lams = sorted(((layer[i].radius, i) for i in free), reverse=True)
     contenders: list[tuple[float, _Class]] = []

@@ -448,6 +448,24 @@ def test_certify_command(capsys):
     assert (code, out, err) == (2, "", "error: certificates start at m = 22\n")
 
 
+def test_certify_range_is_the_per_m_runs(capsys):
+    """`certify --range lo:hi` prints what the runs at each m print, in
+    order: the same bytes in JSON, and under an `m=M` header per m in
+    text.  It exits 1 iff some certificate is false."""
+    runs = [run(capsys, "certify", "--m", str(m), "--json") for m in range(22, 121)]
+    code, out, err = run(capsys, "certify", "--range", "22:120", "--json")
+    assert (code, out, err) == (1, "".join(o for _, o, _ in runs), "")
+    assert [c for c, _, _ in runs].count(1) > 0
+    texts = [run(capsys, "certify", "--m", str(m)) for m in (25, 26)]
+    assert all(c == 0 for c, _, _ in texts)
+    code, out, err = run(capsys, "certify", "--range", "25:26")
+    assert (code, out, err) == (0, "m=25\n" + texts[0][1] + "m=26\n" + texts[1][1], "")
+    code, out, err = run(capsys, "certify", "--range", "26:27")
+    assert code == 1 and out.startswith("m=26\n") and "\nm=27\n" in out
+    code, out, err = run(capsys, "certify", "--range", "21:23", "--json")
+    assert (code, out, err) == (2, "", "error: certificates start at m = 22\n")
+
+
 # Runs in a fresh interpreter, since this suite has numpy loaded already.
 # Prints, per command, its exit code and whether numpy is loaded after it.
 _NUMPY_PROBE = """

@@ -188,6 +188,25 @@ def test_layers_match_seen_dict_oracle():
             assert layer == [graph_of_form(c) for c in oracle], (n, m)
 
 
+# sha256 of the rows of every layer (n, m), m <= 10, in the order grown
+# from an empty cache, taken when every parent was labelled to cut its
+# edits to one per orbit.
+LAYER_ROWS_PIN = "75539a856f0b6f570e35895a2927fdf6bc802d431590696b28a1d4d160752c7d"
+
+
+def test_layers_are_pinned(monkeypatch):
+    """Labelling a parent only when two of its accepted edits collide keeps
+    every layer up to m = 10: the same graphs, with the same rows, in the
+    same order."""
+    monkeypatch.setattr(SR, "_LAYERS", {})
+    h = hashlib.sha256()
+    for m in range(0, 11):
+        for n in range(1, m + 2):
+            for c in SR._layer(n, m):
+                h.update(f"{n} {m} {' '.join(map(str, c.graph.adj))}\n".encode())
+    assert h.hexdigest() == LAYER_ROWS_PIN
+
+
 def _count_labellings(monkeypatch) -> list[int]:
     """Empty the layer cache and count the labellings that ``search``
     makes through any labelling function of ``graphs`` that it imports."""
@@ -221,10 +240,11 @@ def test_labelling_calls_per_class_kept(monkeypatch):
 
 
 def test_search_labellings_per_class(monkeypatch):
-    """A cold search labels parents, the tied children that share a
-    signature bucket and its maximizers, not the other children: at most
-    0.9 labellings per class kept (1.32 when every kept child was
-    labelled)."""
+    """A cold search labels the parents whose accepted edits collide, the
+    tied children that share a signature bucket and its maximizers, not
+    the other classes: at most 0.9 labellings per class kept (1.32 when
+    every kept child was labelled, 0.22 with parents labelled only on a
+    collision)."""
     calls = _count_labellings(monkeypatch)
     rep = SR.extremal_search(9, ["theta122", "theta123"])
     kept = sum(len(layer) for layer in SR._LAYERS.values())
@@ -236,12 +256,26 @@ def test_search_labels_tied_children_only_on_a_collision(monkeypatch):
     """A tied child alone in its signature bucket is kept unlabelled, so a
     cold search makes at most 0.5 labellings per class kept; labelling
     every tied child took 716 for 1,064 classes (0.67), 360 of them in
-    the top layer, which is never a parent."""
+    the top layer, which is never a parent.  With every parent labelled
+    as well the search made 429 (0.40)."""
     calls = _count_labellings(monkeypatch)
     rep = SR.extremal_search(9, ["theta122", "theta123"])
     kept = sum(len(layer) for layer in SR._LAYERS.values())
     assert rep.counts["pruned"] == 0 and kept > 1000
     assert calls[0] <= 0.5 * kept, calls[0] / kept
+
+
+def test_search_labels_parents_only_on_a_collision(monkeypatch):
+    """A parent is labelled only when two of its accepted edits share an
+    invariant, so a cold search makes at most 0.25 labellings per class
+    kept: 230 for 1,064 classes (0.22), 140 of them parents, where
+    labelling every parent for its orbits took 429 (0.40), 339 of them
+    parents."""
+    calls = _count_labellings(monkeypatch)
+    rep = SR.extremal_search(9, ["theta122", "theta123"])
+    kept = sum(len(layer) for layer in SR._LAYERS.values())
+    assert rep.counts["pruned"] == 0 and kept > 1000
+    assert calls[0] <= 0.25 * kept, calls[0] / kept
 
 
 def _count_eigen_solves(monkeypatch) -> tuple[list[list[Graph]], list[Graph]]:
@@ -267,9 +301,10 @@ def _count_eigen_solves(monkeypatch) -> tuple[list[list[Graph]], list[Graph]]:
 
 def test_search_solves_each_scanned_layer_in_one_call(monkeypatch):
     """A cold search solves each free class once, in at most one stacked
-    call per scanned layer, and takes ``connected_radius`` only of the
-    contenders it folds into the best, once each: 511 stacked solves in 5
-    calls and 5 contender solves, where the per-graph scan made 516."""
+    call per scanned layer (no layer here exceeds one slice), and takes
+    ``connected_radius`` only of the contenders it folds into the best,
+    once each: 511 stacked solves in 5 calls and 5 contender solves, where
+    the per-graph scan made 516."""
     stacked, single = _count_eigen_solves(monkeypatch)
     folded = []
     admit = SR._admit
@@ -286,6 +321,19 @@ def test_search_solves_each_scanned_layer_in_one_call(monkeypatch):
     assert sum(map(len, stacked)) == rep.counts["free"]
     # the search folds each scanned contender again from the layer's ties
     assert [id(g) for g in single] == list(dict.fromkeys(map(id, folded)))
+
+
+def test_scan_solves_a_large_layer_in_slices(monkeypatch):
+    """A layer of more free classes than one slice is solved in stacked
+    calls of at most ``SOLVE_SLICE`` classes, and each class keeps the
+    radius that one stack of the whole layer gives it, to the bit."""
+    stacked, _ = _count_eigen_solves(monkeypatch)
+    layer = SR._layer(9, 10)
+    SR._scan(layer, ["c5"], frozenset())
+    free = [c for c in layer if c.radius is not None]
+    assert len(free) > SR.SOLVE_SLICE
+    assert [len(graphs) for graphs in stacked] == [SR.SOLVE_SLICE, len(free) - SR.SOLVE_SLICE]
+    assert [c.radius for c in free] == layer_radii([c.graph for c in free])
 
 
 def test_search_sweep_solves_no_class_twice(monkeypatch):
