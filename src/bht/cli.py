@@ -9,6 +9,12 @@ is a small human-readable table.
 Exhaustive search runs up to ``search.DEFAULT_CAP`` edges unless
 ``--force`` is given.  Checkpoints go to ``--cache-dir`` when given, else
 to ``BHT_CACHE_DIR``; ``verify`` reads only ``BHT_CACHE_DIR``.
+
+The parser is built from the standard library alone: each subcommand
+imports the library modules it runs, so ``certify``, ``poly`` and
+``crossover`` load only ``polynomials``, and ``family`` only
+``families`` and ``graphs``.  Ids, pairs and theorems are checked by the
+command, which names the known values in its usage error.
 """
 
 from __future__ import annotations
@@ -18,16 +24,10 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import families, forbidden, partition, polynomials, search
-from .graphs import (
-    Graph,
-    canonical_form,
-    format_edge_list,
-    from_graph6,
-    parse_edge_list,
-    to_graph6,
-)
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -43,6 +43,8 @@ def _read_graph(path: str, fmt: str) -> Graph:
     stripped) holds no graph in any format.  ``auto`` reads an edge list
     when the first content line has whitespace, which graph6 never does,
     and graph6 otherwise."""
+    from .graphs import from_graph6, parse_edge_list
+
     text = Path(path).read_text()
     content = (line.split("#", 1)[0].strip() for line in text.splitlines())
     first = next((line for line in content if line), "")
@@ -69,6 +71,8 @@ def _parse_params(text: str) -> dict[str, int]:
 
 
 def _parse_patterns(text: str) -> list[str]:
+    from . import forbidden
+
     names = [p.strip() for p in text.split(",") if p.strip()]
     if not names:
         raise ValueError(f"no pattern names in {text!r}; known: {forbidden.NAMED_PATTERNS}")
@@ -107,6 +111,9 @@ def _parse_blocks(text: str) -> list[list[int]]:
 
 
 def cmd_family(args) -> int:
+    from . import families
+    from .graphs import format_edge_list, to_graph6
+
     g = families.build(families.spec_from_params(args.name, _parse_params(args.params)))
     if args.format == "graph6":
         out = to_graph6(g) + "\n"
@@ -134,6 +141,8 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_free(args) -> int:
+    from . import forbidden
+
     g = _read_graph(args.input, args.format)
     results = {}
     lines = []
@@ -146,6 +155,8 @@ def cmd_free(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    from . import partition
+
     g = _read_graph(args.input, args.format)
     q = partition.quotient(g, _parse_blocks(args.blocks))
     cp = partition.charpoly(q)
@@ -167,6 +178,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    from . import polynomials
+
     params = {k: getattr(args, k) for k in ("t", "r", "p") if getattr(args, k) is not None}
     poly = polynomials.instantiate(args.id, args.m, **params)
     payload: dict = {"id": args.id, "m": args.m, **params,
@@ -182,6 +195,11 @@ def cmd_poly(args) -> int:
 
 
 def cmd_crossover(args) -> int:
+    from . import polynomials
+
+    if args.pair not in polynomials.CROSSOVER:
+        raise ValueError(f"unknown crossover pair {args.pair!r}; "
+                         f"known: {tuple(polynomials.CROSSOVER)}")
     lo, hi = _parse_range(args.range)
     cx = polynomials.CROSSOVER[args.pair]
     rep = polynomials.crossover_scan(cx.cone, cx.split, args.pair, (lo, hi))
@@ -209,6 +227,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_search(args) -> int:
+    from . import families, search
+    from .graphs import canonical_form, to_graph6
+
     patterns = _parse_patterns(args.forbid)
     exclusions: list[bytes] = []
     if args.exclude_book:
@@ -229,6 +250,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import polynomials, search
+
     thms = search.THEOREM_IDS if args.thm == "all" else (args.thm,)
     for t in thms:
         if t not in search.THEOREM_IDS:
@@ -262,6 +285,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import polynomials
+
     lo, hi = (args.m, args.m) if args.range is None else _parse_range(args.range)
     ok = True
     for m in range(lo, hi + 1):
@@ -316,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("poly", help="named polynomial instances and roots")
-    p.add_argument("--id", required=True, choices=polynomials.POLY_IDS)
+    p.add_argument("--id", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--r", type=int)
@@ -326,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("crossover", help="largest-root ordering scans over m")
-    p.add_argument("--pair", required=True, choices=tuple(polynomials.CROSSOVER))
+    p.add_argument("--pair", required=True)
     p.add_argument("--range", required=True, help="lo:hi")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_crossover)
@@ -342,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="check the maximality claims")
-    p.add_argument("--thm", required=True,
-                   help=f"one of {search.THEOREM_IDS} or 'all'")
+    p.add_argument("--thm", required=True, help="a theorem id, or 'all'")
     p.add_argument("--m", type=int)
     p.add_argument("--range", help="lo:hi")
     p.add_argument("--json", action="store_true")

@@ -119,13 +119,15 @@ _LAYERS: dict[tuple[int, int], list[_Class]] = {}
 
 def connected_layer(n: int, m: int) -> list[Graph]:
     """Connected graphs with n vertices and m edges, one per class, sorted
-    by canonical form; each is its class's canonical graph."""
+    by canonical form; each is its class's canonical graph.  The cached
+    layer keeps its order, so layers grown from it later do not depend on
+    this call."""
     layer = _layer(n, m)
     for i in range(len(layer)):
         _labelled(layer, i)
-    layer.sort(key=lambda c: c.form)
-    assert all(a.form < b.form for a, b in zip(layer, layer[1:])), "a class was kept twice"
-    return [c.graph.relabel(c.labelling) for c in layer]
+    ordered = sorted(layer, key=lambda c: c.form)
+    assert all(a.form < b.form for a, b in zip(ordered, ordered[1:])), "a class was kept twice"
+    return [c.graph.relabel(c.labelling) for c in ordered]
 
 
 def _layer(n: int, m: int) -> list[_Class]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bht import cli, partition, polynomials
+from bht import cli, partition, polynomials, search
 from bht import families as F
 from bht.graphs import canonical_form, disjoint_union, from_graph6, parse_edge_list, to_graph6
 from conftest import brute_isomorphic, check_embedding, graph_of_form
@@ -466,48 +466,66 @@ def test_certify_range_is_the_per_m_runs(capsys):
     assert (code, out, err) == (2, "", "error: certificates start at m = 22\n")
 
 
-# Runs in a fresh interpreter, since this suite has numpy loaded already.
-# Prints, per command, its exit code and whether numpy is loaded after it.
-_NUMPY_PROBE = """
+# Runs in a fresh interpreter, since this suite has every module loaded
+# already.  Builds the parser, runs the command given (if any), and prints
+# its exit code, the bht modules then loaded and whether numpy is.
+_IMPORT_PROBE = """
 import contextlib, io, json, sys
 import bht.cli
 bht.cli.build_parser()
-seen = [["build_parser", None, "numpy" in sys.modules]]
-for argv in json.loads(sys.argv[1]):
+argv = json.loads(sys.argv[1])
+code = None
+if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = bht.cli.main(argv)
-    seen.append([argv[0], code, "numpy" in sys.modules])
-print(json.dumps(seen))
+bht_modules = sorted(m for m in sys.modules if m == "bht" or m.startswith("bht."))
+print(json.dumps([code, bht_modules, "numpy" in sys.modules]))
 """
 
 
 def test_exact_commands_start_without_numpy(tmp_path):
+    """The parser loads no library module; each exact command loads the
+    modules it runs and no numpy, and an eigen-solve loads numpy."""
     path = tmp_path / "book.txt"
     path.write_text("\n".join(f"{u} {v}" for u, v in F.book(9).edges()))
-    commands = [
-        ["certify", "--m", "50"],
-        ["poly", "--id", "split_pendant", "--m", "30", "--t", "2"],
-        ["crossover", "--pair", "odd", "--range", "22:80"],
-        ["family", "--name", "book", "--params", "m=9", "--output", str(tmp_path / "out.txt")],
-        ["free", "--input", str(path), "--patterns", "c5,theta122"],
+    base = ["bht", "bht.cli"]
+    expected = [
+        ([], None, base, False),
+        (["certify", "--m", "50"], 1, [*base, "bht.polynomials"], False),
+        (["poly", "--id", "split_pendant", "--m", "30", "--t", "2"], 0,
+         [*base, "bht.polynomials"], False),
+        (["crossover", "--pair", "odd", "--range", "22:80"], 0,
+         [*base, "bht.polynomials"], False),
+        (["family", "--name", "book", "--params", "m=9", "--output", str(tmp_path / "out.txt")],
+         0, [*base, "bht.families", "bht.graphs"], False),
+        (["free", "--input", str(path), "--patterns", "c5,theta122"], 0,
+         [*base, "bht.families", "bht.forbidden", "bht.graphs"], False),
         # the control: an eigen-solve loads numpy, so the probe can see it
-        ["lambda", "--input", str(path)],
+        (["lambda", "--input", str(path)], 0, [*base, "bht.graphs", "bht.spectral"], True),
     ]
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
-        ["build_parser", None, False],
-        ["certify", 1, False],
-        ["poly", 0, False],
-        ["crossover", 0, False],
-        ["family", 0, False],
-        ["free", 0, False],
-        ["lambda", 0, True],
+    for argv, *seen in expected:
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == seen, argv
+
+
+def test_unknown_ids_are_usage_errors_naming_the_known_values(capsys):
+    """An unknown polynomial id, crossover pair or theorem id exits 2 with
+    one error line that lists the known values."""
+    cases = [
+        (["poly", "--id", "nope", "--m", "30"],
+         f"unknown polynomial id 'nope'; known: {polynomials.POLY_IDS}"),
+        (["crossover", "--pair", "nope", "--range", "22:80"],
+         f"unknown crossover pair 'nope'; known: {tuple(polynomials.CROSSOVER)}"),
+        (["verify", "--thm", "nope", "--m", "30"],
+         f"unknown theorem id 'nope'; known: {search.THEOREM_IDS}"),
     ]
+    for argv, msg in cases:
+        assert run(capsys, *argv) == (2, "", f"error: {msg}\n"), argv
 
 
 PIN_SIZES = (22, 23, 40, 41, 120)

@@ -207,6 +207,23 @@ def test_layers_are_pinned(monkeypatch):
     assert h.hexdigest() == LAYER_ROWS_PIN
 
 
+def _layer_rows(n: int, m: int) -> list[tuple[int, ...]]:
+    return [c.graph.adj for c in SR._layer(n, m)]
+
+
+def test_connected_layer_leaves_the_cache_as_grown(monkeypatch):
+    """``connected_layer`` reads the cached layer without reordering it,
+    so a layer grown after the call holds the same representatives, in
+    the same order, as one grown from an empty cache."""
+    monkeypatch.setattr(SR, "_LAYERS", {})
+    fresh = _layer_rows(7, 8)
+    monkeypatch.setattr(SR, "_LAYERS", {})
+    before = _layer_rows(7, 7)
+    SR.connected_layer(7, 7)
+    assert _layer_rows(7, 7) == before
+    assert _layer_rows(7, 8) == fresh
+
+
 def _count_labellings(monkeypatch) -> list[int]:
     """Empty the layer cache and count the labellings that ``search``
     makes through any labelling function of ``graphs`` that it imports."""
