@@ -8,14 +8,15 @@ arithmetic of its own.  A sign or value at a rational a/b or at a Quad is
 one Horner sum on those integers, in Z or in Z[sqrt(d)].  Sturm chains and
 gcds are primitive pseudo-remainder sequences (Collins 1967), positive
 multiples of the rational remainders; a chain is built once, on first use,
-and kept on its polynomial.  Bisection runs on integer numerators over one
-denominator, (the Cauchy bound's denominator) x 2^k, so no step takes a
-gcd.  Fractions are built only for output: a polynomial's coefficients and
-a root bracket's two ends when read, and a Quad's text.  Largest roots are
-ordered exactly: equal when the gcd of the squarefree parts has a root
-where the brackets overlap, else by bisecting until the brackets separate.
-The nested-radical ceilings square away both radicals and become one sign
-in Z[sqrt(m-1)].  The certificates at m are rows (name, statement, kind,
+from one remainder sequence when the polynomial is squarefree, and kept on
+it, as is the bracket that isolates its largest root.  Bisection runs on
+integer numerators over one denominator, (the Cauchy bound's denominator)
+x 2^k, so no step takes a gcd.  Fractions are built only for output: a
+polynomial's coefficients and a root bracket's two ends when read, and a
+Quad's text.  Largest roots are ordered exactly: equal when the gcd of the
+squarefree parts has a root where the brackets overlap, else by bisecting
+until the brackets separate.  The nested-radical ceilings square away both
+radicals and become one sign in Z[sqrt(m-1)].  The certificates at m are rows (name, statement, kind,
 arguments, detail) from one generator, and one evaluator decides each row by
 its kind: a sign at a point, an exact value, positivity on a ray or an open
 interval, a largest-root order, a discriminant or a nested radical.
@@ -54,7 +55,7 @@ class Polynomial:
     equality, hashing and the arithmetic run on integers; the Fractions of
     ``coeffs`` are built on first read, for output."""
 
-    __slots__ = ("num", "den", "_coeffs", "_chain")
+    __slots__ = ("num", "den", "_coeffs", "_chain", "_isolated")
 
     def __init__(self, coeffs: Iterable[Fraction | int], den: int = 1):
         """The polynomial sum(coeffs[i] x^i) / den, for an integer den != 0."""
@@ -70,6 +71,7 @@ class Polynomial:
         self.den: int = den // g
         self._coeffs: tuple[Fraction, ...] | None = None
         self._chain: tuple[Polynomial, ...] | None = None
+        self._isolated: tuple[tuple[int, ...], int, int, int] | None = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -279,16 +281,30 @@ def sturm_chain(p: Polynomial) -> tuple[Polynomial, ...]:
     multiple of the rational Sturm chain's element, so that sign variations
     are the same.  Built on first use and kept on p."""
     if p._chain is None:
-        sf = p.squarefree()
-        sf = Polynomial(sf.num, sf.den)  # a copy, so that p never holds itself
-        chain = [sf, Polynomial([i * c for i, c in enumerate(sf.num)][1:])]
-        while chain[-1].num:
-            r = _prem(chain[-2].num, chain[-1].num)
-            if not r:
-                break
-            chain.append(Polynomial([-c for c in r]))
-        p._chain = tuple(chain)
+        p._chain = _build_chain(p)
     return p._chain
+
+
+def _build_chain(p: Polynomial) -> tuple[Polynomial, ...]:
+    """p's Sturm chain from one remainder sequence: its last element is a
+    multiple of gcd(p, p'), so a constant there means p is squarefree, and
+    only otherwise is the chain run again on p's squarefree part."""
+    chain = _remainders(Polynomial(p.num, p.den))  # a copy, so that p never holds itself
+    if chain[-1].degree > 0:
+        sf = p.squarefree()
+        chain = _remainders(Polynomial(sf.num, sf.den))
+    return tuple(chain)
+
+
+def _remainders(head: Polynomial) -> list[Polynomial]:
+    """head, its derivative, then the negated primitive pseudo-remainders."""
+    chain = [head, Polynomial([i * c for i, c in enumerate(head.num)][1:])]
+    while chain[-1].num:
+        r = _prem(chain[-2].num, chain[-1].num)
+        if not r:
+            break
+        chain.append(Polynomial([-c for c in r]))
+    return chain
 
 
 def _sign_at(p: Polynomial, x) -> int:
@@ -386,7 +402,9 @@ class RootBracket:
 def _isolate(p: Polynomial) -> tuple[tuple[int, ...], int, int, int]:
     """The numerators of p's squarefree part and a Sturm-certified bracket
     (lo/den, hi/den] that holds its largest root, with no root of p above
-    hi/den."""
+    hi/den.  Isolated on first use and kept on p."""
+    if p._isolated is not None:
+        return p._isolated
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     chain = sturm_chain(p)
@@ -407,7 +425,8 @@ def _isolate(p: Polynomial) -> tuple[tuple[int, ...], int, int, int]:
             lo, above = mid, count
         else:
             hi = mid
-    return prims[0], lo, hi, den
+    p._isolated = prims[0], lo, hi, den
+    return p._isolated
 
 
 def _halve(cs: tuple[int, ...], lo: int, hi: int, den: int) -> tuple[int, int, int]:

@@ -14,7 +14,9 @@ Callers that read λ alone take it from ``radius`` (any graph) or
 ``connected_radius`` (a graph known to be connected, without the
 component split).  Both return ``spectral_radius(g).lam`` to the bit;
 only ``bht lambda``, which prints the vector and the residual, needs
-``spectral_radius``.  ``layer_radii`` solves many graphs of one order in
+``spectral_radius``.  ``radius`` serves only the float check of ``bht
+quotient``; ``verify`` decides its claims on exact quotient polynomials,
+and solves eigenvalues only in the searches of its oracle mode.  ``layer_radii`` solves many graphs of one order in
 one stacked ``eigvalsh``: its values agree with ``connected_radius``
 within rounding, not to the bit, so the search uses them only to order
 its walk and never reports them.

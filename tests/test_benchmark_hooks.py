@@ -48,7 +48,6 @@ def test_worker_calls_resolve():
 # names yet, each kept for a stated reason.
 UNREACHED_ON_PURPOSE = {
     ("partition", "is_equitable"): "exact spectral radii test cells with it",
-    ("partition", "coarsest_equitable_refinement"): "exact spectral radii start from it",
     ("partition", "adjacency_charpoly"): "the oracle that exact spectral radii are checked against",
 }
 

@@ -485,10 +485,14 @@ print(json.dumps([code, bht_modules, "numpy" in sys.modules]))
 
 def test_exact_commands_start_without_numpy(tmp_path):
     """The parser loads no library module; each exact command loads the
-    modules it runs and no numpy, and an eigen-solve loads numpy."""
+    modules it runs and no numpy, and an eigen-solve loads numpy.  Above the
+    search cap ``verify`` decides every claim exactly; at or below it, its
+    oracle searches solve eigenvalues."""
     path = tmp_path / "book.txt"
     path.write_text("\n".join(f"{u} {v}" for u, v in F.book(9).edges()))
     base = ["bht", "bht.cli"]
+    verify = [*base, "bht.families", "bht.forbidden", "bht.graphs", "bht.partition",
+              "bht.polynomials", "bht.search"]
     expected = [
         ([], None, base, False),
         (["certify", "--m", "50"], 1, [*base, "bht.polynomials"], False),
@@ -500,8 +504,10 @@ def test_exact_commands_start_without_numpy(tmp_path):
          0, [*base, "bht.families", "bht.graphs"], False),
         (["free", "--input", str(path), "--patterns", "c5,theta122"], 0,
          [*base, "bht.families", "bht.forbidden", "bht.graphs"], False),
-        # the control: an eigen-solve loads numpy, so the probe can see it
+        (["verify", "--thm", "all", "--m", "50"], 0, verify, False),
+        # the controls: an eigen-solve loads numpy, so the probe can see it
         (["lambda", "--input", str(path)], 0, [*base, "bht.graphs", "bht.spectral"], True),
+        (["verify", "--thm", "theta123", "--m", "9"], 0, [*verify, "bht.spectral"], True),
     ]
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"

@@ -150,13 +150,13 @@ def test_certificates_build_each_chain_once(monkeypatch, m):
     polynomial has its chain built twice, and none is built for the
     squarefree part that heads another polynomial's chain."""
     built = []  # keeping the objects alive keeps their ids distinct
-    squarefree = P.Polynomial.squarefree
+    build_chain = P._build_chain
 
-    def counting(self):
-        built.append(self)
-        return squarefree(self)
+    def counting(p):
+        built.append(p)
+        return build_chain(p)
 
-    monkeypatch.setattr(P.Polynomial, "squarefree", counting)
+    monkeypatch.setattr(P, "_build_chain", counting)
     P.inequality_certificates(m)
     ids = [id(p) for p in built]
     assert len(built) > 10 and len(ids) == len(set(ids))

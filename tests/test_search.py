@@ -1,5 +1,6 @@
 """Enumeration correctness (independent oracles), search and verification."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,9 +20,11 @@ from bht.graphs import (
     from_edge_list,
     is_connected,
 )
-from bht.polynomials import book_lambda
+from bht.polynomials import Polynomial, book_lambda, compare_largest_roots
 from bht.spectral import connected_radius, layer_radii, spectral_radius
-from conftest import enumerate_connected, extremal_vertex, graph_of_form, seen_dict_layer
+from conftest import (
+    enumerate_connected, extremal_vertex, graph_of_form, random_connected, seen_dict_layer,
+)
 
 # Totals per edge count, frozen from the oracle runs below (the Burnside
 # cross-check recomputes the layer counts live on every test run).
@@ -549,3 +552,72 @@ def test_verify_theorem_construction_modes():
         assert SR.verify_theorem(thm, 2).status == "not_claimed", thm
     with pytest.raises(ValueError):
         SR.verify_theorem("bogus", 9)
+
+
+def test_derived_polynomials_equal_the_stated_ones():
+    """Over m = 22..120 the claimed graph's coarsest equitable quotient has
+    the claim's stated polynomial as its characteristic polynomial."""
+    seen = 0
+    for thm, claim in SR.CLAIMS.items():
+        for m in range(max(22, claim.start), 121):
+            g = claim.graph(m)
+            if g is not None:
+                assert SR._derived_poly(g) == claim.poly(m), (thm, m)
+                seen += 1
+    assert seen == 391
+
+
+def _sympy_charpoly(g: Graph) -> Polynomial:
+    """The characteristic polynomial of g's full adjacency matrix, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Matrix(g.n, g.n, lambda u, v: g.adj[u] >> v & 1)
+    return Polynomial([int(c) for c in reversed(a.charpoly().all_coeffs())])
+
+
+def test_derived_radius_matches_the_full_charpoly(rng):
+    """For connected graphs on at most 12 vertices, the derived quotient's
+    largest root is that of the full adjacency matrix's characteristic
+    polynomial: every claimed and rival graph, the claims' families below
+    the claims' ranges, and random graphs."""
+    hosts = []
+    for claim in SR.CLAIMS.values():
+        for m in range(claim.start, 121):
+            hosts.append(claim.graph(m))
+            if claim.rival is not None:
+                hosts.append(claim.rival(m))
+    hosts += [F.split_pendant_for_size(m, t) for t in (1, 2) for m in range(t + 1, 20)
+              if (m + t) % 2]
+    hosts += [F.k1_join_candidate(m) for m in range(8, 20)]
+    hosts += [F.star_matching(n, 1) for n in range(3, 13)]
+    hosts = [g for g in hosts if g is not None and g.n <= 12]
+    assert len(hosts) > 30
+    hosts += [random_connected(rng, 4, 12) for _ in range(30)]
+    for g in hosts:
+        assert is_connected(g)
+        order = compare_largest_roots(SR._derived_poly(g), _sympy_charpoly(g)).order
+        assert order == "eq", graphs.to_graph6(g)
+
+
+@pytest.mark.parametrize("thm, m", [("c5_runner_up", 50), ("theta123", 51)])
+def test_a_stated_polynomial_off_by_a_trillionth_fails(monkeypatch, thm, m):
+    """Lowering the stated polynomial's constant term by 10^-12 moves its
+    largest root far less than a 1e-9 tolerance, and the exact check still
+    reports it."""
+    claim = SR.CLAIMS[thm]
+    shifted = dataclasses.replace(
+        claim, poly=lambda m: claim.poly(m) - Polynomial([Fraction(1, 10**12)]))
+    monkeypatch.setitem(SR.CLAIMS, thm, shifted)
+    rep = SR.verify_theorem(thm, m)
+    assert rep.status == "fail"
+    assert [name for name, ok, _ in rep.checks if not ok] == ["lambda_poly_root"]
+
+
+def test_a_disconnected_claimed_graph_fails_the_lambda_checks(monkeypatch):
+    """An isolated vertex keeps the spectral radius, but the claims are about
+    connected graphs, so each exact λ check also asks for connectivity."""
+    claim = SR.CLAIMS["theta124"]
+    padded = dataclasses.replace(claim, graph=lambda m: claim.graph(m).add_vertex())
+    monkeypatch.setitem(SR.CLAIMS, "theta124", padded)
+    rep = SR.verify_theorem("theta124", 51)
+    assert [name for name, ok, _ in rep.checks if not ok] == ["lambda_closed_form",
+                                                             "lambda_poly_root"]
