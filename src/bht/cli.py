@@ -215,7 +215,10 @@ def cmd_crossover(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str | None, m: int | None = None) -> tuple[int, int]:
+    """lo, hi of ``--range lo:hi``, or m, m when no range is given."""
+    if text is None:
+        return m, m
     lo, _, hi = text.partition(":")
     try:
         lo, hi = int(lo), int(hi)
@@ -252,17 +255,13 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     from . import polynomials, search
 
+    if args.thm != "all" and args.thm not in search.THEOREM_IDS:
+        return _usage_error(f"unknown theorem id {args.thm!r}; known: {search.THEOREM_IDS}")
     thms = search.THEOREM_IDS if args.thm == "all" else (args.thm,)
-    for t in thms:
-        if t not in search.THEOREM_IDS:
-            return _usage_error(f"unknown theorem id {t!r}; known: {search.THEOREM_IDS}")
-    if args.m is None and args.range is None:
-        return _usage_error("pass --m or --range")
-    lo, hi = (args.m, args.m) if args.m is not None else _parse_range(args.range)
-    ms = list(range(lo, hi + 1))
+    lo, hi = _parse_range(args.range, args.m)
     failed = False
     for thm in thms:
-        for m in ms:
+        for m in range(lo, hi + 1):
             rep = search.verify_theorem(thm, m, cache_dir=os.environ.get("BHT_CACHE_DIR"))
             if rep.status == "fail":
                 failed = True
@@ -274,7 +273,7 @@ def cmd_verify(args) -> int:
                 )
                 print(f"{thm} m={m}: {rep.status}  [{detail}]")
         claim = search.CLAIMS[thm]
-        if claim.rival is not None and len(ms) > 1 and hi >= claim.start:
+        if claim.rival is not None and hi > lo and hi >= claim.start:
             pair = (max(lo, claim.start), hi)
             for parity, cx in polynomials.CROSSOVER.items():
                 rep2 = polynomials.crossover_scan(cx.cone, cx.split, parity, pair)
@@ -287,7 +286,7 @@ def cmd_verify(args) -> int:
 def cmd_certify(args) -> int:
     from . import polynomials
 
-    lo, hi = (args.m, args.m) if args.range is None else _parse_range(args.range)
+    lo, hi = _parse_range(args.range, args.m)
     ok = True
     for m in range(lo, hi + 1):
         certs = polynomials.inequality_certificates(m)
@@ -368,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the maximality claims")
     p.add_argument("--thm", required=True, help="a theorem id, or 'all'")
-    p.add_argument("--m", type=int)
-    p.add_argument("--range", help="lo:hi")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--m", type=int)
+    size.add_argument("--range", help="lo:hi")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -327,9 +328,30 @@ def test_verify_command(capsys):
     assert json.loads(out.splitlines()[0])["status"] == "not_claimed"
     code, _, _ = run(capsys, "verify", "--thm", "wat", "--m", "9")
     assert code == 2
-    code, _, _ = run(capsys, "verify", "--thm", "theta123")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--thm", "theta123"])
+    assert exc.value.code == 2
 
+
+@pytest.mark.parametrize("command", [("verify", "--thm", "theta123"), ("certify",)])
+def test_size_flags_are_exclusive(capsys, command):
+    """`verify` and `certify` take one size: --m or --range, not both."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--m", "9", "--range", "30:40"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    """Each `bht` line of a README code block parses (argparse exits 2 on a
+    stale flag), and README names no script: the commands do that work."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line for block in text.split("```")[1::2] for line in block.splitlines()
+             if line.startswith("bht ")]
+    assert len(lines) > 15
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+    assert "scripts/" not in text
 
 
 def test_verify_range_below_a_rival_claims_start(capsys):
