@@ -3,27 +3,24 @@
 A quotient matrix of an equitable partition shares its largest eigenvalue
 with the adjacency matrix, which is what makes the closed-form
 polynomials of the extremal families exactly reproducible.  Quotient
-matrices hold integer neighbour counts, and `charpoly` runs on integers,
-clearing denominators only where an entry is a Fraction, so its exact
-polynomial needs no Fraction; the float world only enters in
-`charpoly_lambda_check`, which confronts the exact largest root with the
-dense eigenvalue solver.
+matrices hold integer neighbour counts, and `charpoly` takes integer
+matrices only, so its exact polynomial needs no Fraction; the float world
+only enters in `charpoly_lambda_check`, which confronts the exact largest
+root with the dense eigenvalue solver.
 Each vertex's neighbour count in every block is read off one table per
 (graph, partition), which decides equitability, gives the quotient rows
 and drives each round of the refinement.
 
-The ``*_partition`` helpers at the bottom return (graph, blocks) pairs
-for the specific layouts produced by `bht.families`, block-ordered so the
-quotient matrices come out in their reference shape.
+`REFERENCE_PARTITIONS` at the bottom derives each family's layout as the
+coarsest equitable refinement that sets apart the few vertices it names,
+which keeps every cell the family's stated polynomial counts.
 """
 
 from __future__ import annotations
 
-import math
 import operator
-from fractions import Fraction
 from itertools import groupby
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import families
 from .graphs import Graph
@@ -77,34 +74,25 @@ def quotient(g: Graph, blocks: Sequence[Sequence[int]]) -> list[list[int]]:
     return [list(counts[vs[0]]) for vs in bl]
 
 
-def charpoly(matrix: Sequence[Sequence[int | Fraction]]) -> Polynomial:
-    """det(xI - M) with exact rational coefficients.
-
-    Faddeev-LeVerrier runs on the integer matrix N = D*M, with D the lcm of
-    the entries' denominators: det(yI - N) has integer coefficients e_k, so
-    every division by k is exact, and det(xI - M) = D^-n det(DxI - N) has
-    coefficients e_k / D^k, the integers e_k D^(n-k) over D^n.  Quotient and
-    adjacency matrices are integer matrices, D = 1, and no Fraction is built.
-    """
+def charpoly(matrix: Sequence[Sequence[int]]) -> Polynomial:
+    """det(xI - M) of an integer matrix, by Faddeev-LeVerrier: its
+    coefficients e_k are integers, so every division by k is exact."""
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    m = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in matrix]
-    den = math.lcm(*(x.denominator for row in m for x in row))
-    ints = [[x.numerator * (den // x.denominator) for x in row] for row in m]
     coeffs = [1]  # e_0, e_1, ...
     aux = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        # aux <- N @ (aux + e_{k-1} I)
+        # aux <- M @ (aux + e_{k-1} I)
         for i in range(n):
             aux[i][i] += coeffs[-1]
         cols = list(zip(*aux))
-        aux = [[sum(map(operator.mul, row, col)) for col in cols] for row in ints]
+        aux = [[sum(map(operator.mul, row, col)) for col in cols] for row in matrix]
         e_k, r = divmod(-sum(aux[i][i] for i in range(n)), k)
         assert r == 0, "Faddeev-LeVerrier division left a remainder"
         coeffs.append(e_k)
-    return Polynomial([e * den ** (n - k) for k, e in enumerate(coeffs)][::-1], den**n)
+    return Polynomial(coeffs[::-1])
 
 
 def adjacency_charpoly(g: Graph) -> Polynomial:
@@ -144,110 +132,64 @@ def quotient_lambda_check(g: Graph, blocks: Sequence[Sequence[int]]) -> tuple[fl
     return charpoly_lambda_check(g, charpoly(quotient(g, blocks)))
 
 
-# ---------------------------------------------------------------------------
-# reference partitions for the family layouts
-# ---------------------------------------------------------------------------
+def _named(g: Graph, named: Sequence[int]) -> tuple[Graph, Blocks]:
+    """g and the coarsest equitable refinement of the partition that sets
+    each named vertex apart from the others (-1 names the last vertex)."""
+    named = [range(g.n)[v] for v in named]
+    others = [v for v in range(g.n) if v not in named]
+    return g, coarsest_equitable_refinement(g, [others, *([v] for v in named)])
 
 
-def split_pendant_partition(m: int, t: int) -> tuple[Graph, Blocks]:
-    """4 blocks: pendant-carrying hub, other hub, independents, pendants."""
-    if t < 1:
-        raise ValueError(f"need 1 <= t and m >= t+1, got m={m}, t={t}")
-    g = families.split_pendant_for_size(m, t)
-    n_base = g.n - t
-    if n_base < 3:
-        raise ValueError(f"need m >= t+3 for a nonempty independent block, got m={m}, t={t}")
-    blocks = (
-        (0,),
-        (1,),
-        tuple(range(2, n_base)),
-        tuple(range(n_base, g.n)),
-    )
-    return g, blocks
+def _split_pendant(m: int, t: int) -> Graph:
+    if t < 1 or m < t + 3:
+        raise ValueError(f"need t >= 1 and m >= t+3, got m={m}, t={t}")
+    return families.split_pendant_for_size(m, t)
 
 
-def diamond_k4_partition(m: int) -> tuple[Graph, Blocks]:
-    """Star joined onto K4: blocks (K4 rim, hub, star leaves, star centre)."""
-    g = families.star_diamond_k4(m)
-    blocks = ((1, 2, 3), (0,), tuple(range(5, g.n)), (4,))
-    return g, blocks
-
-
-def cone_star_edge_partition(m: int, r: int) -> tuple[Graph, Blocks]:
-    """5 blocks: isolates, apex, matched pair, inner centre, plain leaves."""
-    isolates = m - 2 * r - 2
-    if r < 3 or isolates < 1:
+def _cone_star_edge(m: int, r: int) -> Graph:
+    if r < 3 or m < 2 * r + 3:
         raise ValueError(f"need r >= 3 and m >= 2r+3, got m={m}, r={r}")
-    g = families.k1_join_star_edge(m, r)
-    blocks = (
-        tuple(range(r + 2, r + 2 + isolates)),
-        (0,),
-        (2, 3),
-        (1,),
-        tuple(range(4, r + 2)),
-    )
-    return g, blocks
+    return families.k1_join_star_edge(m, r)
 
 
-def cone_double_star_partition(m: int) -> tuple[Graph, Blocks]:
-    """Apex over a double star: 5 singleton-ish blocks per reference layout."""
+def _cone_double_star(m: int) -> Graph:
+    """An apex over a double star: vertex 0 the apex, 1 and 2 the centres,
+    then the (m-5)/2 leaves of 1, and last the one leaf of 2."""
     if m % 2 == 0 or m < 7:
         raise ValueError(f"need odd m >= 7, got {m}")
-    a = (m - 5) // 2
-    g = families.join(families.empty(1), families.double_star(a, 1))
-    # vertices: 0 apex, 1 centre u, 2 centre u', 3..a+2 leaves of u, a+3 leaf of u'
-    blocks = ((0,), (1,), (2,), (a + 3,), tuple(range(3, a + 3)))
-    return g, blocks
+    return families.join(families.empty(1), families.double_star((m - 5) // 2, 1))
 
 
-def cone_double_star_alt_partition(m: int) -> tuple[Graph, Blocks]:
-    """The rewired comparison graph: deep leaf detached, pendant on the apex."""
-    g, _ = cone_double_star_partition(m)
-    a = (m - 5) // 2
-    g = g.remove_edge(2, a + 3).add_vertex().add_edge(0, g.n)
-    blocks = ((0,), (1,), (a + 3,), (g.n - 1,), tuple(range(3, a + 3)) + (2,))
-    return g, blocks
+def _cone_double_star_alt(m: int) -> Graph:
+    """The rewired comparison graph: centre 2's leaf detached, and a new
+    pendant on the apex as the last vertex."""
+    g = _cone_double_star(m)
+    return g.remove_edge(2, g.n - 1).add_vertex().add_edge(0, g.n)
 
 
-def star_matching_partition(m: int, merged: bool = True) -> tuple[Graph, Blocks]:
-    """Star plus one matching edge; 3 blocks merged, 4 blocks otherwise."""
+def _star_matching(m: int) -> Graph:
     if m < 4:
         raise ValueError("need m >= 4")
-    g = families.star_matching(m, 1)
-    if merged:
-        blocks: Blocks = ((0,), (1, 2), tuple(range(3, m)))
-    else:
-        blocks = ((0,), (1,), (2,), tuple(range(3, m)))
-    return g, blocks
+    return families.star_matching(m, 1)
 
 
-def bipartite_minus_partition(m: int, p: int) -> tuple[Graph, Blocks]:
-    """Complete bipartite minus an edge, 4 blocks isolating the missing pair."""
-    if p < 2 or (m + 1) % p or p * p > m + 1:
-        raise ValueError(f"need p >= 2 dividing m+1, p <= sqrt(m+1); got m={m}, p={p}")
-    q = (m + 1) // p
-    g = families.kminus(p, q)
-    blocks = (tuple(range(p - 1)), (p - 1,), tuple(range(p, p + q - 1)), (p + q - 1,))
-    return g, blocks
+def _bipartite(build: Callable[[int, int], Graph], m: int, p: int, e: int) -> Graph:
+    """build(p, q) with m = pq + e edges, for a p >= 2 dividing m - e with p <= q."""
+    if p < 2 or (m - e) % p or p * p > m - e:
+        raise ValueError(f"need p >= 2 dividing m{-e:+d}, p <= sqrt(m{-e:+d}); got m={m}, p={p}")
+    return build(p, (m - e) // p)
 
 
-def bipartite_plus_partition(m: int, p: int) -> tuple[Graph, Blocks]:
-    """Complete bipartite plus a pendant, 4 blocks isolating the new edge."""
-    if p < 2 or (m - 1) % p or p * p > m - 1:
-        raise ValueError(f"need p >= 2 dividing m-1, p <= sqrt(m-1); got m={m}, p={p}")
-    q = (m - 1) // p
-    g = families.kplus(p, q)
-    blocks = (tuple(range(1, p)), (0,), tuple(range(p, p + q)), (p + q,))
-    return g, blocks
-
-
-REFERENCE_PARTITIONS = {
-    "split_pendant": split_pendant_partition,
-    "diamond_k4": diamond_k4_partition,
-    "cone_star_edge": cone_star_edge_partition,
-    "cone_double_star": cone_double_star_partition,
-    "cone_double_star_alt": cone_double_star_alt_partition,
-    "star_matching": star_matching_partition,
-    "bipartite_minus": bipartite_minus_partition,
-    "bipartite_plus": bipartite_plus_partition,
+# entry -> layout(m, **params): the family graph with m edges and the vertices
+# it names apart; K_{p,q} minus an edge names the edge's ends, and K_{p,q}
+# plus a pendant names the pendant's neighbour and the pendant
+REFERENCE_PARTITIONS: dict[str, Callable[..., tuple[Graph, Blocks]]] = {
+    "split_pendant": lambda m, t: _named(_split_pendant(m, t), (0, 1)),  # both hubs
+    "diamond_k4": lambda m: _named(families.star_diamond_k4(m), (0, 4)),  # K4 hub, star centre
+    "cone_star_edge": lambda m, r: _named(_cone_star_edge(m, r), (0, 1)),  # apex, star centre
+    "cone_double_star": lambda m: _named(_cone_double_star(m), (0, 1, 2)),  # apex, both centres
+    "cone_double_star_alt": lambda m: _named(_cone_double_star_alt(m), (0, 1, -1)),
+    "star_matching": lambda m: _named(_star_matching(m), (0,)),  # the centre
+    "bipartite_minus": lambda m, p: _named(_bipartite(families.kminus, m, p, -1), (p - 1, -1)),
+    "bipartite_plus": lambda m, p: _named(_bipartite(families.kplus, m, p, 1), (0, -1)),
 }

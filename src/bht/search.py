@@ -430,9 +430,9 @@ def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes]):
     by more than TIE_TOL: the first contender in form order resets the
     best, and after it no other graph is kept or resets it.  The
     contenders' lambda, which ``_admit`` folds and the search reports, is
-    ``connected_radius`` of the canonical graph.
+    ``radius`` of the canonical graph.
     """
-    from .spectral import connected_radius, layer_radii
+    from .spectral import layer_radii, radius
 
     free = [i for i, c in enumerate(layer) if forbidden.is_free(c.graph, patterns)]
     unsolved = [i for i in free if layer[i].radius is None]
@@ -452,7 +452,7 @@ def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes]):
     tied: list[tuple[Graph, bytes, float]] = []
     for _, c in sorted(contenders, key=lambda t: t[1].form):
         g = c.graph.relabel(c.labelling)
-        best = _admit(best, tied, (g, c.form, connected_radius(g)))
+        best = _admit(best, tied, (g, c.form, radius(g)))
     return tied, len(layer), len(free)
 
 
@@ -482,7 +482,7 @@ def _decode_tie(item, key: str, m: int, patterns, exclusions: frozenset[bytes]):
     """A tied entry of layer ``key``, the graph6 of its class's canonical
     graph, as (graph, canon, lambda) derived as ``_scan`` derives them,
     after checking that this search could have kept it there."""
-    from .spectral import connected_radius
+    from .spectral import radius
 
     if type(item) is not str:
         raise ValueError(f"bad tied entry {item!r}")
@@ -495,7 +495,7 @@ def _decode_tie(item, key: str, m: int, patterns, exclusions: frozenset[bytes]):
         raise ValueError(f"tied entry {item!r} is not its class's canonical graph")
     if not forbidden.is_free(g, patterns) or canon in exclusions:
         raise ValueError(f"tied entry {item!r} is not admissible")
-    return g, canon, connected_radius(g)
+    return g, canon, radius(g)
 
 
 def _load_checkpoint(path: Path, m: int, patterns, exclusions: frozenset[bytes]) -> dict[str, tuple]:

@@ -10,16 +10,16 @@ nothing here compares it with a bound.  The test suite checks, on random
 connected graphs, that it stays below 1e-10 and that the Perron vector
 is strictly positive.
 
-Callers that read λ alone take it from ``radius`` (any graph) or
-``connected_radius`` (a graph known to be connected, without the
-component split).  Both return ``spectral_radius(g).lam`` to the bit;
-only ``bht lambda``, which prints the vector and the residual, needs
-``spectral_radius``.  ``radius`` serves only the float check of ``bht
-quotient``; ``verify`` decides its claims on exact quotient polynomials,
-and solves eigenvalues only in the searches of its oracle mode.  ``layer_radii`` solves many graphs of one order in
-one stacked ``eigvalsh``: its values agree with ``connected_radius``
-within rounding, not to the bit, so the search uses them only to order
-its walk and never reports them.
+Callers that read λ alone take it from ``radius``, which returns
+``spectral_radius(g).lam`` to the bit; only ``bht lambda``, which prints
+the vector and the residual, needs ``spectral_radius``.  ``radius``
+serves the float check of ``bht quotient`` and the λ that the search
+reports; ``verify`` decides its claims on exact quotient polynomials,
+and solves eigenvalues only in the searches of its oracle mode.
+``layer_radii`` solves many graphs of one order in one stacked
+``eigvalsh``: its values agree with ``radius`` within rounding, not to
+the bit, so the search uses them only to order its walk and never
+reports them.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def layer_radii(graphs: Sequence[Graph]) -> list[float]:
     """The largest eigenvalue of each of a non-empty list of graphs of one
-    order, from one stacked ``eigvalsh``: ``connected_radius`` of each
-    connected graph within rounding, not to the bit."""
+    order, from one stacked ``eigvalsh``: ``radius`` of each connected
+    graph within rounding, not to the bit."""
     return np.linalg.eigvalsh(_adjacency_stack(graphs))[:, -1].tolist()
 
 
@@ -72,12 +72,6 @@ def _component_eigenpair(a: np.ndarray) -> tuple[float, np.ndarray]:
     y = a @ x
     lam = float(x @ y)
     return lam, x
-
-
-def connected_radius(g: Graph) -> float:
-    """The spectral radius of a connected graph: ``spectral_radius(g).lam``
-    to the bit, without the component split, Perron tuple and residual."""
-    return _component_eigenpair(adjacency_matrix(g))[0]
 
 
 def _best_component(g: Graph) -> tuple[float, list[int], np.ndarray, np.ndarray]:

@@ -40,20 +40,24 @@ def test_criterion_01_book_closed_form():
 
 def _criterion2_cases():
     """Every (graph, blocks, expected polynomial) pair reproduced exactly."""
+    layout = PT.REFERENCE_PARTITIONS
     cases = []
     for m in range(22, 41):
         for t in range(1, 7):
             if (m + t) % 2 == 1:
-                cases.append((PT.split_pendant_partition(m, t), P.split_pendant_poly(m, t)))
+                cases.append((layout["split_pendant"](m, t=t), P.split_pendant_poly(m, t)))
         if m % 2 == 1:
-            cases.append((PT.diamond_k4_partition(m), P.diamond_k4_poly(m)))
-            cases.append((PT.cone_double_star_partition(m), P.cone_double_star_poly(m)))
-            cases.append((PT.cone_double_star_alt_partition(m), P.cone_double_star_alt_poly(m)))
+            cases.append((layout["diamond_k4"](m), P.diamond_k4_poly(m)))
+            cases.append((layout["cone_double_star"](m), P.cone_double_star_poly(m)))
+            cases.append((layout["cone_double_star_alt"](m), P.cone_double_star_alt_poly(m)))
         for r in range(3, 9):
             if m >= 2 * r + 3:
-                cases.append((PT.cone_star_edge_partition(m, r), P.cone_star_edge_poly(m, r)))
-        cases.append((PT.star_matching_partition(m, merged=True), P.star_matching_cubic(m)))
-        cases.append((PT.star_matching_partition(m, merged=False), P.star_matching_quartic(m)))
+                cases.append((layout["cone_star_edge"](m, r=r), P.cone_star_edge_poly(m, r)))
+        g, merged = layout["star_matching"](m)
+        cases.append(((g, merged), P.star_matching_cubic(m)))
+        # the centre and one matched leaf seeded apart give the 4-block layout
+        four = PT.coarsest_equitable_refinement(g, [range(2, m), [0], [1]])
+        cases.append(((g, four), P.star_matching_quartic(m)))
     return cases
 
 

@@ -2,14 +2,14 @@
 tracer wraps the functions listed in ``TARGETS`` and its worker calls
 module functions directly.  These tests read both files as source and
 fail when a name they use no longer resolves in bht, and fail when the
-package defines a public name that no command, script or benchmark
-names."""
+package defines a public name that no command or benchmark names."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
-from bht import partition
+from bht import partition, polynomials
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -39,13 +39,39 @@ def test_worker_calls_resolve():
         assert callable(getattr(importlib.import_module(f"bht.{module}"), name, None)), (module, name)
     (check,) = [c for c in calls if c.func.attr == "quotient_lambda_check"]
     assert len(check.args) == 2 and not check.keywords
-    g, blocks = partition.split_pendant_partition(23, 2)
+    g, blocks = partition.REFERENCE_PARTITIONS["split_pendant"](23, t=2)
     lam_a, lam_q, ok = partition.quotient_lambda_check(g, blocks)
     assert ok and abs(lam_a - lam_q) <= 1e-9
 
 
-# Public names that nothing in the package, the scripts or the benchmark
-# names yet, each kept for a stated reason.
+def _ops_module():
+    """perfbench/ops.py, which imports no bht, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_ops", PERFBENCH / "ops.py")
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    return ops
+
+
+def test_partition_ops_match_the_stated_polynomials():
+    """Every partition op that the benchmark can draw, at every m of 22..120
+    (a pass samples every 13th), gives the polynomial its oracle pairs with
+    the layout, exactly, and a largest root that the eigen-solve confirms:
+    what the worker computes and the frozen oracle expects."""
+    ops = _ops_module()
+    checked = 0
+    for m in range(22, 121):
+        for _, entry, size, params in ops.partition_ops(m):
+            g, blocks = partition.REFERENCE_PARTITIONS[entry](size, **params)
+            poly = partition.charpoly(partition.quotient(g, blocks))
+            assert poly == polynomials.instantiate(ops.PARTITION_POLY[entry], size, **params), (
+                entry, size, params)
+            assert partition.quotient_lambda_check(g, blocks)[2], (entry, size, params)
+            checked += 1
+    assert checked > 500
+
+
+# Public names that nothing in the package or the benchmark names yet,
+# each kept for a stated reason.
 UNREACHED_ON_PURPOSE = {
     ("partition", "is_equitable"): "exact spectral radii test cells with it",
     ("partition", "adjacency_charpoly"): "the oracle that exact spectral radii are checked against",
@@ -69,8 +95,7 @@ def _names(node: ast.AST) -> set[str]:
 
 
 def test_package_names_are_reached():
-    files = [*sorted((ROOT / "src" / "bht").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
-             *sorted(PERFBENCH.glob("*.py"))]
+    files = [*sorted((ROOT / "src" / "bht").glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]
     defined: dict[tuple[str, str], Path] = {}
     used: list[tuple[Path, str | None, set[str]]] = []
     for path in files:
@@ -87,7 +112,7 @@ def test_package_names_are_reached():
                    if (where, owner) != (path, key[1]))
     )
     assert unreached == sorted(UNREACHED_ON_PURPOSE), (
-        "public names that no command, script or benchmark names: "
+        "public names that no command or benchmark names: "
         f"{sorted(set(unreached) - set(UNREACHED_ON_PURPOSE))}; "
         f"reached now, so drop from UNREACHED_ON_PURPOSE: {sorted(set(UNREACHED_ON_PURPOSE) - set(unreached))}"
     )

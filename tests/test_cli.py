@@ -563,7 +563,6 @@ POLY_PARAMS = {"split_pendant": [{"t": t} for t in range(1, 8)],
                "cone_star_edge": [{"r": r} for r in range(3, 9)],
                "bipartite_minus": [{"p": p} for p in range(2, 12)],
                "bipartite_plus": [{"p": p} for p in range(2, 12)]}
-PARTITION_PARAMS = {**POLY_PARAMS, "star_matching": [{"merged": True}, {"merged": False}]}
 
 
 def _exact_cli_records(capsys, tmp_path):
@@ -584,7 +583,7 @@ def _exact_cli_records(capsys, tmp_path):
     path = tmp_path / "g.g6"
     for m in PIN_SIZES:
         for entry, build in sorted(partition.REFERENCE_PARTITIONS.items()):
-            for params in PARTITION_PARAMS.get(entry, [{}]):
+            for params in POLY_PARAMS.get(entry, [{}]):
                 try:
                     g, blocks = build(m, **params)
                 except ValueError:
@@ -599,7 +598,7 @@ def _exact_cli_records(capsys, tmp_path):
 
 
 # (record count, sha256 of the records as JSON lines)
-EXACT_CLI_PIN = (408, "311fcf023f9eaa4f4d1db95a474c1876d36e95109e872ffdd5f9928e076e8170")
+EXACT_CLI_PIN = (403, "8d8c25d123f1519850e9c3ebdc177519f2ae86fb1cfd2ded38f0e6ad0439415c")
 
 
 def test_exact_layer_cli_output_is_pinned(capsys, tmp_path):

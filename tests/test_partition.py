@@ -15,13 +15,15 @@ from bht.graphs import Graph
 from conftest import (fraction_charpoly, mask_is_equitable, mask_quotient, mask_refinement,
                       random_connected)
 
+LAYOUT = PT.REFERENCE_PARTITIONS
+
 
 def test_integer_inputs_build_no_fraction(monkeypatch):
     """The Sturm chain of an integer polynomial (with a repeated root, so that
     its squarefree part is a proper factor), the quotient matrix of an
     equitable partition and the characteristic polynomials of integer
     matrices run on integers alone: none builds a Fraction."""
-    g, blocks = PT.cone_star_edge_partition(40, 3)
+    g, blocks = LAYOUT["cone_star_edge"](40, r=3)
     new = Fraction.__new__
     calls = []
 
@@ -41,7 +43,7 @@ def test_integer_inputs_build_no_fraction(monkeypatch):
 
 
 def test_is_equitable():
-    g, blocks = PT.split_pendant_partition(23, 2)
+    g, blocks = LAYOUT["split_pendant"](23, t=2)
     assert PT.is_equitable(g, blocks)
     singletons = [[v] for v in range(g.n)]
     assert PT.is_equitable(g, singletons)
@@ -61,68 +63,82 @@ def test_partition_validation():
 
 
 def test_split_pendant_quotient_matrix_shape():
-    g, blocks = PT.split_pendant_partition(23, 2)
-    q = PT.quotient(g, blocks)
-    assert q == [
-        [Fraction(0), Fraction(1), Fraction(10), Fraction(2)],
-        [Fraction(1), Fraction(0), Fraction(10), Fraction(0)],
-        [Fraction(1), Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
+    """Blocks in refinement order: pendants, independents, the
+    pendant-carrying hub, the other hub."""
+    g, blocks = LAYOUT["split_pendant"](23, t=2)
+    assert blocks == ((12, 13), tuple(range(2, 12)), (0,), (1,))
+    assert PT.quotient(g, blocks) == [
+        [0, 0, 1, 0],
+        [0, 0, 1, 1],
+        [2, 10, 0, 1],
+        [0, 10, 1, 0],
     ]
 
 
 def test_diamond_quotient_matrix_shape():
-    g, blocks = PT.diamond_k4_partition(23)
+    """Star leaves, K4 rim, hub, star centre."""
+    g, blocks = LAYOUT["diamond_k4"](23)
+    assert blocks == (tuple(range(5, 13)), (1, 2, 3), (0,), (4,))
     assert PT.quotient(g, blocks) == [
-        [Fraction(2), Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(3), Fraction(0), Fraction(8), Fraction(1)],
-        [Fraction(0), Fraction(1), Fraction(0), Fraction(1)],
-        [Fraction(0), Fraction(1), Fraction(8), Fraction(0)],
+        [0, 0, 1, 1],
+        [0, 2, 1, 0],
+        [8, 3, 0, 1],
+        [8, 0, 1, 0],
     ]
 
 
 def test_cone_double_star_quotient_matrix_shape():
-    g, blocks = PT.cone_double_star_partition(23)
-    nine = Fraction(9)  # (m-5)/2 at m = 23
+    """The leaf of centre 2, the leaves of centre 1, the apex, the centres.
+    In the alternative the first block is the detached leaf, centre 2
+    joins centre 1's leaves, and the apex's pendant comes last."""
+    g, blocks = LAYOUT["cone_double_star"](23)
+    assert blocks == ((12,), tuple(range(3, 12)), (0,), (1,), (2,))
+    nine = 9  # (m-5)/2 at m = 23
     assert PT.quotient(g, blocks) == [
-        [Fraction(0), Fraction(1), Fraction(1), Fraction(1), nine],
-        [Fraction(1), Fraction(0), Fraction(1), Fraction(0), nine],
-        [Fraction(1), Fraction(1), Fraction(0), Fraction(1), Fraction(0)],
-        [Fraction(1), Fraction(0), Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
+        [0, 0, 1, 0, 1],
+        [0, 0, 1, 1, 0],
+        [1, nine, 0, 1, 1],
+        [0, nine, 1, 0, 1],
+        [1, 0, 1, 1, 0],
     ]
-    g2, blocks2 = PT.cone_double_star_alt_partition(23)
-    ten = Fraction(10)  # (m-3)/2
+    g2, blocks2 = LAYOUT["cone_double_star_alt"](23)
+    assert blocks2 == ((12,), tuple(range(2, 12)), (0,), (1,), (13,))
+    ten = 10  # (m-3)/2
     assert PT.quotient(g2, blocks2) == [
-        [Fraction(0), Fraction(1), Fraction(1), Fraction(1), ten],
-        [Fraction(1), Fraction(0), Fraction(0), Fraction(0), ten],
-        [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)],
-        [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)],
-        [Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
+        [0, 0, 1, 0, 0],
+        [0, 0, 1, 1, 0],
+        [1, ten, 0, 1, 1],
+        [0, ten, 1, 0, 0],
+        [0, 0, 1, 0, 0],
     ]
 
 
 def test_bipartite_quotient_matrix_shapes():
-    g, blocks = PT.bipartite_minus_partition(27, 2)
+    """K_{p,q} minus an edge: the q-side but the missing edge's end, the
+    p-side but the other end, then both ends.  K_{p,q} plus a pendant: the
+    q-side, the p-side but the pendant's neighbour, then it and the pendant."""
+    g, blocks = LAYOUT["bipartite_minus"](27, p=2)
     q = (27 + 1) // 2  # 14
+    assert blocks == (tuple(range(2, 15)), (0,), (1,), (15,))
     assert PT.quotient(g, blocks) == [
-        [Fraction(0), Fraction(0), Fraction(q - 1), Fraction(1)],
-        [Fraction(0), Fraction(0), Fraction(q - 1), Fraction(0)],
-        [Fraction(1), Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
+        [0, 1, 1, 0],
+        [q - 1, 0, 0, 1],
+        [q - 1, 0, 0, 0],
+        [0, 1, 0, 0],
     ]
-    g, blocks = PT.bipartite_plus_partition(28, 3)
+    g, blocks = LAYOUT["bipartite_plus"](28, p=3)
     q = (28 - 1) // 3  # 9
+    assert blocks == (tuple(range(3, 12)), (1, 2), (0,), (12,))
     assert PT.quotient(g, blocks) == [
-        [Fraction(0), Fraction(0), Fraction(q), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(q), Fraction(1)],
-        [Fraction(2), Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(0), Fraction(0)],
+        [0, 2, 1, 0],
+        [q, 0, 0, 0],
+        [q, 0, 0, 1],
+        [0, 0, 1, 0],
     ]
 
 
 def test_charpoly_identity_matrix():
-    eye = [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
+    eye = [[int(i == j) for j in range(5)] for i in range(5)]
     expected = P.Polynomial([1])  # (x-1)^5
     for _ in range(5):
         expected = expected * P.Polynomial([-1, 1])
@@ -131,7 +147,7 @@ def test_charpoly_identity_matrix():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda n: st.lists(
-    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=15), min_size=n, max_size=n),
+    st.lists(st.integers(-20, 20), min_size=n, max_size=n),
     min_size=n, max_size=n)))
 def test_charpoly_matches_fraction_oracle(matrix):
     assert PT.charpoly(matrix) == fraction_charpoly(matrix)
@@ -139,24 +155,24 @@ def test_charpoly_matches_fraction_oracle(matrix):
 
 def test_quotient_polynomials_match_named_instances():
     for m, t in [(22, 1), (23, 2), (29, 4), (34, 3), (39, 6)]:
-        g, blocks = PT.split_pendant_partition(m, t)
+        g, blocks = LAYOUT["split_pendant"](m, t=t)
         assert PT.charpoly(PT.quotient(g, blocks)) == P.split_pendant_poly(m, t)
     for m in (23, 31):
-        g, blocks = PT.diamond_k4_partition(m)
+        g, blocks = LAYOUT["diamond_k4"](m)
         assert PT.charpoly(PT.quotient(g, blocks)) == P.diamond_k4_poly(m)
     for m, r in [(22, 3), (30, 5), (40, 8)]:
-        g, blocks = PT.cone_star_edge_partition(m, r)
+        g, blocks = LAYOUT["cone_star_edge"](m, r=r)
         assert PT.charpoly(PT.quotient(g, blocks)) == P.cone_star_edge_poly(m, r)
 
 
 def test_double_star_quintics_exact_formulas():
     for m in (23, 31, 39):
-        g, blocks = PT.cone_double_star_partition(m)
+        g, blocks = LAYOUT["cone_double_star"](m)
         cp = PT.charpoly(PT.quotient(g, blocks))
         assert cp == P.Polynomial(
             [m - 5, Fraction(3 * m - 15, 2), -(m - 1), -m, 0, 1]
         )
-        g2, blocks2 = PT.cone_double_star_alt_partition(m)
+        g2, blocks2 = LAYOUT["cone_double_star_alt"](m)
         cp2 = PT.charpoly(PT.quotient(g2, blocks2))
         assert cp2 == P.Polynomial([0, m - 3, -(m - 3), -m, 0, 1])
         diff = cp - cp2
@@ -167,32 +183,43 @@ def test_cone_double_star_partitions_take_the_quintics_range():
     """Both layouts take every odd m >= 7, as cone_double_star_poly and
     cone_double_star_alt_poly do, and reproduce their quintics there."""
     for m in (7, 9):
-        for layout, poly in ((PT.cone_double_star_partition, P.cone_double_star_poly),
-                             (PT.cone_double_star_alt_partition, P.cone_double_star_alt_poly)):
+        for layout, poly in ((LAYOUT["cone_double_star"], P.cone_double_star_poly),
+                             (LAYOUT["cone_double_star_alt"], P.cone_double_star_alt_poly)):
             g, blocks = layout(m)
             assert g.m == m
             assert PT.charpoly(PT.quotient(g, blocks)) == poly(m)
             assert PT.quotient_lambda_check(g, blocks)[2]
     for m in (5, 8):
-        for layout in (PT.cone_double_star_partition, PT.cone_double_star_alt_partition):
+        for layout in (LAYOUT["cone_double_star"], LAYOUT["cone_double_star_alt"]):
             with pytest.raises(ValueError, match=f"need odd m >= 7, got {m}"):
                 layout(m)
 
 
+def _star_four_blocks(m: int):
+    """Star plus one matching edge, refined from the centre and one matched
+    leaf seeded apart: 4 blocks where the reference layout has 3."""
+    g = F.star_matching(m, 1)
+    return g, PT.coarsest_equitable_refinement(g, [range(2, m), [0], [1]])
+
+
 def test_star_matching_partitions():
-    for m in (9, 22, 35):
-        g, merged = PT.star_matching_partition(m, merged=True)
-        g, four = PT.star_matching_partition(m, merged=False)
+    """The reference layout gives the cubic and the 4-block layout the
+    quartic, at the sizes the CLI pin takes too, with the same largest root."""
+    for m in (9, 22, 23, 35, 40, 41, 120):
+        g, merged = LAYOUT["star_matching"](m)
+        g4, four = _star_four_blocks(m)
+        assert g4 == g and len(merged) == 3 and len(four) == 4
         assert PT.charpoly(PT.quotient(g, merged)) == P.star_matching_cubic(m)
         assert PT.charpoly(PT.quotient(g, four)) == P.star_matching_quartic(m)
+        assert PT.quotient_lambda_check(g, four)[2]
 
 
 def test_bipartite_partitions():
     for m, p in [(27, 2), (26, 3), (50, 3)]:
-        g, blocks = PT.bipartite_minus_partition(m, p)
+        g, blocks = LAYOUT["bipartite_minus"](m, p=p)
         assert PT.charpoly(PT.quotient(g, blocks)) == P.bipartite_minus_poly(m, p)
     for m, p in [(28, 3), (46, 3), (26, 5)]:
-        g, blocks = PT.bipartite_plus_partition(m, p)
+        g, blocks = LAYOUT["bipartite_plus"](m, p=p)
         assert PT.charpoly(PT.quotient(g, blocks)) == P.bipartite_plus_poly(m, p)
 
 
@@ -217,10 +244,10 @@ def test_reference_partitions_build_or_raise_value_error(name):
 
 def test_quotient_charpoly_divides_adjacency_charpoly():
     cases = [
-        PT.split_pendant_partition(13, 2),
-        PT.star_matching_partition(11),
-        PT.diamond_k4_partition(9),
-        PT.bipartite_minus_partition(11, 2),
+        LAYOUT["split_pendant"](13, t=2),
+        LAYOUT["star_matching"](11),
+        LAYOUT["diamond_k4"](9),
+        LAYOUT["bipartite_minus"](11, p=2),
     ]
     for g, blocks in cases:
         assert g.n <= 12
@@ -299,7 +326,7 @@ def test_partition_matches_mask_oracles(case):
 
 
 def test_quotient_lambda_agreement():
-    g, blocks = PT.split_pendant_partition(23, 2)
+    g, blocks = LAYOUT["split_pendant"](23, t=2)
     lam_a, lam_q, ok = PT.quotient_lambda_check(g, blocks)
     assert ok
     # singleton partition is trivially equitable with the same lambda
@@ -307,9 +334,9 @@ def test_quotient_lambda_agreement():
     lam_a, lam_q, ok = PT.quotient_lambda_check(g, [[v] for v in range(g.n)])
     assert ok
     # both star partitions deliver the same largest root
-    g, merged = PT.star_matching_partition(20, merged=True)
+    g, merged = LAYOUT["star_matching"](20)
     _, lam3, _ = PT.quotient_lambda_check(g, merged)
-    g, four = PT.star_matching_partition(20, merged=False)
+    g, four = _star_four_blocks(20)
     _, lam4, _ = PT.quotient_lambda_check(g, four)
     assert abs(lam3 - lam4) <= 1e-12
 

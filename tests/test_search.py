@@ -21,7 +21,7 @@ from bht.graphs import (
     is_connected,
 )
 from bht.polynomials import Polynomial, book_lambda, compare_largest_roots
-from bht.spectral import connected_radius, layer_radii, spectral_radius
+from bht.spectral import layer_radii, radius, spectral_radius
 from conftest import (
     enumerate_connected, extremal_vertex, graph_of_form, random_connected, seen_dict_layer,
 )
@@ -301,7 +301,7 @@ def test_search_labels_parents_only_on_a_collision(monkeypatch):
 def _count_eigen_solves(monkeypatch) -> tuple[list[list[Graph]], list[Graph]]:
     """Empty the layer cache and record the graphs that the search's
     eigen-solves are given: one list per ``layer_radii`` call and one
-    graph per ``connected_radius`` call."""
+    graph per ``radius`` call."""
     stacked: list[list[Graph]] = []
     single: list[Graph] = []
 
@@ -311,10 +311,10 @@ def _count_eigen_solves(monkeypatch) -> tuple[list[list[Graph]], list[Graph]]:
 
     def one(g):
         single.append(g)
-        return connected_radius(g)
+        return radius(g)
 
     monkeypatch.setattr(spectral, "layer_radii", stack)
-    monkeypatch.setattr(spectral, "connected_radius", one)
+    monkeypatch.setattr(spectral, "radius", one)
     monkeypatch.setattr(SR, "_LAYERS", {})
     return stacked, single
 
@@ -322,7 +322,7 @@ def _count_eigen_solves(monkeypatch) -> tuple[list[list[Graph]], list[Graph]]:
 def test_search_solves_each_scanned_layer_in_one_call(monkeypatch):
     """A cold search solves each free class once, in at most one stacked
     call per scanned layer (no layer here exceeds one slice), and takes
-    ``connected_radius`` only of the contenders it folds into the best,
+    ``radius`` only of the contenders it folds into the best,
     once each: 511 stacked solves in 5 calls and 5 contender solves, where
     the per-graph scan made 516."""
     stacked, single = _count_eigen_solves(monkeypatch)
@@ -410,7 +410,7 @@ def test_best_lambda_and_hong_pruned_count(patterns):
     for m in range(4, 10):
         for excl in ([], [F.book(m)]) if m % 2 else ([],):
             rep = SR.extremal_search(m, patterns, excl)
-            assert rep.best_lambda == connected_radius(rep.maximizers[0][0]), (m, excl)
+            assert rep.best_lambda == radius(rep.maximizers[0][0]), (m, excl)
             below = sum(1 for n in range(2, m + 2)
                         if n - 1 <= m <= math.comb(n, 2)
                         and math.sqrt(2 * m - n + 1) < rep.best_lambda - SR.TIE_TOL)

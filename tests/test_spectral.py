@@ -222,7 +222,6 @@ def test_lambda_only_routines_keep_the_bits_on_every_claim_graph():
             graphs = [claim.graph(m)] + ([claim.rival(m)] if claim.rival else [])
             for g in filter(None, graphs):
                 lam = S.spectral_radius(g).lam
-                assert S.connected_radius(g) == lam, (m, g.n)
                 assert S.radius(g) == lam, (m, g.n)
                 checked += 1
     assert checked >= 4 * 99
@@ -245,8 +244,8 @@ def test_radius_keeps_the_bits_on_disconnected_graphs(rng):
     assert S.radius(F.empty(1)) == S.spectral_radius(F.empty(1)).lam == 0.0
 
 
-def test_layer_radii_agree_with_connected_radius():
-    """The stacked solve gives ``connected_radius`` within 1e-12 on every
+def test_layer_radii_agree_with_radius():
+    """The stacked solve gives ``radius`` within 1e-12 on every
     class of every layer with m <= 10 (3,391 graphs), solved a layer at a
     time and one graph at a time; the largest difference measured is
     7.1e-15, far below the search's TIE_TOL / 2."""
@@ -255,6 +254,6 @@ def test_layer_radii_agree_with_connected_radius():
             graphs = [c.graph for c in search._layer(n, m)]
             if not graphs:
                 continue
-            exact = [S.connected_radius(g) for g in graphs]
+            exact = [S.radius(g) for g in graphs]
             for got in (S.layer_radii(graphs), [S.layer_radii([g])[0] for g in graphs]):
                 assert max(abs(a - b) for a, b in zip(got, exact)) <= 1e-12, (n, m)
