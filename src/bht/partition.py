@@ -8,8 +8,9 @@ matrices only, so its exact polynomial needs no Fraction; the float world
 only enters in `charpoly_lambda_check`, which confronts the exact largest
 root with the dense eigenvalue solver.
 Each vertex's neighbour count in every block is read off one table per
-(graph, partition), which decides equitability, gives the quotient rows
-and drives each round of the refinement.
+(graph, partition), which decides equitability and gives the quotient
+rows.  Each round of the refinement builds one; the last round splits no
+block, so its table also gives the refined partition's quotient rows.
 
 `REFERENCE_PARTITIONS` at the bottom derives each family's layout as the
 coarsest equitable refinement that sets apart the few vertices it names,
@@ -107,14 +108,21 @@ def coarsest_equitable_refinement(g: Graph, seed: Sequence[Sequence[int]]) -> Bl
     Deterministic: blocks keep their seed order and split by ascending
     count signature; idempotent on already-equitable partitions.
     """
+    return _refine(g, seed)[0]
+
+
+def _refine(g: Graph, seed: Sequence[Sequence[int]]) -> tuple[Blocks, list[list[int]]]:
+    """The coarsest equitable refinement of seed and its quotient matrix,
+    read off the neighbour counts of the last round, which split no block."""
     blocks = tuple(tuple(sorted(vs)) for vs in validate_partition(g, seed))
     while True:
-        sig = _neighbour_counts(g, blocks).__getitem__
+        counts = _neighbour_counts(g, blocks)
+        sig = counts.__getitem__
         # a stable sort keeps the vertices of each new block ascending
         new_blocks = tuple(tuple(part) for vs in blocks
                            for _, part in groupby(sorted(vs, key=sig), key=sig))
         if len(new_blocks) == len(blocks):
-            return blocks
+            return blocks, [list(counts[vs[0]]) for vs in blocks]
         blocks = new_blocks
 
 

@@ -9,17 +9,22 @@ one Horner sum on those integers, in Z or in Z[sqrt(d)].  Sturm chains and
 gcds are primitive pseudo-remainder sequences (Collins 1967), positive
 multiples of the rational remainders; a chain is built once, on first use,
 from one remainder sequence when the polynomial is squarefree, and kept on
-it, as is the bracket that isolates its largest root.  Bisection runs on
-integer numerators over one denominator, (the Cauchy bound's denominator)
-x 2^k, so no step takes a gcd.  Fractions are built only for output: a
-polynomial's coefficients and a root bracket's two ends when read, and a
-Quad's text.  Largest roots are ordered exactly: equal when the gcd of the
-squarefree parts has a root where the brackets overlap, else by bisecting
-until the brackets separate.  The nested-radical ceilings square away both
-radicals and become one sign in Z[sqrt(m-1)].  The certificates at m are rows (name, statement, kind,
-arguments, detail) from one generator, and one evaluator decides each row by
-its kind: a sign at a point, an exact value, positivity on a ray or an open
-interval, a largest-root order, a discriminant or a nested radical.
+it, as are the brackets of its largest root.  A reported largest root lies
+in a cell of width at most 1e-13 of the grid that bisection from the Cauchy
+bound runs on: a float root by Newton's method, moved by one Newton step on
+its exact value, names the cell, and one sign and one Sturm count at its
+ends certify it; only when they do not is the root isolated and bisected.
+Grid points are integer numerators over one denominator, (the Cauchy
+bound's denominator) x 2^k, so no step takes a gcd.  Fractions are built
+only for output: a polynomial's coefficients and a root bracket's two ends
+when read, and a Quad's text.  Largest roots are ordered exactly: equal
+when the gcd of the squarefree parts has a root where the brackets overlap,
+else by bisecting until the brackets separate.  The nested-radical ceilings
+square away both radicals and become one sign in Z[sqrt(m-1)].  The
+certificates at m are rows (name, statement, kind, arguments, detail) from
+one generator, and one evaluator decides each row by its kind: a sign at a
+point, an exact value, positivity on a ray or an open interval, a
+largest-root order, a discriminant or a nested radical.
 
 Polynomial ids and their parameters:
 
@@ -55,7 +60,7 @@ class Polynomial:
     equality, hashing and the arithmetic run on integers; the Fractions of
     ``coeffs`` are built on first read, for output."""
 
-    __slots__ = ("num", "den", "_coeffs", "_chain", "_isolated")
+    __slots__ = ("num", "den", "_coeffs", "_chain", "_isolated", "_bracket")
 
     def __init__(self, coeffs: Iterable[Fraction | int], den: int = 1):
         """The polynomial sum(coeffs[i] x^i) / den, for an integer den != 0."""
@@ -72,6 +77,7 @@ class Polynomial:
         self._coeffs: tuple[Fraction, ...] | None = None
         self._chain: tuple[Polynomial, ...] | None = None
         self._isolated: tuple[tuple[int, ...], int, int, int] | None = None
+        self._bracket: tuple[int, int, int] | None = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -372,10 +378,11 @@ def cauchy_bound(p: Polynomial) -> tuple[int, int]:
 @dataclass(frozen=True, eq=False)
 class RootBracket:
     """Interval (lo, hi] certified to hold exactly one distinct root.  Its
-    ends were bisected as integer numerators over one denominator, of the
-    form (the Cauchy bound's denominator) x 2^k, and are kept so: ``lo``
-    and ``hi`` build their Fractions only when read.  Two brackets are
-    equal when their ends are equal as numbers."""
+    ends are points of the bisection grid from the Cauchy bound, integer
+    numerators over one denominator of the form (the Cauchy bound's
+    denominator) x 2^k, and are kept so: ``lo`` and ``hi`` build their
+    Fractions only when read.  Two brackets are equal when their ends are
+    equal as numbers."""
 
     lo_num: int
     hi_num: int
@@ -441,16 +448,94 @@ def _halve(cs: tuple[int, ...], lo: int, hi: int, den: int) -> tuple[int, int, i
 
 
 def largest_real_root(p: Polynomial) -> tuple[float, RootBracket]:
-    """Certified largest real root: Sturm isolation plus bisection.
+    """The largest real root, as its certified bracket's midpoint, and the bracket.
 
     The returned bracket (lo, hi] contains exactly one distinct root of p,
     no root of p lies above hi, and the squarefree part of p changes sign
-    over [lo, hi].
+    over [lo, hi].  It is the cell that Sturm isolation and bisection to
+    width 1e-13 reach, found from a float seed when one certifies it, and
+    kept on p.
     """
-    cs, lo, hi, den = _isolate(p)
-    while (hi - lo) * 10**13 > den:  # to width 1e-13
-        lo, hi, den = _halve(cs, lo, hi, den)
+    if p._bracket is None:
+        p._bracket = _seeded_bracket(p) or _bisected_bracket(p)
+    lo, hi, den = p._bracket
     return (lo + hi) / (2 * den), RootBracket(lo, hi, den)
+
+
+def _bisected_bracket(p: Polynomial) -> tuple[int, int, int]:
+    """The _isolate bracket of p's largest root, halved to width 1e-13."""
+    cs, lo, hi, den = _isolate(p)
+    while (hi - lo) * 10**13 > den:
+        lo, hi, den = _halve(cs, lo, hi, den)
+    return lo, hi, den
+
+
+def _seeded_bracket(p: Polynomial) -> tuple[int, int, int] | None:
+    """The bracket of _bisected_bracket, reached from a float root, or None.
+
+    _isolate bisects (-b/den, b/den], the Cauchy bound, so its cells at
+    depth k have width 2b over den 2^k.  Bisection stops at the least depth
+    with width at most 1e-13 unless isolation went deeper, and keeps the
+    cell (lo, hi] that holds the largest root.  A float root names a cell
+    of that depth; the cell is the one when the squarefree part has the
+    leading coefficient's sign (or 0) at hi and exactly one distinct root
+    lies above lo, for then that root lies in (lo, hi], and isolation
+    stopped no deeper.  Anything else gives None.
+    """
+    chain = sturm_chain(p)
+    cs = chain[0].num
+    seed = _float_root(cs) if len(cs) > 1 else None
+    if seed is None:
+        return None
+    x, slope = seed
+    a, q = x.as_integer_ratio()
+    try:
+        # one Newton step on the exact value at the float moves its error
+        # of a few ulps far below the cell width
+        step = _quad_horner(cs, Quad(a, 0, q, 0))[0] / (q ** (len(cs) - 1) * cs[-1]) / slope
+        e, s = step.as_integer_ratio()
+    except (OverflowError, ValueError):
+        return None
+    a, q = a * s - e * q, q * s  # the root is near a/q
+    b, den = cauchy_bound(chain[0])
+    width = 2 * b
+    depth = (-(-width * 10**13 // den) - 1).bit_length()  # least k with width <= 1e-13 den 2^k
+    den, base = den << depth, b << depth
+    hi = width * -((-a * den - base * q) // (q * width)) - base  # least grid point >= a/q
+    lo = hi - width
+    if _horner_sign(cs, hi, den) * cs[-1] < 0:
+        return None
+    above = (_variations(_horner_sign(c.num, lo, den) for c in chain)
+             - _variations(_sign_at(c, POS_INF) for c in chain))
+    return (lo, hi, den) if above == 1 else None
+
+
+def _float_root(cs: tuple[int, ...]) -> tuple[float, float] | None:
+    """A float x near the largest real root of cs, and cs'(x) / lc(cs).
+
+    Newton's method on cs / lc(cs) runs down from Fujiwara's bound B on the
+    roots' moduli, inside (-B, B), until a step no longer lowers x; from
+    above the largest root of a polynomial with only real roots, every
+    step does.  None when a coefficient ratio or the bound leaves float
+    range, or the derivative vanishes."""
+    try:
+        f = [c / cs[-1] for c in cs]
+    except OverflowError:
+        return None
+    n = len(f) - 1
+    bound = x = 2 * max(abs(c) ** (1 / (n - i)) for i, c in enumerate(f[:-1]))
+    if not math.isfinite(bound):
+        return None
+    while True:
+        value = slope = 0.0
+        for c in reversed(f):
+            slope, value = slope * x + value, value * x + c
+        if not slope:
+            return None
+        nxt = x - value / slope
+        if not -bound < nxt < x:
+            return x, slope
+        x = nxt
 
 
 @dataclass(frozen=True)

@@ -696,9 +696,9 @@ def _derived_poly(g: Graph) -> Polynomial:
     whose largest root is g's spectral radius (Godsil & Royle, Algebraic
     Graph Theory, 9.3)."""
     # imported here, so that a search does not load partition
-    from .partition import charpoly, coarsest_equitable_refinement, quotient
+    from .partition import _refine, charpoly
 
-    return charpoly(quotient(g, coarsest_equitable_refinement(g, [range(g.n)])))
+    return charpoly(_refine(g, [range(g.n)])[1])
 
 
 def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationReport:

@@ -354,6 +354,44 @@ def test_shared_largest_roots_tie_as_in_fraction_oracle(pair):
     assert cmp == fraction_compare_largest_roots(*pair)
 
 
+def test_named_roots_are_reached_from_the_float_seed(monkeypatch):
+    """Every named polynomial at m = 22..120 gets its bracket from the
+    float seed's cell, with neither isolation nor bisection."""
+    def refuse(*args):
+        raise AssertionError("isolated or bisected")
+
+    monkeypatch.setattr(P, "_isolate", refuse)
+    monkeypatch.setattr(P, "_halve", refuse)
+    seen = 0
+    for m in range(22, 121):
+        for _, _, poly in _named_instances(m):
+            P.largest_real_root(poly)
+            seen += 1
+    assert seen > 2000
+
+
+CLOSE_ROOTS = P.Polynomial([-1, 1]) * P.Polynomial([-(2**47) - 1, 2**47])  # 1 and 1 + 2^-47
+PAST_FLOAT_RANGE = P.Polynomial([-1, 1]) * P.Polynomial([10**400, 0, 1])
+
+
+@pytest.mark.parametrize("p", [
+    CLOSE_ROOTS,
+    PAST_FLOAT_RANGE,
+    # 1/3, 3/5 and 7/9 are grid points of the bisection from their Cauchy
+    # bounds 4/3, 8/5 and 16/9
+    P.Polynomial([-1, 3]),
+    P.Polynomial([-3, 5]),
+    P.Polynomial([-7, 9]),
+], ids=["close_roots", "past_float_range", "grid_1_3", "grid_3_5", "grid_7_9"])
+def test_seed_fallbacks_match_fraction_oracle(p):
+    """Where the float seed cannot name the cell, or names one that its
+    Sturm count rejects, the bracket is still the bisection's: two roots
+    inside one cell, a coefficient past float range, roots on cell ends."""
+    assert P.largest_real_root(P.Polynomial(p.num, p.den))[1] == fraction_largest_root_bracket(p)
+    if p in (CLOSE_ROOTS, PAST_FLOAT_RANGE):
+        assert P._seeded_bracket(P.Polynomial(p.num, p.den)) is None
+
+
 def test_bisection_builds_no_fraction_per_step(monkeypatch):
     """largest_real_root builds no Fraction, for a root near 1e20 as for
     one near 1.4: the Cauchy bound, the halvings and the bracket are

@@ -11,6 +11,7 @@ import pytest
 
 from bht import families as F
 from bht import graphs, spectral
+from bht import partition as PT
 from bht import search as SR
 from bht.forbidden import NAMED_PATTERNS, is_free
 from bht.graphs import (
@@ -565,6 +566,26 @@ def test_derived_polynomials_equal_the_stated_ones():
                 assert SR._derived_poly(g) == claim.poly(m), (thm, m)
                 seen += 1
     assert seen == 391
+
+
+def test_derived_poly_reads_the_last_refinement_round(rng):
+    """On random graphs, connected and not, the quotient rows read off the
+    refinement's last round are those that partition.quotient counts, and
+    _derived_poly is the characteristic polynomial of that quotient."""
+    hosts = [random_connected(rng, 2, 12) for _ in range(40)]
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        adj = [0] * n
+        for u, v in combinations(range(n), 2):
+            if rng.random() < 0.3:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        hosts.append(Graph(n, tuple(adj)))
+    assert sum(not is_connected(g) for g in hosts) > 10
+    for g in hosts:
+        blocks = PT.coarsest_equitable_refinement(g, [range(g.n)])
+        assert PT._refine(g, [range(g.n)]) == (blocks, PT.quotient(g, blocks))
+        assert SR._derived_poly(g) == PT.charpoly(PT.quotient(g, blocks)), graphs.to_graph6(g)
 
 
 def _sympy_charpoly(g: Graph) -> Polynomial:
