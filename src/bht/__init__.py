@@ -10,9 +10,6 @@ small-size searches (`search`), and the `bht` command line (`cli`).
 The package root re-exports nothing: import the submodules.  Only
 `spectral` loads numpy, and the other modules import it inside the
 functions that run an eigen-solve.  `cli` builds its parser from the
-standard library and imports inside each command the modules it runs:
-`certify`, `poly` and `crossover` load `polynomials`; `family` loads
-`families` and `graphs`; `free` adds `forbidden`; `lambda` loads
-`graphs` and `spectral`.  Of these only `lambda` loads numpy, as do
-`quotient`, `search` and `verify`.
+standard library and imports inside each command the modules it runs;
+README.md tabulates them.
 """

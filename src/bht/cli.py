@@ -10,11 +10,10 @@ Exhaustive search runs up to ``search.DEFAULT_CAP`` edges unless
 ``--force`` is given.  Checkpoints go to ``--cache-dir`` when given, else
 to ``BHT_CACHE_DIR``; ``verify`` reads only ``BHT_CACHE_DIR``.
 
-The parser is built from the standard library alone: each subcommand
-imports the library modules it runs, so ``certify``, ``poly`` and
-``crossover`` load only ``polynomials``, and ``family`` only
-``families`` and ``graphs``.  Ids, pairs and theorems are checked by the
-command, which names the known values in its usage error.
+The parser is built from the standard library alone, and each subcommand
+imports the library modules it runs (README.md tabulates them).  Ids,
+pairs and theorems are checked by the command, which names the known
+values in its usage error.
 """
 
 from __future__ import annotations
@@ -38,11 +37,10 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _read_graph(path: str, fmt: str) -> Graph:
-    """The graph in ``path``.  A file with no content line (comments
-    stripped) holds no graph in any format.  ``auto`` reads an edge list
-    when the first content line has whitespace, which graph6 never does,
-    and graph6 otherwise."""
+def _read_graph(path: str) -> Graph:
+    """The graph in ``path``, an edge list when its first content line
+    (comments stripped) has whitespace, which graph6 never does, and
+    graph6 otherwise.  A file with no content line holds no graph."""
     from .graphs import from_graph6, parse_edge_list
 
     text = Path(path).read_text()
@@ -50,7 +48,7 @@ def _read_graph(path: str, fmt: str) -> Graph:
     first = next((line for line in content if line), "")
     if not first:
         raise ValueError(f"{path}: no graph in the file")
-    if fmt == "edgelist" or (fmt == "auto" and len(first.split()) > 1):
+    if len(first.split()) > 1:
         return parse_edge_list(text)
     return from_graph6(first)
 
@@ -129,7 +127,7 @@ def cmd_family(args) -> int:
 def cmd_lambda(args) -> int:
     from .spectral import spectral_radius
 
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     res = spectral_radius(g)
     payload = {"lambda": res.lam, "residual": res.residual, "n": g.n, "m": g.m}
     lines = [f"lambda    {res.lam:.12f}", f"residual  {res.residual:.3e}"]
@@ -143,7 +141,7 @@ def cmd_lambda(args) -> int:
 def cmd_free(args) -> int:
     from . import forbidden
 
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     results = {}
     lines = []
     for name in _parse_patterns(args.patterns):
@@ -157,7 +155,7 @@ def cmd_free(args) -> int:
 def cmd_quotient(args) -> int:
     from . import partition
 
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     q = partition.quotient(g, _parse_blocks(args.blocks))
     cp = partition.charpoly(q)
     lam_a, lam_q, equal = partition.charpoly_lambda_check(g, cp)
@@ -234,11 +232,7 @@ def cmd_search(args) -> int:
     from .graphs import canonical_form, to_graph6
 
     patterns = _parse_patterns(args.forbid)
-    exclusions: list[bytes] = []
-    if args.exclude_book:
-        if args.m % 2 == 0:
-            return _usage_error("the book graph exists only at odd sizes")
-        exclusions.append(canonical_form(families.book(args.m)))
+    exclusions = [canonical_form(families.book(args.m))] if args.exclude_book else []
     rep = search.extremal_search(
         args.m, patterns, exclusions, force=args.force, cache_dir=args.cache_dir,
     )
@@ -259,6 +253,10 @@ def cmd_verify(args) -> int:
         return _usage_error(f"unknown theorem id {args.thm!r}; known: {search.THEOREM_IDS}")
     thms = search.THEOREM_IDS if args.thm == "all" else (args.thm,)
     lo, hi = _parse_range(args.range, args.m)
+    if all(hi < search.CLAIMS[thm].start for thm in thms):
+        starts = ", ".join(f"{thm} covers m >= {search.CLAIMS[thm].start}" for thm in thms)
+        sizes = f"m={lo}" if lo == hi else f"m={lo}..{hi}"
+        return _usage_error(f"no requested claim covers {sizes}; {starts}")
     failed = False
     for thm in thms:
         for m in range(lo, hi + 1):
@@ -310,6 +308,15 @@ def cmd_certify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bht", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # the inputs that several subcommands share, each declared once
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    graph_input = argparse.ArgumentParser(add_help=False, parents=[as_json])
+    graph_input.add_argument("--input", required=True)
+    sizes = argparse.ArgumentParser(add_help=False, parents=[as_json])
+    size = sizes.add_mutually_exclusive_group(required=True)
+    size.add_argument("--m", type=int)
+    size.add_argument("--range", help="lo:hi")
 
     p = sub.add_parser("family", help="emit a named family graph")
     p.add_argument("--name", required=True)
@@ -318,66 +325,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("lambda", help="spectral radius of a graph file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("auto", "edgelist", "graph6"), default="auto")
+    p = sub.add_parser("lambda", parents=[graph_input],
+                       help="spectral radius of a graph file")
     p.add_argument("--perron", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lambda)
 
-    p = sub.add_parser("free", help="forbidden-subgraph tests with witnesses")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("auto", "edgelist", "graph6"), default="auto")
+    p = sub.add_parser("free", parents=[graph_input],
+                       help="forbidden-subgraph tests with witnesses")
     p.add_argument("--patterns", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_free)
 
-    p = sub.add_parser("quotient", help="exact quotient matrix of a partition")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("auto", "edgelist", "graph6"), default="auto")
+    p = sub.add_parser("quotient", parents=[graph_input],
+                       help="exact quotient matrix of a partition")
     p.add_argument("--blocks", required=True, help='e.g. "0;1;2,3;4-9"')
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("poly", help="named polynomial instances and roots")
+    p = sub.add_parser("poly", parents=[as_json], help="named polynomial instances and roots")
     p.add_argument("--id", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--coeffs", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_poly)
 
-    p = sub.add_parser("crossover", help="largest-root ordering scans over m")
+    p = sub.add_parser("crossover", parents=[as_json],
+                       help="largest-root ordering scans over m")
     p.add_argument("--pair", required=True)
     p.add_argument("--range", required=True, help="lo:hi")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_crossover)
 
-    p = sub.add_parser("search", help="exhaustive extremal search at small m")
+    p = sub.add_parser("search", parents=[as_json], help="exhaustive extremal search at small m")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--forbid", required=True, help="comma list of pattern names")
     p.add_argument("--exclude-book", action="store_true")
     p.add_argument("--force", action="store_true")
     p.add_argument("--cache-dir", default=os.environ.get("BHT_CACHE_DIR"),
                    help="checkpoint directory (default: $BHT_CACHE_DIR)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("verify", help="check the maximality claims")
+    p = sub.add_parser("verify", parents=[sizes], help="check the maximality claims")
     p.add_argument("--thm", required=True, help="a theorem id, or 'all'")
-    size = p.add_mutually_exclusive_group(required=True)
-    size.add_argument("--m", type=int)
-    size.add_argument("--range", help="lo:hi")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("certify", help="exact-sign inequality certificates")
-    size = p.add_mutually_exclusive_group(required=True)
-    size.add_argument("--m", type=int)
-    size.add_argument("--range", help="lo:hi")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("certify", parents=[sizes], help="exact-sign inequality certificates")
     p.set_defaults(func=cmd_certify)
 
     return ap

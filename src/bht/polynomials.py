@@ -60,7 +60,7 @@ class Polynomial:
     equality, hashing and the arithmetic run on integers; the Fractions of
     ``coeffs`` are built on first read, for output."""
 
-    __slots__ = ("num", "den", "_coeffs", "_chain", "_isolated", "_bracket")
+    __slots__ = ("num", "den", "_coeffs", "_chain", "_isolated")
 
     def __init__(self, coeffs: Iterable[Fraction | int], den: int = 1):
         """The polynomial sum(coeffs[i] x^i) / den, for an integer den != 0."""
@@ -77,7 +77,6 @@ class Polynomial:
         self._coeffs: tuple[Fraction, ...] | None = None
         self._chain: tuple[Polynomial, ...] | None = None
         self._isolated: tuple[tuple[int, ...], int, int, int] | None = None
-        self._bracket: tuple[int, int, int] | None = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -453,12 +452,9 @@ def largest_real_root(p: Polynomial) -> tuple[float, RootBracket]:
     The returned bracket (lo, hi] contains exactly one distinct root of p,
     no root of p lies above hi, and the squarefree part of p changes sign
     over [lo, hi].  It is the cell that Sturm isolation and bisection to
-    width 1e-13 reach, found from a float seed when one certifies it, and
-    kept on p.
+    width 1e-13 reach, found from a float seed when one certifies it.
     """
-    if p._bracket is None:
-        p._bracket = _seeded_bracket(p) or _bisected_bracket(p)
-    lo, hi, den = p._bracket
+    lo, hi, den = _seeded_bracket(p) or _bisected_bracket(p)
     return (lo + hi) / (2 * den), RootBracket(lo, hi, den)
 
 

@@ -733,7 +733,7 @@ def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationRepor
     else:
         q = _derived_poly(claimed)
         if q == poly:
-            q = poly  # one object, so that its chain and bracket are built once
+            q = poly  # one object, so that its chain and isolation are built once
         connected = is_connected(claimed)
         lam, _ = largest_real_root(q)
         book_gate = gate(m, 3)

@@ -1,11 +1,14 @@
 """CLI surface: formats, exit codes under the claim contract, round trips."""
 
+import argparse
 import hashlib
+import inspect
 import json
 import os
 import shlex
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -199,13 +202,70 @@ def test_malformed_input_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text", ["", "# a comment\n\n   \n"])
-@pytest.mark.parametrize("fmt", ["auto", "graph6", "edgelist"])
-def test_input_without_graph_is_usage_error(capsys, tmp_path, text, fmt):
+def test_input_without_graph_is_usage_error(capsys, tmp_path, text):
     path = tmp_path / "none.txt"
     path.write_text(text)
     for cmd in (["lambda"], ["free", "--patterns", "c5"], ["quotient", "--blocks", "0"]):
-        code, _, err = run(capsys, *cmd, "--input", str(path), "--format", fmt)
+        code, _, err = run(capsys, *cmd, "--input", str(path))
         assert code == 2 and "none.txt" in err
+
+
+def _largest_member(name):
+    """Parameters and graph of the family member with the largest values
+    (each at most 11) that has an edge and no isolated vertex, so an edge
+    list names every vertex."""
+    names = F.FAMILIES[name][1] or ("x", "y", "z")
+    for values in product(range(11, 0, -1), repeat=len(names)):
+        params = dict(zip(names, values))
+        try:
+            g = F.build(F.spec_from_params(name, params))
+        except ValueError:
+            continue
+        if g.m and all(g.adj):
+            return params, g
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("name", sorted(F.FAMILIES))
+def test_family_files_read_back_by_content(capsys, tmp_path, name):
+    """`bht family` output in either format, also behind a comment and
+    blank lines, reads back as the constructor's graph: the first content
+    line decides the format."""
+    params, g = _largest_member(name)
+    path = tmp_path / "g.txt"
+    for fmt in ("edgelist", "graph6"):
+        code, _, _ = run(capsys, "family", "--name", name, "--format", fmt, "--output", str(path),
+                         "--params", ",".join(f"{k}={v}" for k, v in params.items()))
+        assert code == 0
+        assert cli._read_graph(str(path)) == g, fmt
+        path.write_text("# a comment\n\n  \n" + path.read_text())
+        assert cli._read_graph(str(path)) == g, fmt
+
+
+@pytest.mark.parametrize("command", [["lambda"], ["free", "--patterns", "c5"],
+                                     ["quotient", "--blocks", "0"]])
+@pytest.mark.parametrize("fmt", ["auto", "edgelist", "graph6"])
+def test_input_commands_take_no_format(capsys, tmp_path, command, fmt):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--input", str(path), "--format", fmt])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+def test_every_declared_option_is_read():
+    """Each subcommand's function reads every option the parser declares
+    for it, as ``args.<dest>`` or as the dest string given to getattr, so a
+    flag that nothing reads fails here."""
+    (subparsers,) = (a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        source = inspect.getsource(parser.get_default("func"))
+        for action in parser._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in source or f'"{action.dest}"' in source, \
+                    (command, action.dest)
 
 
 def test_bad_edge_list_names_its_line(capsys, tmp_path):
@@ -323,7 +383,7 @@ def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "--thm", "theta123", "--m", "9", "--json")
     assert code == 0
     assert json.loads(out.splitlines()[0])["status"] == "pass"
-    code, out, _ = run(capsys, "verify", "--thm", "theta124", "--m", "10", "--json")
+    code, out, _ = run(capsys, "verify", "--thm", "theta124", "--range", "21:22", "--json")
     assert code == 0  # not_claimed is not a failure
     assert json.loads(out.splitlines()[0])["status"] == "not_claimed"
     code, _, _ = run(capsys, "verify", "--thm", "wat", "--m", "9")
@@ -355,14 +415,32 @@ def test_readme_commands_parse():
 
 
 def test_verify_range_below_a_rival_claims_start(capsys):
-    """A range wholly below c6_runner_up's start reports not_claimed and
-    runs no crossover scan, so it ends cleanly."""
+    """A range wholly below c6_runner_up's start is a usage error; where
+    another claim covers it, c6_runner_up reports not_claimed and runs no
+    crossover scan, so it ends cleanly."""
     code, out, err = run(capsys, "verify", "--thm", "c6_runner_up", "--range", "5:6")
-    assert (code, err, len(out.splitlines())) == (0, "", 2)
+    assert (code, out) == (2, "") and err.startswith("error: no requested claim covers m=5..6")
     code, out, err = run(capsys, "verify", "--thm", "all", "--range", "20:21")
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert len(lines) == 10 and lines[-1].startswith("theta_pair_runner_up m=21: not_claimed")
+
+
+def test_verify_sizes_no_requested_claim_covers_are_usage_errors(capsys):
+    """Sizes that no requested claim covers exit 2 with one line naming
+    each claim's first covered m; a range that one claim reaches reports
+    the sizes below its start as not_claimed and exits 0."""
+    code, out, err = run(capsys, "verify", "--thm", "c5_runner_up", "--range", "5:6")
+    assert (code, out, err) == (
+        2, "", "error: no requested claim covers m=5..6; c5_runner_up covers m >= 22\n")
+    starts = ", ".join(f"{t} covers m >= {c.start}" for t, c in search.CLAIMS.items())
+    code, out, err = run(capsys, "verify", "--thm", "all", "--m", "5")
+    assert (code, out, err) == (2, "", f"error: no requested claim covers m=5; {starts}\n")
+    code, out, err = run(capsys, "verify", "--thm", "c5_runner_up", "--range", "21:22")
+    assert (code, err) == (0, "")
+    assert [line.split("  ")[0] for line in out.splitlines()] == [
+        "c5_runner_up m=21: not_claimed", "c5_runner_up m=22: pass"]
+
 
 def test_verify_reads_cache_dir_from_env(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("BHT_CACHE_DIR", str(tmp_path))
