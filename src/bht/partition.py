@@ -1,12 +1,12 @@
 """Equitable partitions, exact quotient matrices and their polynomials.
 
 A quotient matrix of an equitable partition shares its largest eigenvalue
-with the adjacency matrix, which is what makes the closed-form
-polynomials of the extremal families exactly reproducible.  Quotient
+with the adjacency matrix (Godsil & Royle, Algebraic Graph Theory, 9.3;
+a component's cells give a principal submatrix), connected or not, which
+makes the closed-form polynomials of the extremal families exactly
+reproducible and lets `bht quotient` report λ with no eigen-solve.  Quotient
 matrices hold integer neighbour counts, and `charpoly` takes integer
-matrices only, so its exact polynomial needs no Fraction; the float world
-only enters in `charpoly_lambda_check`, which confronts the exact largest
-root with the dense eigenvalue solver.
+matrices only, so its exact polynomial needs no Fraction.
 Each vertex's neighbour count in every block is read off one table per
 (graph, partition), which decides equitability and gives the quotient
 rows.  Each round of the refinement builds one; the last round splits no
@@ -126,18 +126,14 @@ def _refine(g: Graph, seed: Sequence[Sequence[int]]) -> tuple[Blocks, list[list[
         blocks = new_blocks
 
 
-def charpoly_lambda_check(g: Graph, cp: Polynomial) -> tuple[float, float, bool]:
-    """Largest adjacency eigenvalue vs the largest root of cp, 1e-9 agreement."""
+def quotient_lambda_check(g: Graph, blocks: Sequence[Sequence[int]]) -> tuple[float, float, bool]:
+    """Largest adjacency eigenvalue vs largest quotient root, 1e-9 agreement: equal
+    by theorem, kept only for the benchmark's partition op, whose oracle reads it."""
     from .spectral import radius
 
     lam_a = radius(g)
-    lam_q, _ = largest_real_root(cp)
+    lam_q, _ = largest_real_root(charpoly(quotient(g, blocks)))
     return lam_a, lam_q, abs(lam_a - lam_q) <= 1e-9
-
-
-def quotient_lambda_check(g: Graph, blocks: Sequence[Sequence[int]]) -> tuple[float, float, bool]:
-    """Largest adjacency eigenvalue vs largest quotient root, 1e-9 agreement."""
-    return charpoly_lambda_check(g, charpoly(quotient(g, blocks)))
 
 
 def _named(g: Graph, named: Sequence[int]) -> tuple[Graph, Blocks]:

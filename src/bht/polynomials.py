@@ -11,9 +11,9 @@ multiples of the rational remainders; a chain is built once, on first use,
 from one remainder sequence when the polynomial is squarefree, and kept on
 it, as are the brackets of its largest root.  A reported largest root lies
 in a cell of width at most 1e-13 of the grid that bisection from the Cauchy
-bound runs on: a float root by Newton's method, moved by one Newton step on
-its exact value, names the cell, and one sign and one Sturm count at its
-ends certify it; only when they do not is the root isolated and bisected.
+bound runs on: a float root, moved by one exact Newton step, names the cell
+and is reported, and one sign and one Sturm count at its ends certify it;
+else the root is isolated, bisected and reported as the cell's midpoint.
 Grid points are integer numerators over one denominator, (the Cauchy
 bound's denominator) x 2^k, so no step takes a gcd.  Fractions are built
 only for output: a polynomial's coefficients and a root bracket's two ends
@@ -447,27 +447,27 @@ def _halve(cs: tuple[int, ...], lo: int, hi: int, den: int) -> tuple[int, int, i
 
 
 def largest_real_root(p: Polynomial) -> tuple[float, RootBracket]:
-    """The largest real root, as its certified bracket's midpoint, and the bracket.
+    """The largest real root, as a float in its certified bracket, and the bracket.
 
     The returned bracket (lo, hi] contains exactly one distinct root of p,
     no root of p lies above hi, and the squarefree part of p changes sign
     over [lo, hi].  It is the cell that Sturm isolation and bisection to
-    width 1e-13 reach, found from a float seed when one certifies it.
+    width 1e-13 reach; a float seed finds it when it can, and names the float.
     """
-    lo, hi, den = _seeded_bracket(p) or _bisected_bracket(p)
-    return (lo + hi) / (2 * den), RootBracket(lo, hi, den)
+    lo, hi, den, value = _seeded_bracket(p) or _bisected_bracket(p)
+    return value, RootBracket(lo, hi, den)
 
 
-def _bisected_bracket(p: Polynomial) -> tuple[int, int, int]:
-    """The _isolate bracket of p's largest root, halved to width 1e-13."""
+def _bisected_bracket(p: Polynomial) -> tuple[int, int, int, float]:
+    """The _isolate bracket of p's largest root, halved to width 1e-13, and its midpoint."""
     cs, lo, hi, den = _isolate(p)
     while (hi - lo) * 10**13 > den:
         lo, hi, den = _halve(cs, lo, hi, den)
-    return lo, hi, den
+    return lo, hi, den, (lo + hi) / (2 * den)
 
 
-def _seeded_bracket(p: Polynomial) -> tuple[int, int, int] | None:
-    """The bracket of _bisected_bracket, reached from a float root, or None.
+def _seeded_bracket(p: Polynomial) -> tuple[int, int, int, float] | None:
+    """The bracket of _bisected_bracket and the root's float, from a float root, or None.
 
     _isolate bisects (-b/den, b/den], the Cauchy bound, so its cells at
     depth k have width 2b over den 2^k.  Bisection stops at the least depth
@@ -476,7 +476,7 @@ def _seeded_bracket(p: Polynomial) -> tuple[int, int, int] | None:
     of that depth; the cell is the one when the squarefree part has the
     leading coefficient's sign (or 0) at hi and exactly one distinct root
     lies above lo, for then that root lies in (lo, hi], and isolation
-    stopped no deeper.  Anything else gives None.
+    stopped no deeper; a/q is far nearer the root than an ulp.  Else None.
     """
     chain = sturm_chain(p)
     cs = chain[0].num
@@ -503,7 +503,7 @@ def _seeded_bracket(p: Polynomial) -> tuple[int, int, int] | None:
         return None
     above = (_variations(_horner_sign(c.num, lo, den) for c in chain)
              - _variations(_sign_at(c, POS_INF) for c in chain))
-    return (lo, hi, den) if above == 1 else None
+    return (lo, hi, den, a / q) if above == 1 else None
 
 
 def _float_root(cs: tuple[int, ...]) -> tuple[float, float] | None:

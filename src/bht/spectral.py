@@ -13,9 +13,8 @@ is strictly positive.
 Callers that read λ alone take it from ``radius``, which returns
 ``spectral_radius(g).lam`` to the bit; only ``bht lambda``, which prints
 the vector and the residual, needs ``spectral_radius``.  ``radius``
-serves the float check of ``bht quotient`` and the λ that the search
-reports; ``verify`` decides its claims on exact quotient polynomials,
-and solves eigenvalues only in the searches of its oracle mode.
+serves the λ that the search reports; ``verify`` and ``bht quotient``
+decide and report λ on exact quotient polynomials.
 ``layer_radii`` solves many graphs of one order in one stacked
 ``eigvalsh``: its values agree with ``radius`` within rounding, not to
 the bit, so the search uses them only to order its walk and never

@@ -171,7 +171,7 @@ def test_quotient_command(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["matrix"] == [["1", "4"], ["2", "0"]]
-    assert payload["equal"]
+    assert payload["lambda_Q"] == 3.3722813232690143  # (1 + sqrt(33))/2, to the nearest float
     # non-equitable partition is a usage error
     code, _, err = run(capsys, "quotient", "--input", str(path), "--blocks", "0,2;1,3,4,5")
     assert code == 2
@@ -226,11 +226,17 @@ def _largest_member(name):
     raise AssertionError(name)
 
 
+# members whose edge list would be a lone "# n vertices, 0 edges" comment
+EDGELESS_MEMBERS = {"complete_bipartite": "a=1,b=0", "star": "n=1", "complete_split": "n=3,k=0"}
+
+
 @pytest.mark.parametrize("name", sorted(F.FAMILIES))
 def test_family_files_read_back_by_content(capsys, tmp_path, name):
     """`bht family` output in either format, also behind a comment and
     blank lines, reads back as the constructor's graph: the first content
-    line decides the format."""
+    line decides the format.  An edge list that would not read back, as
+    for an edgeless member, is refused with a usage error that names
+    graph6, which does."""
     params, g = _largest_member(name)
     path = tmp_path / "g.txt"
     for fmt in ("edgelist", "graph6"):
@@ -240,6 +246,15 @@ def test_family_files_read_back_by_content(capsys, tmp_path, name):
         assert cli._read_graph(str(path)) == g, fmt
         path.write_text("# a comment\n\n  \n" + path.read_text())
         assert cli._read_graph(str(path)) == g, fmt
+    if name in EDGELESS_MEMBERS:
+        params = EDGELESS_MEMBERS[name]
+        g = F.build(F.spec_from_params(name, cli._parse_params(params)))
+        argv = ["family", "--name", name, "--params", params, "--output", str(tmp_path / "e.txt")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.endswith("use --format graph6\n"), err
+        assert not (tmp_path / "e.txt").exists()
+        assert run(capsys, *argv, "--format", "graph6") == (0, "", "")
+        assert cli._read_graph(str(tmp_path / "e.txt")) == g
 
 
 @pytest.mark.parametrize("command", [["lambda"], ["free", "--patterns", "c5"],
@@ -585,9 +600,10 @@ print(json.dumps([code, bht_modules, "numpy" in sys.modules]))
 
 def test_exact_commands_start_without_numpy(tmp_path):
     """The parser loads no library module; each exact command loads the
-    modules it runs and no numpy, and an eigen-solve loads numpy.  Above the
-    search cap ``verify`` decides every claim exactly; at or below it, its
-    oracle searches solve eigenvalues."""
+    modules it runs and no numpy (``quotient`` reports λ off its exact
+    quotient), and an eigen-solve loads numpy.  Above the search cap
+    ``verify`` decides every claim exactly; at or below it, its oracle
+    searches solve eigenvalues."""
     path = tmp_path / "book.txt"
     path.write_text("\n".join(f"{u} {v}" for u, v in F.book(9).edges()))
     base = ["bht", "bht.cli"]
@@ -604,6 +620,8 @@ def test_exact_commands_start_without_numpy(tmp_path):
          0, [*base, "bht.families", "bht.graphs"], False),
         (["free", "--input", str(path), "--patterns", "c5,theta122"], 0,
          [*base, "bht.families", "bht.forbidden", "bht.graphs"], False),
+        (["quotient", "--input", str(path), "--blocks", "0,1;2-5"], 0,
+         [*base, "bht.families", "bht.graphs", "bht.partition", "bht.polynomials"], False),
         (["verify", "--thm", "all", "--m", "50"], 0, verify, False),
         # the controls: an eigen-solve loads numpy, so the probe can see it
         (["lambda", "--input", str(path)], 0, [*base, "bht.graphs", "bht.spectral"], True),
@@ -669,14 +687,11 @@ def _exact_cli_records(capsys, tmp_path):
                 path.write_text(to_graph6(g) + "\n")
                 code, out, err = run(capsys, "quotient", "--input", str(path), "--blocks",
                                      ";".join(",".join(map(str, b)) for b in blocks), "--json")
-                payload = json.loads(out)
-                # the dense eigen-solve's value is not exact-layer output
-                del payload["lambda_A"]
-                yield [["quotient", entry, m, params], code, payload, err]
+                yield [["quotient", entry, m, params], code, json.loads(out), err]
 
 
 # (record count, sha256 of the records as JSON lines)
-EXACT_CLI_PIN = (403, "8d8c25d123f1519850e9c3ebdc177519f2ae86fb1cfd2ded38f0e6ad0439415c")
+EXACT_CLI_PIN = (403, "9bf780a3669da56146e516c98cf2fef15833035b4bee0014cc004ab338775cf8")
 
 
 def test_exact_layer_cli_output_is_pinned(capsys, tmp_path):

@@ -2,7 +2,7 @@
 
 import inspect
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bht import families as F
 from bht import partition as PT
 from bht import polynomials as P
-from bht.graphs import Graph
+from bht.graphs import Graph, is_connected, to_graph6
 from conftest import (fraction_charpoly, mask_is_equitable, mask_quotient, mask_refinement,
                       random_connected)
 
@@ -323,6 +323,31 @@ def test_partition_matches_mask_oracles(case):
     if not isinstance(refined, str):
         assert PT.is_equitable(g, refined)
         assert PT.quotient(g, refined) == mask_quotient(g, refined)
+
+
+def test_equitable_quotients_keep_the_largest_root(rng):
+    """An equitable quotient's largest root is the graph's, connected or not
+    (the cells that meet a component give a principal submatrix), so `bht
+    quotient` reports it with no eigen-solve.  Exactly, on random graphs
+    with n <= 10: the coarsest equitable refinement of a random seed has
+    the largest root of the full adjacency charpoly."""
+    disconnected = 0
+    for _ in range(300):
+        n, density = rng.randint(1, 10), rng.random()
+        adj = [0] * n
+        for u, v in combinations(range(n), 2):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        g = Graph(n, tuple(adj))
+        disconnected += not is_connected(g)
+        labels = [rng.randrange(3) for _ in range(n)]
+        seed = [[v for v in range(n) if labels[v] == k] for k in sorted(set(labels))]
+        blocks = PT.coarsest_equitable_refinement(g, seed)
+        order = P.compare_largest_roots(PT.charpoly(PT.quotient(g, blocks)),
+                                        PT.adjacency_charpoly(g)).order
+        assert order == "eq", (to_graph6(g), blocks)
+    assert disconnected > 50
 
 
 def test_quotient_lambda_agreement():

@@ -537,6 +537,19 @@ def test_verify_theorem_oracle_modes():
     assert rep.status == "not_claimed"
 
 
+@pytest.mark.parametrize("poly, failed", [
+    (Polynomial([-100, 1]), ["oracle_bound", "oracle_strict"]),  # a root above the book gate
+    (Polynomial([-7, -1, 1]), ["oracle_strict"]),  # the book polynomial at m = 8: on the bound
+])
+def test_oracle_checks_read_the_maximizers_polynomials(monkeypatch, poly, failed):
+    """Oracle mode decides the book bound exactly on each maximizer's derived
+    polynomial, not on the search's float λ.  At even m no graph is claimed,
+    so only the oracle checks read ``_derived_poly``."""
+    monkeypatch.setattr(SR, "_derived_poly", lambda g: poly)
+    rep = SR.verify_theorem("theta123", 8)
+    assert [name for name, ok, _ in rep.checks if not ok] == failed
+
+
 def test_verify_theorem_construction_modes():
     for thm, m in [
         ("c5_runner_up", 23), ("c5_runner_up", 24),
