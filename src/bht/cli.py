@@ -157,7 +157,7 @@ def cmd_free(args) -> int:
 
 def cmd_quotient(args) -> int:
     from . import partition
-    from .polynomials import largest_real_root
+    from .polynomials import largest_real_root, root_decimal
 
     g = _read_graph(args.input)
     q = partition.quotient(g, _parse_blocks(args.blocks))
@@ -171,7 +171,7 @@ def cmd_quotient(args) -> int:
     }
     lines = ["quotient matrix:"]
     lines += ["  " + "  ".join(f"{str(x):>6s}" for x in row) for row in q]
-    lines += [f"charpoly  {cp}", f"lambda_Q  {lam_q:.12f}"]
+    lines += [f"charpoly  {cp}", f"lambda_Q  {root_decimal(cp)}"]
     _emit(payload, args.json, lines)
     return 0
 
@@ -188,7 +188,7 @@ def cmd_poly(args) -> int:
         value, bracket = polynomials.largest_real_root(poly)
         payload["largest_root"] = value
         payload["bracket"] = [str(bracket.lo), str(bracket.hi)]
-        lines.append(f"largest root {value:.12f} in ({bracket.lo}, {bracket.hi}]")
+        lines.append(f"largest root {polynomials.root_decimal(poly)} in ({bracket.lo}, {bracket.hi}]")
     _emit(payload, args.json, lines)
     return 0
 

@@ -9,7 +9,7 @@ one Horner sum on those integers, in Z or in Z[sqrt(d)].  Sturm chains and
 gcds are primitive pseudo-remainder sequences (Collins 1967), positive
 multiples of the rational remainders; a chain is built once, on first use,
 from one remainder sequence when the polynomial is squarefree, and kept on
-it, as are the brackets of its largest root.  A reported largest root lies
+it, as is the one bracket of its largest root.  A reported largest root lies
 in a cell of width at most 1e-13 of the grid that bisection from the Cauchy
 bound runs on: a float root, moved by one exact Newton step, names the cell
 and is reported, and one sign and one Sturm count at its ends certify it;
@@ -17,9 +17,11 @@ else the root is isolated, bisected and reported as the cell's midpoint.
 Grid points are integer numerators over one denominator, (the Cauchy
 bound's denominator) x 2^k, so no step takes a gcd.  Fractions are built
 only for output: a polynomial's coefficients and a root bracket's two ends
-when read, and a Quad's text.  Largest roots are ordered exactly: equal
-when the gcd of the squarefree parts has a root where the brackets overlap,
-else by bisecting until the brackets separate.  The nested-radical ceilings
+when read, and a Quad's text.  Largest roots are ordered exactly from
+those brackets: disjoint ones order them, and overlapping ones hold equal
+roots when the gcd of the squarefree parts has a root in the overlap, else
+are halved until they separate.  A largest root's sign against a point and
+its 12 decimals are read off the same bracket.  The nested-radical ceilings
 square away both radicals and become one sign in Z[sqrt(m-1)].  The
 certificates at m are rows (name, statement, kind, arguments, detail) from
 one generator, and one evaluator decides each row by its kind: a sign at a
@@ -60,7 +62,7 @@ class Polynomial:
     equality, hashing and the arithmetic run on integers; the Fractions of
     ``coeffs`` are built on first read, for output."""
 
-    __slots__ = ("num", "den", "_coeffs", "_chain", "_isolated")
+    __slots__ = ("num", "den", "_coeffs", "_chain", "_root")
 
     def __init__(self, coeffs: Iterable[Fraction | int], den: int = 1):
         """The polynomial sum(coeffs[i] x^i) / den, for an integer den != 0."""
@@ -76,7 +78,7 @@ class Polynomial:
         self.den: int = den // g
         self._coeffs: tuple[Fraction, ...] | None = None
         self._chain: tuple[Polynomial, ...] | None = None
-        self._isolated: tuple[tuple[int, ...], int, int, int] | None = None
+        self._root: tuple[tuple[int, ...], int, int, int, float] | None = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -408,9 +410,7 @@ class RootBracket:
 def _isolate(p: Polynomial) -> tuple[tuple[int, ...], int, int, int]:
     """The numerators of p's squarefree part and a Sturm-certified bracket
     (lo/den, hi/den] that holds its largest root, with no root of p above
-    hi/den.  Isolated on first use and kept on p."""
-    if p._isolated is not None:
-        return p._isolated
+    hi/den."""
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     chain = sturm_chain(p)
@@ -431,13 +431,12 @@ def _isolate(p: Polynomial) -> tuple[tuple[int, ...], int, int, int]:
             lo, above = mid, count
         else:
             hi = mid
-    p._isolated = prims[0], lo, hi, den
-    return p._isolated
+    return prims[0], lo, hi, den
 
 
 def _halve(cs: tuple[int, ...], lo: int, hi: int, den: int) -> tuple[int, int, int]:
-    """The half of an _isolate bracket (lo/den, hi/den] that keeps the largest
-    root of cs.  cs has the sign of its leading coefficient above that root
+    """The half of a bracket (lo/den, hi/den] of the largest root of cs that
+    keeps that root.  cs has the sign of its leading coefficient above that root
     and the opposite sign below it, so an exact midpoint hit keeps the root
     at the closed upper endpoint."""
     mid = lo + hi
@@ -454,20 +453,28 @@ def largest_real_root(p: Polynomial) -> tuple[float, RootBracket]:
     over [lo, hi].  It is the cell that Sturm isolation and bisection to
     width 1e-13 reach; a float seed finds it when it can, and names the float.
     """
-    lo, hi, den, value = _seeded_bracket(p) or _bisected_bracket(p)
+    _, lo, hi, den, value = _largest_root(p)
     return value, RootBracket(lo, hi, den)
 
 
-def _bisected_bracket(p: Polynomial) -> tuple[int, int, int, float]:
+def _largest_root(p: Polynomial) -> tuple[tuple[int, ...], int, int, int, float]:
+    """The numerators of p's squarefree part, the bracket (lo/den, hi/den]
+    of largest_real_root and its float.  Found on first use and kept on p."""
+    if p._root is None:
+        p._root = _seeded_bracket(p) or _bisected_bracket(p)
+    return p._root
+
+
+def _bisected_bracket(p: Polynomial) -> tuple[tuple[int, ...], int, int, int, float]:
     """The _isolate bracket of p's largest root, halved to width 1e-13, and its midpoint."""
     cs, lo, hi, den = _isolate(p)
     while (hi - lo) * 10**13 > den:
         lo, hi, den = _halve(cs, lo, hi, den)
-    return lo, hi, den, (lo + hi) / (2 * den)
+    return cs, lo, hi, den, (lo + hi) / (2 * den)
 
 
-def _seeded_bracket(p: Polynomial) -> tuple[int, int, int, float] | None:
-    """The bracket of _bisected_bracket and the root's float, from a float root, or None.
+def _seeded_bracket(p: Polynomial) -> tuple[tuple[int, ...], int, int, int, float] | None:
+    """The _bisected_bracket of p, from a float root, or None.
 
     _isolate bisects (-b/den, b/den], the Cauchy bound, so its cells at
     depth k have width 2b over den 2^k.  Bisection stops at the least depth
@@ -503,7 +510,7 @@ def _seeded_bracket(p: Polynomial) -> tuple[int, int, int, float] | None:
         return None
     above = (_variations(_horner_sign(c.num, lo, den) for c in chain)
              - _variations(_sign_at(c, POS_INF) for c in chain))
-    return (lo, hi, den, a / q) if above == 1 else None
+    return (cs, lo, hi, den, a / q) if above == 1 else None
 
 
 def _float_root(cs: tuple[int, ...]) -> tuple[float, float] | None:
@@ -536,6 +543,10 @@ def _float_root(cs: tuple[int, ...]) -> tuple[float, float] | None:
 
 @dataclass(frozen=True)
 class RootComparison:
+    """The order of two largest roots ("gt" means the left one is larger),
+    with the brackets that decide it: each polynomial's largest_real_root
+    bracket, halved until the two are disjoint unless the roots are equal."""
+
     order: str  # "lt", "gt" or "eq"
     left: RootBracket
     right: RootBracket
@@ -544,16 +555,19 @@ class RootComparison:
 def compare_largest_roots(p: Polynomial, q: Polynomial) -> RootComparison:
     """Exact ordering of the largest real roots of p and q.
 
-    Each bracket holds one root of its squarefree part, so the roots are
-    equal iff the gcd of the squarefree parts has a root where the brackets
+    It starts from the two brackets of largest_real_root.  Each holds one
+    distinct root of its squarefree part and no root lies above it, so
+    disjoint brackets order the roots, and overlapping ones hold equal
+    roots iff the gcd of the squarefree parts has a root where they
     overlap.  Otherwise the wider bracket is halved until the two separate.
     """
-    ps, plo, phi, pd = _isolate(p)
-    qs, qlo, qhi, qd = _isolate(q)
-    # the overlap (lo, hi] of the brackets, over the denominator pd * qd
+    ps, plo, phi, pd, _ = _largest_root(p)
+    qs, qlo, qhi, qd, _ = _largest_root(q)
+    # the overlap (lo, hi] of the brackets, over the denominator pd * qd; the
+    # gcd is taken only when the overlap is not empty
     lo, hi = max(plo * qd, qlo * pd), min(phi * qd, qhi * pd)
-    g = _poly_gcd(ps, qs)
-    if lo < hi and g.degree > 0 and count_roots(g, *(_quad(x, 0, pd * qd, 0) for x in (lo, hi))):
+    if lo < hi and (g := _poly_gcd(ps, qs)).degree > 0 and count_roots(
+            g, *(_quad(x, 0, pd * qd, 0) for x in (lo, hi))):
         order = "eq"
     else:
         # the brackets overlap while qlo/qd < phi/pd and plo/pd < qhi/qd
@@ -564,6 +578,35 @@ def compare_largest_roots(p: Polynomial, q: Polynomial) -> RootComparison:
                 qlo, qhi, qd = _halve(qs, qlo, qhi, qd)
         order = "lt" if phi * qd <= qlo * pd else "gt"
     return RootComparison(order, RootBracket(plo, phi, pd), RootBracket(qlo, qhi, qd))
+
+
+def largest_root_sign(p: Polynomial, x: Quad) -> int:
+    """The sign of λ - x, for p's largest real root λ, read off its bracket
+    (lo, hi]: x against lo and hi, and only when lo < x <= hi, the sign of
+    the squarefree part at x, which has the leading coefficient's sign
+    above λ and the opposite sign below it."""
+    cs, lo, hi, den, _ = _largest_root(p)
+    if _quad_sign(x.a * den - lo * x.c, x.b * den, x.d) <= 0:
+        return 1
+    if _quad_sign(x.a * den - hi * x.c, x.b * den, x.d) > 0:
+        return -1
+    return -_sign_at(sturm_chain(p)[0], x) * (1 if cs[-1] > 0 else -1)
+
+
+def root_decimal(p: Polynomial) -> str:
+    """p's largest real root rounded to 12 decimals, half to even, decided
+    on its bracket (lo, hi]: with no rounding boundary (k + 1/2) 10^-12 in
+    it, every point of the bracket rounds alike; else the sign of the
+    squarefree part at that one boundary (the bracket is narrower than the
+    boundaries' spacing) says on which side the root lies."""
+    cs, lo, hi, den, _ = _largest_root(p)
+    scale = 10**12
+    k = (2 * hi * scale + den) // (2 * den)  # hi rounded to the nearest unit of 1e-12
+    if 2 * lo * scale < (2 * k - 1) * den:  # the boundary below k lies in (lo, hi]
+        side = _horner_sign(cs, 2 * k - 1, 2 * scale) * cs[-1]
+        k -= side > 0 or (side == 0 and k % 2 == 1)
+    whole, frac = divmod(abs(k), scale)
+    return f"{'-' if k < 0 else ''}{whole}.{frac:012d}"
 
 
 # ---------------------------------------------------------------------------

@@ -81,17 +81,15 @@ from .graphs import (
     to_graph6,
 )
 from .polynomials import (
-    POS_INF,
     Polynomial,
     book_lambda,
     c5_extremal,
     c6_extremal,
     compare_largest_roots,
-    count_roots,
     crossover_at,
     gate,
     largest_real_root,
-    sign_at,
+    largest_root_sign,
     star_matching_cubic,
 )
 
@@ -702,11 +700,10 @@ def _derived_poly(g: Graph) -> Polynomial:
 
 
 def _versus_book(q: Polynomial, m: int) -> int:
-    """The sign of λ(q) - (1 + sqrt(4m - 3))/2: roots above the gate, else q's sign there."""
-    book_gate = gate(m, 3)
-    if count_roots(q, book_gate, POS_INF):
-        return 1
-    return -1 if sign_at(q, book_gate) else 0
+    """The sign of λ(q) - (1 + sqrt(4m - 3))/2, read off the bracket of q's
+    largest root: the gate against its two ends, and q's squarefree part at
+    the gate only when the gate lies inside it."""
+    return largest_root_sign(q, gate(m, 3))
 
 
 def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationReport:
@@ -741,7 +738,7 @@ def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationRepor
     else:
         q = _derived_poly(claimed)
         if q == poly:
-            q = poly  # one object, so that its chain and isolation are built once
+            q = poly  # one object, so that its chain and root bracket are built once
         connected = is_connected(claimed)
         lam, _ = largest_real_root(q)
         poly_ok = connected and (q is poly or compare_largest_roots(q, poly).order == "eq")
@@ -757,8 +754,7 @@ def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationRepor
             )
             root = lam if q is poly else largest_real_root(poly)[0]
             report.record("lambda_poly_root", poly_ok, f"lambda={lam!r} root={root!r}")
-            report.record("below_book_bound",
-                          connected and count_roots(q, gate(m, 3), POS_INF) == 0,
+            report.record("below_book_bound", connected and _versus_book(q, m) <= 0,
                           f"claimed lambda {lam!r} vs book bound {bound!r}")
         if claim.rival is not None:
             rival = claim.rival(m)

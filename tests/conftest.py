@@ -432,10 +432,11 @@ def _bracket(lo: Fraction, hi: Fraction) -> RootBracket:
 
 
 def fraction_compare_largest_roots(p: Polynomial, q: Polynomial) -> RootComparison:
-    """``polynomials.compare_largest_roots`` on Fraction brackets, with the
-    gcd by rational remainders."""
-    sp, plo, phi = fraction_isolate(p)
-    sq, qlo, qhi = fraction_isolate(q)
+    """``polynomials.compare_largest_roots`` on Fraction brackets, from the
+    brackets of ``fraction_largest_root_bracket``, with the gcd by rational
+    remainders."""
+    sp, sq = sturm_chain(p)[0], sturm_chain(q)[0]
+    (plo, phi), (qlo, qhi) = ((b.lo, b.hi) for b in map(fraction_largest_root_bracket, (p, q)))
     lo, hi = max(plo, qlo), min(phi, qhi)
     g = Polynomial(_fraction_gcd(FractionPolynomial(sp.coeffs), FractionPolynomial(sq.coeffs)).coeffs)
     if lo < hi and g.degree > 0 and count_roots(g, lo, hi) > 0:

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import random
+from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -370,6 +371,26 @@ def test_named_roots_are_reached_from_the_float_seed(monkeypatch):
     assert seen > 2000
 
 
+def test_orders_start_from_the_root_brackets(monkeypatch):
+    """Both crossover scans over m = 22..400 and every certificate order row
+    at m = 22..400 are decided on the brackets of largest_real_root: none
+    of them isolates, bisects or takes a gcd."""
+    def refuse(*args):
+        raise AssertionError("isolated, bisected or took a gcd")
+
+    for name in ("_isolate", "_halve", "_poly_gcd"):
+        monkeypatch.setattr(P, name, refuse)
+    for parity, cx in P.CROSSOVER.items():
+        assert P.crossover_scan(cx.cone, cx.split, parity, (22, 400)).flips
+    seen = 0
+    for m in range(22, 401):
+        for row in P._certificate_rows(m):
+            if row[2] == "order":
+                P._certify(*row)
+                seen += 1
+    assert seen == 2285
+
+
 CLOSE_ROOTS = P.Polynomial([-1, 1]) * P.Polynomial([-(2**47) - 1, 2**47])  # 1 and 1 + 2^-47
 PAST_FLOAT_RANGE = P.Polynomial([-1, 1]) * P.Polynomial([10**400, 0, 1])
 
@@ -390,6 +411,36 @@ def test_seed_fallbacks_match_fraction_oracle(p):
     assert P.largest_real_root(P.Polynomial(p.num, p.den))[1] == fraction_largest_root_bracket(p)
     if p in (CLOSE_ROOTS, PAST_FLOAT_RANGE):
         assert P._seeded_bracket(P.Polynomial(p.num, p.den)) is None
+
+
+ONE = P.Polynomial([1])
+SQRT2 = P.Polynomial([-2, 0, 1])
+BELOW_SQRT2 = Fraction(math.isqrt(2 * 10**30), 10**15)  # within 1e-15 below sqrt(2)
+
+
+@pytest.mark.parametrize("p, q, order", [
+    # largest roots at most 1e-15 apart: the brackets are halved
+    (SQRT2, _linear_product([BELOW_SQRT2 + Fraction(1, 10**15)], ONE, 1), "lt"),
+    (_linear_product([BELOW_SQRT2], ONE, 1), SQRT2, "lt"),
+    (SQRT2, P.Polynomial([-2 - Fraction(3, 10**15), 0, 1]), "lt"),
+    # equal largest roots of different polynomials, decided by the gcd
+    (SQRT2 * P.Polynomial([5, 1]), 3 * SQRT2 * P.Polynomial([1, 0, 1]), "eq"),
+    (_linear_product([Fraction(7, 3), -1, -1], ONE, 1),
+     _linear_product([Fraction(7, 3), Fraction(7, 3), 1], ONE, 1), "eq"),
+    # a polynomial with no float seed against a seeded one
+    (CLOSE_ROOTS, _linear_product([1 + Fraction(1, 2**47) + Fraction(1, 10**17)], ONE, 1), "lt"),
+    (PAST_FLOAT_RANGE, _linear_product([1], ONE, 1), "eq"),
+], ids=["close_above", "close_below", "close_irrational", "shared_sqrt2", "shared_repeated",
+        "seedless_close", "seedless_equal"])
+def test_overlapping_brackets_match_fraction_oracle(p, q, order):
+    """Where the two brackets of largest_real_root overlap, they are halved
+    apart, or the gcd finds the common root, as in the Fraction oracle."""
+    p, q = P.Polynomial(p.num, p.den), P.Polynomial(q.num, q.den)
+    a, b = P.largest_real_root(p)[1], P.largest_real_root(q)[1]
+    assert max(a.lo, b.lo) < min(a.hi, b.hi)
+    cmp = P.compare_largest_roots(p, q)
+    assert cmp.order == order
+    assert cmp == fraction_compare_largest_roots(p, q)
 
 
 def test_bisection_builds_no_fraction_per_step(monkeypatch):
@@ -700,6 +751,35 @@ def test_reported_roots_are_the_nearest_floats():
         assert f"{value:.12f}" == root and value == float(root), poly
 
 
+def test_root_decimals_round_the_root():
+    """root_decimal rounds the root, not its float, to 12 decimals: on every
+    named polynomial at every 7th m of 18..400, against mpmath at 60 digits
+    (the nearest float misrounds two of them), and half to even on rational
+    roots that lie on a rounding boundary."""
+    mpmath = pytest.importorskip("mpmath")
+    twelve = Decimal("1e-12")
+    seen = 0
+    for m in range(18, 401, 7):
+        for poly_id, params, poly in _named_instances(m):
+            _, bracket = P.largest_real_root(poly)
+            with mpmath.workdps(60):
+                lo, hi = (mpmath.mpf(x.numerator) / x.denominator for x in (bracket.lo, bracket.hi))
+                coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
+                root = mpmath.findroot(lambda x: mpmath.polyval(coeffs, x), (lo, hi),
+                                       solver="anderson")
+                want = Decimal(mpmath.nstr(root, 50)).quantize(twelve, ROUND_HALF_EVEN)
+            assert P.root_decimal(poly) == f"{want:f}", (poly_id, m, params)
+            seen += 1
+    assert seen > 1200
+    assert P.root_decimal(P.split_pendant_poly(200, 7)) == "14.493048969151"
+    assert P.root_decimal(P.cone_star_edge_poly(284, 3)) == "16.749659456951"
+    for root in (Fraction(1, 2 * 10**12), Fraction(3, 2 * 10**12), Fraction(-5, 2 * 10**12),
+                 Fraction(4, 3), Fraction(-7, 10**13), Fraction(123456789, 8), Fraction(0)):
+        want = (Decimal(root.numerator) / Decimal(root.denominator)).quantize(twelve, ROUND_HALF_EVEN)
+        poly = _linear_product([root], P.Polynomial([1, 0, 1]), 1)  # a cofactor with no real root
+        assert P.root_decimal(poly) == f"{want + 0:f}", root  # a root that rounds to 0 prints no sign
+
+
 def _exact_layer_records():
     for m in range(22, 201):
         for c in P.inequality_certificates(m):
@@ -716,7 +796,7 @@ def _exact_layer_records():
 # (record count, sha256 of the records as JSON lines) for every certificate
 # at m = 22..200, both crossover scans over 22..200 and the largest-root
 # bracket of every named polynomial at m = 22..120
-EXACT_LAYER_PIN = (6785, "a2a3fed1f6fc91bf5dd93e99ef6ed204924140e1788eff4c507975f2e5975448")
+EXACT_LAYER_PIN = (6785, "4596acc52ea26502fbc219da6ab9062741a9b4c41867c0e0060883298d64b887")
 
 
 def test_exact_layer_is_pinned():

@@ -12,6 +12,7 @@ import pytest
 from bht import families as F
 from bht import graphs, spectral
 from bht import partition as PT
+from bht import polynomials as P
 from bht import search as SR
 from bht.forbidden import NAMED_PATTERNS, is_free
 from bht.graphs import (
@@ -24,7 +25,8 @@ from bht.graphs import (
 from bht.polynomials import Polynomial, book_lambda, compare_largest_roots
 from bht.spectral import layer_radii, radius, spectral_radius
 from conftest import (
-    enumerate_connected, extremal_vertex, graph_of_form, random_connected, seen_dict_layer,
+    enumerate_connected, extremal_vertex, fraction_count_roots, graph_of_form, random_connected,
+    seen_dict_layer, value_sign,
 )
 
 # Totals per edge count, frozen from the oracle runs below (the Burnside
@@ -548,6 +550,52 @@ def test_oracle_checks_read_the_maximizers_polynomials(monkeypatch, poly, failed
     monkeypatch.setattr(SR, "_derived_poly", lambda g: poly)
     rep = SR.verify_theorem("theta123", 8)
     assert [name for name, ok, _ in rep.checks if not ok] == failed
+
+
+def _gate_side(x: Fraction, m: int) -> int:
+    """The sign of (1 + sqrt(4m - 3))/2 - x, on rationals."""
+    t = 2 * x - 1
+    return 1 if t < 0 or t * t < 4 * m - 3 else -1 if t * t > 4 * m - 3 else 0
+
+
+BOOK_M = 51  # odd, so that theta123's claimed graph is the book graph
+BELOW_GATE = Fraction(1 + Fraction(math.isqrt((4 * BOOK_M - 3) * 10**30), 10**15), 2)
+
+
+@pytest.mark.parametrize("q, sides, sign", [
+    (Polynomial([-100, 1]), (-1, -1), 1),  # the gate below the bracket
+    (Polynomial([-BELOW_GATE - Fraction(1, 10**15), 1]), (1, -1), 1),  # inside, below the root
+    (Polynomial([-BELOW_GATE, 1]), (1, -1), -1),  # inside, above the root
+    (Polynomial([-1, 1]), (1, 1), -1),  # above the bracket
+    (None, (1, -1), 0),  # at the root: the book graph's own polynomial
+], ids=["below", "inside_below_root", "inside_above_root", "above", "at_root"])
+def test_versus_book_reads_the_root_bracket(q, sides, sign):
+    """_versus_book places the gate against the bracket (lo, hi] of q's
+    largest root and, inside it, takes q's sign there, as the Fraction
+    oracle's Sturm count above the gate and sign at it decide."""
+    if q is None:
+        q = SR._derived_poly(SR.CLAIMS["theta123"].graph(BOOK_M))
+    _, bracket = P.largest_real_root(q)
+    assert (_gate_side(bracket.lo, BOOK_M), _gate_side(bracket.hi, BOOK_M)) == sides
+    book_gate = P.gate(BOOK_M, 3)
+    want = 1 if fraction_count_roots(q, book_gate, P.POS_INF) else -1 if value_sign(q, book_gate) else 0
+    assert SR._versus_book(q, BOOK_M) == want == sign
+
+
+def test_verify_takes_no_sturm_count(monkeypatch):
+    """Every claim at m = 22..120 passes with no Sturm count, isolation,
+    bisection or gcd: its λ checks read the brackets of the largest roots."""
+    def refuse(*args):
+        raise AssertionError("counted, isolated, bisected or took a gcd")
+
+    for name in ("count_roots", "_isolate", "_halve", "_poly_gcd"):
+        monkeypatch.setattr(P, name, refuse)
+    seen = 0
+    for thm, claim in SR.CLAIMS.items():
+        for m in range(max(22, claim.start), 121):
+            assert SR.verify_theorem(thm, m).status == "pass", (thm, m)
+            seen += 1
+    assert seen == 491
 
 
 def test_verify_theorem_construction_modes():
