@@ -9,9 +9,9 @@ as the host sequence (E*(v_0), E*(v_1), ...).
 
 Each pattern gets one plan, built on first use and cached (by name for
 the named patterns, by adjacency for a ``Graph``): the validated
-pattern, the vertex order, the degrees and earlier neighbours per
-position, and symmetry-breaking conditions (Grochow & Kellis 2007,
-"Network motif discovery using subgraph enumeration and
+pattern, its cycle rank, the vertex order, the degrees and earlier
+neighbours per position, and symmetry-breaking conditions (Grochow &
+Kellis 2007, "Network motif discovery using subgraph enumeration and
 symmetry-breaking").  The conditions come from a walk along the order
 with a group G that starts as Aut(P): at position i, every u != v_i in
 the orbit of v_i under G must receive a larger host than v_i; then G
@@ -80,6 +80,7 @@ class _Plan(NamedTuple):
 
     graph: Graph
     m: int
+    rank: int  # cycle rank m - n + 1 (patterns are connected)
     order: tuple[int, ...]  # pattern vertices, descending degree, ties by index
     pdeg: tuple[int, ...]  # degree per position
     back: tuple[tuple[int, ...], ...]  # earlier positions adjacent to this one
@@ -97,7 +98,7 @@ def _build_plan(key: str | tuple[int, ...]) -> _Plan:
     pdeg = tuple(p.degree(v) for v in order)
     back = tuple(tuple(j for j in range(i) if p.adj[v] >> order[j] & 1)
                  for i, v in enumerate(order))
-    unbroken = _Plan(p, p.m, order, pdeg, back, ((),) * p.n)
+    unbroken = _Plan(p, p.m, p.m - p.n + 1, order, pdeg, back, ((),) * p.n)
     pos = {v: i for i, v in enumerate(order)}
     below: list[list[int]] = [[] for _ in order]
     for i, v in enumerate(order):
@@ -112,6 +113,13 @@ def _build_plan(key: str | tuple[int, ...]) -> _Plan:
             if _extend(p.adj, unbroken, assign, i + 1):
                 below[pos[u]].append(i)
     return unbroken._replace(below=tuple(map(tuple, below)))
+
+
+def cycle_rank(pattern: Graph | str) -> int:
+    """The dimension m - n + 1 of the pattern's cycle space.  A subgraph's
+    cycle space lies inside its host's (Diestel, Graph Theory, 1.9), so no
+    host of a smaller cycle rank contains the pattern."""
+    return _plan(pattern).rank
 
 
 def _extend(adj: tuple[int, ...], plan: _Plan, assign: list[int], start: int,

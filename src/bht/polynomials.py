@@ -12,8 +12,11 @@ from one remainder sequence when the polynomial is squarefree, and kept on
 it, as is the one bracket of its largest root.  A reported largest root lies
 in a cell of width at most 1e-13 of the grid that bisection from the Cauchy
 bound runs on: a float root, moved by one exact Newton step, names the cell
-and is reported, and one sign and one Sturm count at its ends certify it;
-else the root is isolated, bisected and reported as the cell's midpoint.
+and is reported, and one sign at its upper end and one sign variation after
+a Taylor shift to its lower end (Descartes' rule) certify it, on the
+squarefree part, which a coprimality test modulo a prime finds with no
+chain; else the root is isolated, bisected and reported as the cell's
+midpoint.
 Grid points are integer numerators over one denominator, (the Cauchy
 bound's denominator) x 2^k, so no step takes a gcd.  Fractions are built
 only for output: a polynomial's coefficients and a root bracket's two ends
@@ -314,8 +317,9 @@ def _remainders(head: Polynomial) -> list[Polynomial]:
     return chain
 
 
-def _sign_at(p: Polynomial, x) -> int:
-    cs = p.num
+def _sign_at(cs: tuple[int, ...], x) -> int:
+    """Sign of the integer polynomial cs at a rational or quadratic point or
+    at POS_INF or NEG_INF."""
     if not cs:
         return 0
     if isinstance(x, str):
@@ -359,12 +363,13 @@ def _variations(signs: Iterable[int]) -> int:
 def count_roots(p: Polynomial, lo, hi) -> int:
     """Number of distinct real roots in the half-open interval (lo, hi]."""
     chain = sturm_chain(p)
-    return _variations(_sign_at(q, lo) for q in chain) - _variations(_sign_at(q, hi) for q in chain)
+    return (_variations(_sign_at(q.num, lo) for q in chain)
+            - _variations(_sign_at(q.num, hi) for q in chain))
 
 
 def sign_at(p: Polynomial, x) -> int:
     """Exact sign of p at a rational or quadratic point."""
-    return _sign_at(p, x)
+    return _sign_at(p.num, x)
 
 
 def cauchy_bound(p: Polynomial) -> tuple[int, int]:
@@ -415,7 +420,7 @@ def _isolate(p: Polynomial) -> tuple[tuple[int, ...], int, int, int]:
         raise ValueError("need a nonconstant polynomial")
     chain = sturm_chain(p)
     prims = [q.num for q in chain]
-    at_inf = _variations(_sign_at(q, POS_INF) for q in chain)
+    at_inf = _variations(_sign_at(cs, POS_INF) for cs in prims)
     hi, den = cauchy_bound(chain[0])
     lo = -hi
     above = _variations(_horner_sign(cs, lo, den) for cs in prims) - at_inf
@@ -476,18 +481,24 @@ def _bisected_bracket(p: Polynomial) -> tuple[tuple[int, ...], int, int, int, fl
 def _seeded_bracket(p: Polynomial) -> tuple[tuple[int, ...], int, int, int, float] | None:
     """The _bisected_bracket of p, from a float root, or None.
 
-    _isolate bisects (-b/den, b/den], the Cauchy bound, so its cells at
-    depth k have width 2b over den 2^k.  Bisection stops at the least depth
-    with width at most 1e-13 unless isolation went deeper, and keeps the
-    cell (lo, hi] that holds the largest root.  A float root names a cell
-    of that depth; the cell is the one when the squarefree part has the
-    leading coefficient's sign (or 0) at hi and exactly one distinct root
-    lies above lo, for then that root lies in (lo, hi], and isolation
-    stopped no deeper; a/q is far nearer the root than an ulp.  Else None.
+    _isolate bisects (-b/den, b/den], the Cauchy bound of p's squarefree
+    part, so its cells at depth k have width 2b over den 2^k.  Bisection
+    stops at the least depth with width at most 1e-13 unless isolation
+    went deeper, and keeps the cell (lo, hi] that holds the largest root.
+    A float root names a cell of that depth; the cell is the one when the
+    squarefree part has the leading coefficient's sign (or 0) at hi and
+    exactly one distinct root lies above lo, for then that root lies in
+    (lo, hi], and isolation stopped no deeper; a/q is far nearer the root
+    than an ulp.  The one root above lo is certified by Descartes' rule
+    (``_one_root_above``), with no Sturm chain.  It finds every cell that a
+    Sturm count accepts when the squarefree part has only real roots; with
+    non-real roots right of lo it may find none.  Else None.
     """
-    chain = sturm_chain(p)
-    cs = chain[0].num
-    seed = _float_root(cs) if len(cs) > 1 else None
+    if p.degree < 1:
+        return None
+    sf = _squarefree_part(p)
+    cs = sf.num
+    seed = _float_root(cs)
     if seed is None:
         return None
     x, slope = seed
@@ -500,17 +511,66 @@ def _seeded_bracket(p: Polynomial) -> tuple[tuple[int, ...], int, int, int, floa
     except (OverflowError, ValueError):
         return None
     a, q = a * s - e * q, q * s  # the root is near a/q
-    b, den = cauchy_bound(chain[0])
+    b, den = cauchy_bound(sf)
     width = 2 * b
     depth = (-(-width * 10**13 // den) - 1).bit_length()  # least k with width <= 1e-13 den 2^k
     den, base = den << depth, b << depth
     hi = width * -((-a * den - base * q) // (q * width)) - base  # least grid point >= a/q
     lo = hi - width
-    if _horner_sign(cs, hi, den) * cs[-1] < 0:
+    if _horner_sign(cs, hi, den) * cs[-1] < 0 or not _one_root_above(cs, lo, den):
         return None
-    above = (_variations(_horner_sign(c.num, lo, den) for c in chain)
-             - _variations(_sign_at(c, POS_INF) for c in chain))
-    return (cs, lo, hi, den, a / q) if above == 1 else None
+    return cs, lo, hi, den, a / q
+
+
+_PRIME = 2**61 - 1  # the modulus of _squarefree_part's test
+
+
+def _squarefree_part(p: Polynomial) -> Polynomial:
+    """p's squarefree part, the head of its Sturm chain, with no chain built.
+
+    A repeated factor f^2 of p over Q divides p in Z[x] (Gauss's lemma), so
+    modulo a prime that does not divide lc(p) the image of f keeps its
+    degree and divides both p and p'.  p is thus its own squarefree part
+    when p and p' are coprime modulo _PRIME and lc(p) is a unit there; else
+    the part is one gcd away."""
+    cs = p.num
+    if cs[-1] % _PRIME and _coprime_mod(cs, [i * c for i, c in enumerate(cs)][1:], _PRIME):
+        return p
+    return p.squarefree()
+
+
+def _coprime_mod(a: Iterable[int], b: Iterable[int], prime: int) -> bool:
+    """Whether the integer polynomials a and b (ascending) have a nonzero
+    constant gcd modulo the prime, by Euclid's algorithm over GF(prime)."""
+    a, b = [c % prime for c in a], [c % prime for c in b]
+    for r in (a, b):
+        while r and not r[-1]:
+            r.pop()
+    while b:
+        inv, n = pow(b[-1], -1, prime), len(b) - 1
+        while len(a) > n:
+            f, shift = a[-1] * inv % prime, len(a) - 1 - n
+            for j, c in enumerate(b):
+                a[shift + j] = (a[shift + j] - f * c) % prime
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _one_root_above(cs: tuple[int, ...], lo: int, den: int) -> bool:
+    """Whether one sign variation proves that exactly one root of the
+    squarefree cs lies above lo/den (Descartes' rule of signs; Collins &
+    Akritas 1976).  den^d cs((lo + s)/den), one Taylor shift in integers,
+    has as many roots s > 0 as cs has above lo/den; that count is at most
+    the sign variations of its coefficients and has their parity, and it
+    equals them when cs has only real roots."""
+    d = len(cs) - 1
+    shifted = [c * den ** (d - i) for i, c in enumerate(cs)]  # den^d cs(y / den)
+    for i in range(d):  # y = lo + s
+        for j in range(d - 1, i - 1, -1):
+            shifted[j] += lo * shifted[j + 1]
+    return _variations((c > 0) - (c < 0) for c in shifted) == 1
 
 
 def _float_root(cs: tuple[int, ...]) -> tuple[float, float] | None:
@@ -582,15 +642,16 @@ def compare_largest_roots(p: Polynomial, q: Polynomial) -> RootComparison:
 
 def largest_root_sign(p: Polynomial, x: Quad) -> int:
     """The sign of λ - x, for p's largest real root λ, read off its bracket
-    (lo, hi]: x against lo and hi, and only when lo < x <= hi, the sign of
-    the squarefree part at x, which has the leading coefficient's sign
-    above λ and the opposite sign below it."""
+    (lo, hi]: x against lo and hi, and only when lo < x <= hi, the sign at
+    x of the squarefree numerators kept with the bracket (no Sturm chain),
+    which have the leading coefficient's sign above λ and the opposite sign
+    below it."""
     cs, lo, hi, den, _ = _largest_root(p)
     if _quad_sign(x.a * den - lo * x.c, x.b * den, x.d) <= 0:
         return 1
     if _quad_sign(x.a * den - hi * x.c, x.b * den, x.d) > 0:
         return -1
-    return -_sign_at(sturm_chain(p)[0], x) * (1 if cs[-1] > 0 else -1)
+    return -_sign_at(cs, x) * (1 if cs[-1] > 0 else -1)
 
 
 def root_decimal(p: Polynomial) -> str:

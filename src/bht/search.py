@@ -36,14 +36,18 @@ A layer holds one graph per class as generated, labelled only where it
 was a parent with colliding edits or shared its bucket.
 ``connected_layer`` labels the rest on demand and returns each class's
 canonical graph (the graph relabelled by its canonical labelling),
-sorted by form.  The search scans the layers
-as generated and labels a graph only if its spectral radius comes within
-reach of the layer's best (see ``_scan``); those near-ties are admitted
-in form order with the radius of the canonical graph, so the search
-output does not depend on the order of generation either.  The radii
-that order the scan are solved in one stacked eigen-solve per layer, once
-per class, and kept on the class for every later pattern set; they agree
-with the reported radii within rounding only, and are never reported.
+sorted by form.  The search scans the layers as generated.  A layer's
+classes are searched only for the patterns whose cycle rank is at most
+the layer's, m - n + 1, since a connected host of a smaller rank contains
+none of the others: with no search, the trees are free of every named
+pattern, and the unicyclic graphs of the thetas.  The scan labels a graph
+only if its spectral radius comes within reach of the layer's best (see
+``_scan``); those near-ties are admitted in form order with the radius of
+the canonical graph, so the search output does not depend on the order of
+generation either.  The radii that order the scan are solved in one
+stacked eigen-solve per layer, once per class, and kept on the class for
+every later pattern set; they agree with the reported radii within
+rounding only, and are never reported.
 Layers are cached in-process and the search can checkpoint per-layer
 summaries to disk, under a name that carries the format version, making
 forced large runs resumable.
@@ -415,6 +419,12 @@ def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes]):
     over the admissible graphs of a layer, as ``_admit`` finds them in
     form order.
 
+    Every class of layer (n, m) is connected, so its cycle rank is
+    m - n + 1, and a pattern of a larger cycle rank embeds in none of them
+    (``forbidden.cycle_rank``): the classes are searched only for the
+    patterns of rank at most the layer's, read off its (n, m), and with
+    none left every class is free, with no search.
+
     The free classes whose ``radius`` is still None are solved together,
     in one stacked ``layer_radii`` per ``SOLVE_SLICE`` of them (a stacked
     solve gives each matrix the same bits whatever else is in the stack,
@@ -432,6 +442,9 @@ def _scan(layer: list[_Class], patterns, exclusions: frozenset[bytes]):
     """
     from .spectral import layer_radii, radius
 
+    if layer:
+        g = layer[0].graph  # of the layer's n and m, as every class
+        patterns = [p for p in patterns if forbidden.cycle_rank(p) <= g.m - g.n + 1]
     free = [i for i, c in enumerate(layer) if forbidden.is_free(c.graph, patterns)]
     unsolved = [i for i in free if layer[i].radius is None]
     for lo in range(0, len(unsolved), SOLVE_SLICE):

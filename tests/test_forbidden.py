@@ -271,3 +271,22 @@ def test_clique_free_host_needs_one_image_per_clique():
 def test_equal_patterns_share_one_plan():
     assert FB._plan(F.cycle(4)) is FB._plan(F.cycle(4))
     assert FB._plan("theta123") is FB._plan("theta123")
+
+
+def test_cycle_ranks_are_pinned():
+    """Each plan keeps its pattern's cycle rank m - n + 1: 1 for the cycles,
+    2 for the thetas, 6 for K5."""
+    assert {name: FB.cycle_rank(name) for name in FB.NAMED_PATTERNS} == {
+        "c5": 1, "c6": 1, "theta122": 2, "theta123": 2, "theta124": 2}
+    assert FB.cycle_rank(F.complete(5)) == FB._plan(F.complete(5)).rank == 6
+
+
+def test_no_connected_host_of_smaller_cycle_rank_contains_a_pattern(rng):
+    """A pattern's cycle space lies inside its host's, so a witness needs a
+    connected host of cycle rank at least the pattern's."""
+    patterns = list(FB.NAMED_PATTERNS) + [F.complete(4), F.cycle(3)]
+    for _ in range(300):
+        g = random_connected(rng, 4, 10)
+        for p in patterns:
+            if FB.contains_subgraph(g, p) is not None:
+                assert g.m - g.n + 1 >= FB.cycle_rank(p)

@@ -149,18 +149,30 @@ def test_sturm_chain_is_built_once_and_kept():
 def test_certificates_build_each_chain_once(monkeypatch, m):
     """Every root question on a polynomial reads its one kept chain: no
     polynomial has its chain built twice, and none is built for the
-    squarefree part that heads another polynomial's chain."""
+    squarefree part that heads another polynomial's chain.  Chains are
+    built only for Sturm counts: the polynomial of a ``ray`` or
+    ``interval`` row, or a gcd that overlapping root brackets test."""
     built = []  # keeping the objects alive keeps their ids distinct
-    build_chain = P._build_chain
+    gcds = []
+    build_chain, poly_gcd = P._build_chain, P._poly_gcd
 
     def counting(p):
         built.append(p)
         return build_chain(p)
 
+    def kept_gcd(x, y):
+        gcds.append(poly_gcd(x, y))
+        return gcds[-1]
+
+    rows = list(P._certificate_rows(m))
+    monkeypatch.setattr(P, "_certificate_rows", lambda m: rows)
     monkeypatch.setattr(P, "_build_chain", counting)
+    monkeypatch.setattr(P, "_poly_gcd", kept_gcd)
     P.inequality_certificates(m)
     ids = [id(p) for p in built]
-    assert len(built) > 10 and len(ids) == len(set(ids))
+    assert built and len(ids) == len(set(ids))
+    counted = {id(row[3][0]) for row in rows if row[2] in ("ray", "interval")}
+    assert set(ids) <= counted | {id(g) for g in gcds}
     heads = [P.sturm_chain(p)[0] for p in built]
     assert {id(h) for p, h in zip(built, heads) if h is not p}.isdisjoint(ids)
 
@@ -441,6 +453,100 @@ def test_overlapping_brackets_match_fraction_oracle(p, q, order):
     cmp = P.compare_largest_roots(p, q)
     assert cmp.order == order
     assert cmp == fraction_compare_largest_roots(p, q)
+
+
+# polynomials with only real roots: rational ones, repeats among them, and
+# the pairs +-sqrt(d)
+real_rooted = st.builds(
+    lambda p, ds: math.prod((P.Polynomial([-d, 0, 1]) for d in ds), start=p),
+    st.builds(_linear_product, st.lists(small_fractions, min_size=1, max_size=4), st.just(ONE),
+              nonzero_scales),
+    st.lists(st.integers(2, 60), max_size=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(real_rooted, small_fractions)
+def test_descartes_count_is_the_sturm_count_on_real_roots(p, x):
+    """With only real roots, one sign variation after the Taylor shift to x
+    is exactly one distinct root above x, as the Sturm count says."""
+    sf = p.squarefree()
+    sturm = fraction_count_roots(sf, x, P.POS_INF)
+    assert P._one_root_above(sf.num, x.numerator, x.denominator) == (sturm == 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(real_rooted)
+def test_seeded_brackets_on_real_roots_match_fraction_oracle(p):
+    """On polynomials with only real roots the seeded bracket, certified by
+    Descartes' rule, is the Fraction bisection's, and its float lies in it."""
+    got = P._seeded_bracket(P.Polynomial(p.num, p.den))
+    if got is not None:
+        cs, lo, hi, den, value = got
+        bracket = P.RootBracket(lo, hi, den)
+        assert bracket == fraction_largest_root_bracket(p)
+        assert float(bracket.lo) <= value <= float(bracket.hi)
+        assert cs == p.squarefree().num
+    assert P.largest_real_root(p)[1] == fraction_largest_root_bracket(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys.filter(lambda p: p.degree >= 0), polys.filter(lambda f: f.degree >= 1))
+def test_squarefree_test_modulo_a_prime_never_passes_a_square(p, f):
+    """p f^2 is never taken for its own squarefree part, and every
+    polynomial's part is the one the gcd gives."""
+    q = p * f * f
+    assert P._squarefree_part(q) is not q and P._squarefree_part(q) == q.squarefree()
+    if p.degree >= 1:
+        assert P._squarefree_part(p) == p.squarefree()
+
+
+def test_leading_coefficient_divisible_by_the_prime_takes_the_gcd(monkeypatch):
+    """Modulo the prime, (prime x + 1)^2 is the constant 1, coprime to its
+    derivative, yet it is a square: a leading coefficient that the prime
+    divides sends the test to the gcd."""
+    square = P.Polynomial([1, P._PRIME]) * P.Polynomial([1, P._PRIME])
+    assert P._coprime_mod(square.num, square.derivative().num, P._PRIME)
+    assert P._squarefree_part(square) == square.squarefree() and square.squarefree().degree == 1
+    gcds = []
+    poly_gcd = P._poly_gcd
+    monkeypatch.setattr(P, "_poly_gcd", lambda x, y: gcds.append(x) or poly_gcd(x, y))
+    squarefree = P.Polynomial([1, 0, P._PRIME])
+    assert P._squarefree_part(squarefree) is squarefree and gcds == [squarefree.num]
+
+
+def test_complex_roots_right_of_the_real_root_take_the_bisection():
+    """(x - 1)(x^2 - 4x + 5) has its complex roots 2 +- i right of its real
+    root 1: three sign variations above the seed's cell prove nothing, and
+    bisection gives the bracket, with its midpoint as the float."""
+    p = P.Polynomial([-1, 1]) * P.Polynomial([5, -4, 1])
+    assert P._seeded_bracket(P.Polynomial(p.num, p.den)) is None
+    value, bracket = P.largest_real_root(p)
+    assert bracket == fraction_largest_root_bracket(p) and bracket.lo < 1 <= bracket.hi
+    assert value == (bracket.lo_num + bracket.hi_num) / (2 * bracket.den)
+
+
+def test_seeded_roots_build_no_sturm_chain(monkeypatch):
+    """Every claim of verify at m = 22..120, both crossover scans over
+    22..400 and the largest root of every named polynomial at m = 22..120
+    are decided with no Sturm chain: the seeded cells are certified by
+    Descartes' rule, and the book checks read the squarefree part."""
+    from bht import search as SR
+
+    def refuse(*args):
+        raise AssertionError("built a Sturm chain")
+
+    monkeypatch.setattr(P, "_build_chain", refuse)
+    for thm, claim in SR.CLAIMS.items():
+        for m in range(max(22, claim.start), 121):
+            assert SR.verify_theorem(thm, m).status == "pass", (thm, m)
+    for parity, cx in P.CROSSOVER.items():
+        assert P.crossover_scan(cx.cone, cx.split, parity, (22, 400)).flips
+    seen = 0
+    for m in range(22, 121):
+        for _, _, poly in _named_instances(m):
+            P.largest_real_root(poly)
+            seen += 1
+    assert seen > 2000
 
 
 def test_bisection_builds_no_fraction_per_step(monkeypatch):

@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from bht import families as F
+from bht import forbidden as FB
 from bht import graphs, spectral
 from bht import partition as PT
 from bht import polynomials as P
@@ -31,7 +32,9 @@ from conftest import (
 
 # Totals per edge count, frozen from the oracle runs below (the Burnside
 # cross-check recomputes the layer counts live on every test run).
-FROZEN_CLASS_COUNTS = {1: 1, 2: 1, 3: 3, 4: 5, 5: 12, 6: 30, 7: 79, 8: 227, 9: 710, 10: 2322}
+# m = 11 is the literature total (OEIS A002905; Harary & Palmer 1973).
+FROZEN_CLASS_COUNTS = {1: 1, 2: 1, 3: 3, 4: 5, 5: 12, 6: 30, 7: 79, 8: 227, 9: 710, 10: 2322,
+                       11: 8071}
 
 
 def test_frozen_totals():
@@ -43,6 +46,10 @@ def test_frozen_totals():
 def test_frozen_totals_nine_ten():
     assert len(list(enumerate_connected(9))) == FROZEN_CLASS_COUNTS[9]
     assert len(list(enumerate_connected(10))) == FROZEN_CLASS_COUNTS[10]
+
+
+def test_frozen_total_eleven():
+    assert len(list(enumerate_connected(11))) == FROZEN_CLASS_COUNTS[11]
 
 
 def test_unpruned_search_enumerates_every_class_once():
@@ -258,7 +265,7 @@ def test_labelling_calls_per_class_kept(monkeypatch):
     every child took 6.97."""
     calls = _count_labellings(monkeypatch)
     kept = sum(len(SR.connected_layer(n, m)) for m in range(0, 11) for n in range(1, m + 2))
-    assert sum(FROZEN_CLASS_COUNTS.values()) + 1 == kept  # the point is kept too
+    assert sum(FROZEN_CLASS_COUNTS[m] for m in range(1, 11)) + 1 == kept  # the point is kept too
     assert calls[0] <= 2.5 * kept, calls[0] / kept
 
 
@@ -370,6 +377,46 @@ def test_search_sweep_solves_no_class_twice(monkeypatch):
             SR.extremal_search(m, patterns)
     solved = [g for graphs in stacked for g in graphs]
     assert len(solved) == len(set(solved))
+
+
+PATTERN_SETS = (["theta123"], ["theta124"], ["c5"], ["c6"], ["theta122", "theta123"])
+
+
+def test_scan_by_cycle_rank_matches_a_scan_of_every_pattern(monkeypatch):
+    """Dropping the patterns whose cycle rank exceeds a layer's changes no
+    scan of m = 1..10: the same tied graphs, enumerated and free counts as
+    a scan that searches every class for every pattern."""
+    for m in range(1, 11):
+        for n in range(2, m + 2):
+            layer = SR._layer(n, m)
+            for patterns in PATTERN_SETS:
+                with monkeypatch.context() as patch:
+                    patch.setattr(FB, "cycle_rank", lambda p: 0)
+                    want = SR._scan(layer, patterns, frozenset())
+                got = SR._scan(layer, patterns, frozenset())
+                assert got == want, (n, m, patterns)
+                assert got[2] == sum(is_free(c.graph, patterns) for c in layer)
+
+
+def test_no_host_below_a_patterns_cycle_rank_is_searched(monkeypatch):
+    """A search never looks for a pattern in a layer of smaller cycle rank:
+    the trees for every pattern, and the unicyclic graphs for the thetas.
+    Unpruned, it scans those layers too, and searches from the patterns'
+    rank up."""
+    contains = FB.contains_subgraph
+    searched = []
+
+    def guarded(g, pattern):
+        assert g.m - g.n + 1 >= FB.cycle_rank(pattern), (g, pattern)
+        searched.append(g.m - g.n + 1)
+        return contains(g, pattern)
+
+    monkeypatch.setattr(FB, "contains_subgraph", guarded)
+    for patterns, least in ((["theta122", "theta123"], 2), (["c5"], 1)):
+        SR.extremal_search(9, patterns)
+        searched.clear()
+        assert SR.extremal_search(9, patterns, prune=False).counts["pruned"] == 0
+        assert min(searched) == least
 
 
 @pytest.mark.parametrize("pattern", NAMED_PATTERNS)
