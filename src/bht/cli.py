@@ -40,17 +40,20 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 def _read_graph(path: str) -> Graph:
     """The graph in ``path``, an edge list when its first content line
     (comments stripped) has whitespace, which graph6 never does, and
-    graph6 otherwise.  A file with no content line holds no graph."""
+    graph6 otherwise, on exactly one content line.  A file with no content
+    line holds no graph."""
     from .graphs import from_graph6, parse_edge_list
 
     text = Path(path).read_text()
-    content = (line.split("#", 1)[0].strip() for line in text.splitlines())
-    first = next((line for line in content if line), "")
-    if not first:
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    content = [line for line in stripped if line]
+    if not content:
         raise ValueError(f"{path}: no graph in the file")
-    if len(first.split()) > 1:
+    if len(content[0].split()) > 1:
         return parse_edge_list(text)
-    return from_graph6(first)
+    if len(content) > 1:
+        raise ValueError(f"{path}: more than one graph6 line")
+    return from_graph6(content[0])
 
 
 def _parse_params(text: str) -> dict[str, int]:

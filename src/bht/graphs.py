@@ -379,6 +379,8 @@ def canonical_form(g: Graph) -> bytes:
 
 # -- file formats -------------------------------------------------------------
 
+_MAX_N = 258047  # the most vertices that graph6's four-character size prefix holds
+
 
 def parse_edge_list(text: str) -> Graph:
     """One ``u v`` pair per line, 0-indexed; ``#`` starts a comment."""
@@ -391,6 +393,9 @@ def parse_edge_list(text: str) -> Graph:
             u, v = map(int, line.split())
         except ValueError:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}") from None
+        if max(u, v) >= _MAX_N:
+            raise ValueError(f"line {lineno}: vertex {max(u, v)} exceeds {_MAX_N - 1}, "
+                             "the largest that graph6 holds")
         pairs.append((u, v))
     return from_edge_list(pairs)
 
@@ -404,8 +409,8 @@ def format_edge_list(g: Graph) -> str:
 def to_graph6(g: Graph) -> str:
     """graph6 encoding: 6-bit chunks of the upper triangle, offset 63."""
     n = g.n
-    if n > 258047:
-        raise ValueError("graph6 supports at most 258047 vertices here")
+    if n > _MAX_N:
+        raise ValueError(f"graph6 supports at most {_MAX_N} vertices here")
     if n <= 62:
         head = chr(n + 63)
     else:
@@ -439,13 +444,18 @@ def from_graph6(text: str) -> Graph:
             raise ValueError("unsupported graph6 size prefix")
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
         body = vals[4:]
+        if n < 63:
+            raise ValueError(f"graph6 long size prefix for n = {n} < 63")
     need = n * (n - 1) // 2
-    if len(body) * 6 < need:
-        raise ValueError("graph6 body too short")
+    if len(body) != (chars := -(-need // 6)):
+        raise ValueError(f"graph6 body of {len(body)} characters for n = {n}, expected {chars}")
     bitstring = 0
     for v in body:
         bitstring = (bitstring << 6) | v
-    bitstring >>= len(body) * 6 - need
+    pad = len(body) * 6 - need
+    if bitstring & ((1 << pad) - 1):
+        raise ValueError("graph6 padding bits are not zero")
+    bitstring >>= pad
     rows = [0] * n
     k = need
     for col in range(1, n):

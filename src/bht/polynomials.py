@@ -7,9 +7,9 @@ point is a Quad, the integers of (A + B sqrt(d))/C in lowest terms, with no
 arithmetic of its own.  A sign or value at a rational a/b or at a Quad is
 one Horner sum on those integers, in Z or in Z[sqrt(d)].  Sturm chains and
 gcds are primitive pseudo-remainder sequences (Collins 1967), positive
-multiples of the rational remainders; a chain is built once, on first use,
-from one remainder sequence when the polynomial is squarefree, and kept on
-it, as is the one bracket of its largest root.  A reported largest root lies
+multiples of the rational remainders; a chain is built on each use, from
+one remainder sequence when the polynomial is squarefree, and only the one
+bracket of its largest root is kept on it.  A reported largest root lies
 in a cell of width at most 1e-13 of the grid that bisection from the Cauchy
 bound runs on: a float root, moved by one exact Newton step, names the cell
 and is reported, and one sign at its upper end and one sign variation after
@@ -63,9 +63,10 @@ class Polynomial:
     form: no trailing zero in ``num``, ``den`` > 0, and no prime dividing
     ``den`` and every numerator (the zero polynomial has ``den`` = 1).  So
     equality, hashing and the arithmetic run on integers; the Fractions of
-    ``coeffs`` are built on first read, for output."""
+    ``coeffs`` are built on each read, for output.  The one value kept on
+    it is ``_root``, the bracket of its largest root."""
 
-    __slots__ = ("num", "den", "_coeffs", "_chain", "_root")
+    __slots__ = ("num", "den", "_root")
 
     def __init__(self, coeffs: Iterable[Fraction | int], den: int = 1):
         """The polynomial sum(coeffs[i] x^i) / den, for an integer den != 0."""
@@ -79,26 +80,16 @@ class Polynomial:
         g = math.gcd(den, *num) * (1 if den > 0 else -1)
         self.num: tuple[int, ...] = tuple(c // g for c in num) if g != 1 else tuple(num)
         self.den: int = den // g
-        self._coeffs: tuple[Fraction, ...] | None = None
-        self._chain: tuple[Polynomial, ...] | None = None
         self._root: tuple[tuple[int, ...], int, int, int, float] | None = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The rational coefficients, ascending."""
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(c, self.den) for c in self.num)
-        return self._coeffs
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
     def degree(self) -> int:
         return len(self.num) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.num:
-            raise ValueError("zero polynomial")
-        return Fraction(self.num[-1], self.den)
 
     def __call__(self, x):
         """p(x): a Fraction at an int or Fraction, a Quad at a Quad, else a float."""
@@ -167,15 +158,24 @@ class Polynomial:
         return Polynomial([q * other.den for q in quot], den), Polynomial(rem, den)
 
     def squarefree(self) -> "Polynomial":
-        g = _poly_gcd(self.num, self.derivative().num)
+        """p itself when it is squarefree, else p divided by gcd(p, p').
+
+        A repeated factor f^2 of p over Q divides p in Z[x] (Gauss's lemma),
+        so modulo a prime that does not divide lc(p) the image of f keeps its
+        degree and divides both p and p'.  p is thus its own squarefree part
+        when p and p' are coprime modulo _PRIME and lc(p) is a unit there,
+        with no gcd taken; else the gcd is taken."""
+        cs, ds = self.num, self.derivative().num
+        if cs and cs[-1] % _PRIME and _coprime_mod(cs, ds, _PRIME):
+            return self
+        g = _poly_gcd(cs, ds)
         return self if g.degree <= 0 else self.divmod(g)[0]
 
     def __str__(self) -> str:
         if not self.num:
             return "0"
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             mag = abs(c)
@@ -289,20 +289,13 @@ NEG_INF = "-inf"
 def sturm_chain(p: Polynomial) -> tuple[Polynomial, ...]:
     """The squarefree part of p, then integer polynomials, each a positive
     multiple of the rational Sturm chain's element, so that sign variations
-    are the same.  Built on first use and kept on p."""
-    if p._chain is None:
-        p._chain = _build_chain(p)
-    return p._chain
-
-
-def _build_chain(p: Polynomial) -> tuple[Polynomial, ...]:
-    """p's Sturm chain from one remainder sequence: its last element is a
-    multiple of gcd(p, p'), so a constant there means p is squarefree, and
-    only otherwise is the chain run again on p's squarefree part."""
-    chain = _remainders(Polynomial(p.num, p.den))  # a copy, so that p never holds itself
+    are the same.  Built on each call from one remainder sequence on p: its
+    last element is a multiple of gcd(p, p'), so a constant there means p is
+    squarefree, and only otherwise is the sequence run again on p's
+    squarefree part."""
+    chain = _remainders(p)
     if chain[-1].degree > 0:
-        sf = p.squarefree()
-        chain = _remainders(Polynomial(sf.num, sf.den))
+        chain = _remainders(p.squarefree())
     return tuple(chain)
 
 
@@ -496,7 +489,7 @@ def _seeded_bracket(p: Polynomial) -> tuple[tuple[int, ...], int, int, int, floa
     """
     if p.degree < 1:
         return None
-    sf = _squarefree_part(p)
+    sf = p.squarefree()
     cs = sf.num
     seed = _float_root(cs)
     if seed is None:
@@ -522,21 +515,7 @@ def _seeded_bracket(p: Polynomial) -> tuple[tuple[int, ...], int, int, int, floa
     return cs, lo, hi, den, a / q
 
 
-_PRIME = 2**61 - 1  # the modulus of _squarefree_part's test
-
-
-def _squarefree_part(p: Polynomial) -> Polynomial:
-    """p's squarefree part, the head of its Sturm chain, with no chain built.
-
-    A repeated factor f^2 of p over Q divides p in Z[x] (Gauss's lemma), so
-    modulo a prime that does not divide lc(p) the image of f keeps its
-    degree and divides both p and p'.  p is thus its own squarefree part
-    when p and p' are coprime modulo _PRIME and lc(p) is a unit there; else
-    the part is one gcd away."""
-    cs = p.num
-    if cs[-1] % _PRIME and _coprime_mod(cs, [i * c for i, c in enumerate(cs)][1:], _PRIME):
-        return p
-    return p.squarefree()
+_PRIME = 2**61 - 1  # the modulus of Polynomial.squarefree's test
 
 
 def _coprime_mod(a: Iterable[int], b: Iterable[int], prime: int) -> bool:

@@ -751,7 +751,7 @@ def verify_theorem(theorem: str, m: int, *, cache_dir=None) -> VerificationRepor
     else:
         q = _derived_poly(claimed)
         if q == poly:
-            q = poly  # one object, so that its chain and root bracket are built once
+            q = poly  # one object, so that its root bracket is built once (no chain is built)
         connected = is_connected(claimed)
         lam, _ = largest_real_root(q)
         poly_ok = connected and (q is poly or compare_largest_roots(q, poly).order == "eq")

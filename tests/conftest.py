@@ -365,7 +365,7 @@ def value_sign(p: Polynomial, x) -> int:
     if not p.coeffs:
         return 0
     if isinstance(x, str):
-        s = (p.leading > 0) - (p.leading < 0)
+        s = (p.num[-1] > 0) - (p.num[-1] < 0)
         return -s if x == NEG_INF and p.degree % 2 else s
     val = FractionPolynomial(p.coeffs)(x)
     return val.sign() if isinstance(val, Quad) else (val > 0) - (val < 0)

@@ -2,7 +2,8 @@
 tracer wraps the functions listed in ``TARGETS`` and its worker calls
 module functions directly.  These tests read both files as source and
 fail when a name they use no longer resolves in bht, and fail when the
-package defines a public name that no command or benchmark names."""
+package defines a public name, or a class a public method or property,
+that no command or benchmark names."""
 
 import ast
 import importlib
@@ -75,6 +76,7 @@ def test_partition_ops_match_the_stated_polynomials():
 UNREACHED_ON_PURPOSE = {
     ("partition", "is_equitable"): "exact spectral radii test cells with it",
     ("partition", "adjacency_charpoly"): "the oracle that exact spectral radii are checked against",
+    ("graphs", "Graph.remove_vertex"): "the vertex-deletion helper in tests/conftest.py uses it",
 }
 
 
@@ -94,22 +96,42 @@ def _names(node: ast.AST) -> set[str]:
     return out
 
 
+def _units(tree: ast.Module):
+    """(owners, nodes) for each top-level statement, a class split into its
+    header and its members: a member's owners are the class and
+    ``Class.member``, so one method naming another reaches it."""
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        if not isinstance(stmt, ast.ClassDef):
+            yield {owner}, [stmt]
+            continue
+        yield {owner}, [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+        for member in stmt.body:
+            yield {owner, f"{owner}.{getattr(member, 'name', '')}"}, [member]
+
+
 def test_package_names_are_reached():
+    """Every public function and class of bht, and every public method and
+    property of a bht class (keyed ``Class.name``), is named outside its own
+    definition, by name or attribute."""
     files = [*sorted((ROOT / "src" / "bht").glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]
     defined: dict[tuple[str, str], Path] = {}
-    used: list[tuple[Path, str | None, set[str]]] = []
+    used: list[tuple[Path, set[str], set[str]]] = []
     for path in files:
-        for stmt in ast.parse(path.read_text()).body:
-            owner = getattr(stmt, "name", None)
-            if path.parent.name == "bht" and isinstance(
-                    stmt, (ast.FunctionDef, ast.ClassDef)) and not owner.startswith("_"):
-                defined[(path.stem, owner)] = path
-            used.append((path, owner, _names(stmt)))
-    assert len(defined) > 50
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body if path.parent.name == "bht" else ():
+            if isinstance(stmt, ast.ClassDef):
+                defined.update(((path.stem, f"{stmt.name}.{m.name}"), path) for m in stmt.body
+                               if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defined[(path.stem, stmt.name)] = path
+        used += [(path, owners, set().union(*map(_names, nodes)))
+                 for owners, nodes in _units(tree)]
+    assert len(defined) > 100
     unreached = sorted(
         key for key, path in defined.items()
-        if not any(key[1] in names for where, owner, names in used
-                   if (where, owner) != (path, key[1]))
+        if not any(key[1].rpartition(".")[2] in names for where, owners, names in used
+                   if where != path or key[1] not in owners)
     )
     assert unreached == sorted(UNREACHED_ON_PURPOSE), (
         "public names that no command or benchmark names: "

@@ -283,6 +283,24 @@ def test_every_declared_option_is_read():
                     (command, action.dest)
 
 
+def test_graph6_file_with_more_than_one_line_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "two.g6"
+    path.write_text(">>graph6<<Dhc\n# C5, then K2\nA_\n")
+    for cmd in (["lambda"], ["free", "--patterns", "c5"], ["quotient", "--blocks", "0"]):
+        code, out, err = run(capsys, *cmd, "--input", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: more than one graph6 line\n")
+
+
+@pytest.mark.parametrize("text", ["Dhcxyz", "Dhd", "A`", "A~", "~??@", "0 1\n2 1000000000000"])
+def test_input_that_is_not_a_graph_is_usage_error(capsys, tmp_path, text):
+    """Trailing characters, nonzero padding bits, a long size prefix for a
+    small graph, and a vertex past graph6's range: one error line each."""
+    path = tmp_path / "g.txt"
+    path.write_text(text + "\n")
+    code, out, err = run(capsys, "lambda", "--input", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_edge_list_names_its_line(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1\n1 x\n")

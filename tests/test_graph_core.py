@@ -4,7 +4,7 @@ import hashlib
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bht import families, search
@@ -410,24 +410,41 @@ def test_edge_list_text_round_trip():
         parse_edge_list("0 1\n1 2 3\n")
 
 
-def _reads_or_rejects(parse, text: str) -> None:
+def _reads_or_rejects(parse, text: str) -> Graph | None:
     """``parse(text)`` gives a graph that round-trips through graph6, or
-    raises ValueError; any other exception fails the test."""
+    raises ValueError (None); any other exception fails the test."""
     try:
         g = parse(text)
     except ValueError:
-        return
+        return None
     assert from_graph6(to_graph6(g)) == g
+    return g
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=200), max_size=12))
+@example("Dhcxyz")  # C5 with trailing characters
+@example("Dhc?")  # C5 with a trailing character of zero bits
+@example("Dhd")  # C5 with a nonzero padding bit
+@example("A`")
+@example("A~")
+@example("~??@")  # K1 behind the long size prefix
 def test_graph6_parser_fuzz(text):
-    _reads_or_rejects(from_graph6, text)
+    """A string that reads as a graph is that graph's own graph6 encoding,
+    header and surrounding whitespace aside."""
+    g = _reads_or_rejects(from_graph6, text)
+    if g is not None:
+        assert to_graph6(g) == text.strip().removeprefix(">>graph6<<")
 
 
-# vertex indices stay at two digits, so no example allocates a large graph
-_EDGE_TOKENS = ["0", "1", "2", "10", "99", "+3", "-1", "x", "1.5", "#", "", "\t"]
+def test_edge_list_vertex_past_graph6_range_is_rejected_on_its_line():
+    """The bound is checked before any row is allocated."""
+    with pytest.raises(ValueError, match="line 2: vertex 1000000000000 exceeds 258046"):
+        parse_edge_list("0 1\n1000000000000 3\n")
+
+
+# every index past graph6's range is rejected before a graph is built
+_EDGE_TOKENS = ["0", "1", "2", "10", "99", "+3", "-1", "x", "1.5", "#", "", "\t", "1000000000000"]
 
 
 @settings(max_examples=300, deadline=None)

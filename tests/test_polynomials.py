@@ -75,7 +75,7 @@ def _positive_multiple(p: P.Polynomial, q: P.Polynomial) -> bool:
         return False
     if not p.coeffs:
         return True
-    k = p.leading / q.leading
+    k = p.coeffs[-1] / q.coeffs[-1]
     return k > 0 and all(a == k * b for a, b in zip(p.coeffs, q.coeffs))
 
 
@@ -137,28 +137,25 @@ def test_count_roots_matches_fraction_chain(p, lo, hi):
     assert P.count_roots(p, lo, hi) == fraction_count_roots(p, lo, hi)
 
 
-def test_sturm_chain_is_built_once_and_kept():
+def test_sturm_chain_is_headed_by_the_squarefree_part():
     sf = P.split_pendant_poly(30, 1)
     for p in (sf, sf * P.Polynomial([-1, 1]) * P.Polynomial([-1, 1])):
         chain = P.sturm_chain(p)
-        assert type(chain) is tuple and P.sturm_chain(p) is chain
-        assert chain[0] == p.squarefree() and chain[0] is not p
+        assert type(chain) is tuple and chain[0] == p.squarefree()
 
 
 @pytest.mark.parametrize("m", [61, 96])
 def test_certificates_build_each_chain_once(monkeypatch, m):
-    """Every root question on a polynomial reads its one kept chain: no
-    polynomial has its chain built twice, and none is built for the
-    squarefree part that heads another polynomial's chain.  Chains are
+    """No polynomial is asked for its Sturm chain twice, and chains are
     built only for Sturm counts: the polynomial of a ``ray`` or
     ``interval`` row, or a gcd that overlapping root brackets test."""
     built = []  # keeping the objects alive keeps their ids distinct
     gcds = []
-    build_chain, poly_gcd = P._build_chain, P._poly_gcd
+    sturm_chain, poly_gcd = P.sturm_chain, P._poly_gcd
 
     def counting(p):
         built.append(p)
-        return build_chain(p)
+        return sturm_chain(p)
 
     def kept_gcd(x, y):
         gcds.append(poly_gcd(x, y))
@@ -166,15 +163,13 @@ def test_certificates_build_each_chain_once(monkeypatch, m):
 
     rows = list(P._certificate_rows(m))
     monkeypatch.setattr(P, "_certificate_rows", lambda m: rows)
-    monkeypatch.setattr(P, "_build_chain", counting)
+    monkeypatch.setattr(P, "sturm_chain", counting)
     monkeypatch.setattr(P, "_poly_gcd", kept_gcd)
     P.inequality_certificates(m)
     ids = [id(p) for p in built]
     assert built and len(ids) == len(set(ids))
     counted = {id(row[3][0]) for row in rows if row[2] in ("ray", "interval")}
     assert set(ids) <= counted | {id(g) for g in gcds}
-    heads = [P.sturm_chain(p)[0] for p in built]
-    assert {id(h) for p, h in zip(built, heads) if h is not p}.isdisjoint(ids)
 
 
 @settings(max_examples=200, deadline=None)
@@ -493,11 +488,11 @@ def test_seeded_brackets_on_real_roots_match_fraction_oracle(p):
 @given(polys.filter(lambda p: p.degree >= 0), polys.filter(lambda f: f.degree >= 1))
 def test_squarefree_test_modulo_a_prime_never_passes_a_square(p, f):
     """p f^2 is never taken for its own squarefree part, and every
-    polynomial's part is the one the gcd gives."""
+    polynomial's part is the one rational remainders give."""
     q = p * f * f
-    assert P._squarefree_part(q) is not q and P._squarefree_part(q) == q.squarefree()
-    if p.degree >= 1:
-        assert P._squarefree_part(p) == p.squarefree()
+    assert q.squarefree() is not q
+    for r in (q, p):
+        assert r.squarefree() == P.Polynomial(FractionPolynomial(r.coeffs).squarefree().coeffs)
 
 
 def test_leading_coefficient_divisible_by_the_prime_takes_the_gcd(monkeypatch):
@@ -506,12 +501,13 @@ def test_leading_coefficient_divisible_by_the_prime_takes_the_gcd(monkeypatch):
     divides sends the test to the gcd."""
     square = P.Polynomial([1, P._PRIME]) * P.Polynomial([1, P._PRIME])
     assert P._coprime_mod(square.num, square.derivative().num, P._PRIME)
-    assert P._squarefree_part(square) == square.squarefree() and square.squarefree().degree == 1
+    g = P._poly_gcd(square.num, square.derivative().num)
+    assert square.squarefree() == square.divmod(g)[0] and square.squarefree().degree == 1
     gcds = []
     poly_gcd = P._poly_gcd
     monkeypatch.setattr(P, "_poly_gcd", lambda x, y: gcds.append(x) or poly_gcd(x, y))
     squarefree = P.Polynomial([1, 0, P._PRIME])
-    assert P._squarefree_part(squarefree) is squarefree and gcds == [squarefree.num]
+    assert squarefree.squarefree() is squarefree and gcds == [squarefree.num]
 
 
 def test_complex_roots_right_of_the_real_root_take_the_bisection():
@@ -535,7 +531,7 @@ def test_seeded_roots_build_no_sturm_chain(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a Sturm chain")
 
-    monkeypatch.setattr(P, "_build_chain", refuse)
+    monkeypatch.setattr(P, "sturm_chain", refuse)
     for thm, claim in SR.CLAIMS.items():
         for m in range(max(22, claim.start), 121):
             assert SR.verify_theorem(thm, m).status == "pass", (thm, m)
