@@ -3,7 +3,11 @@
 Vertices are 0..n-1 and every neighbourhood is a Python int used as a
 bitset, so the same representation covers both small graphs (single
 machine word) and the occasional larger one.  All editing operations
-return new Graph values; nothing here mutates.
+return new Graph values; nothing here mutates.  ``bits`` lists a row's
+vertices as a tuple; a mask below 2^13, a row of any graph on at most 13
+vertices (every graph the search grows), is read from a table filled on
+first use, which thus holds at most 8,192 tuples, and a wider one is
+walked.
 
 Validation happens at the public constructor: ``Graph(n, adj)`` checks
 that the rows are in range, loop-free and symmetric.  The builders here
@@ -26,7 +30,11 @@ colour and its neighbour count in each colour as base-(n+1) digits, and
 re-ranks the keys; a round that leaves the number of cells unchanged
 ends the refinement.  While a cell has several vertices, the first
 smallest one is split by giving one vertex, per twin class, a colour of
-its own, and the search descends.  Every discrete colouring met is a
+its own, and the search descends.  When every cell of several vertices
+is one twin class, that branch splits off the cell's least vertex, which
+splits no other cell, so it reaches one leaf: each cell's vertices
+coloured in ascending order, which the search takes directly, with no
+refinement on the way.  Every discrete colouring met is a
 relabelling; the form is the vertex count followed by the
 lexicographically least upper-triangle adjacency code over all of them.
 Two graphs are isomorphic iff their canonical forms compare equal; tests
@@ -42,15 +50,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# each mask below _BITS_BELOW -> its bit positions, filled on first use
+_BITS_BELOW = 1 << 13
+_BITS: dict[int, tuple[int, ...]] = {}
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask`` in increasing order, read from
+    ``_BITS`` when ``mask`` is below ``_BITS_BELOW`` and walked otherwise."""
+    out = _BITS.get(mask)
+    if out is None:
+        walk = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            walk.append(low.bit_length() - 1)
+            rest ^= low
+        out = tuple(walk)
+        if mask < _BITS_BELOW:
+            _BITS[mask] = out
+    return out
 
 
 @dataclass(frozen=True)
@@ -230,7 +252,8 @@ def is_connected(g: Graph) -> bool:
 # -- canonical form ----------------------------------------------------------
 
 
-def _refine(nbrs: list[list[int]], colors: list[int], pw: tuple[int, ...], top: int) -> list[int]:
+def _refine(nbrs: list[tuple[int, ...]], colors: list[int], pw: tuple[int, ...],
+            top: int) -> list[int]:
     """Coarsest equitable refinement of ``colors``, as dense colour ranks.
 
     ``colors`` are dense ranks whose cells all have one degree, so the
@@ -269,7 +292,7 @@ def twin_masks(adj: tuple[int, ...]) -> list[int]:
     return [open_[row] | closed[row | 1 << v] for v, row in enumerate(adj)]
 
 
-def _adjacency_code(nbrs: list[list[int]], colors: list[int], bit: tuple[int, ...]) -> int:
+def _adjacency_code(nbrs: list[tuple[int, ...]], colors: list[int], bit: tuple[int, ...]) -> int:
     """Upper triangle of the adjacency matrix relabelled by the discrete
     ``colors``, row by row, as one integer (first bit most significant).
 
@@ -309,7 +332,7 @@ def labelling_and_automorphisms(g: Graph) -> tuple[bytes, list[int], list[tuple[
     if n == 0:
         return (0).to_bytes(2, "big"), [], []
     adj = g.adj
-    nbrs = [list(bits(row)) for row in adj]
+    nbrs = [bits(row) for row in adj]
     pw, bit, top = _powers(n)
     best: list = []
     twins: list[int] = []
@@ -318,32 +341,42 @@ def labelling_and_automorphisms(g: Graph) -> tuple[bytes, list[int], list[tuple[
     def descend(colors: list[int]) -> None:
         colors = _refine(nbrs, colors, pw, top)
         k = max(colors) + 1
-        if k == n:
-            code = _adjacency_code(nbrs, colors, bit)
-            if not best or code < best[0]:
-                best[:] = [code, colors]
-            elif code == best[0]:
-                # equal codes: the vertex labelled i here maps to the one
-                # labelled i at the first such leaf
-                first = [0] * n
-                for v, c in enumerate(best[1]):
-                    first[c] = v
-                generators.append(tuple(first[c] for c in colors))
-            return
-        cells: list[list[int]] = [[] for _ in range(k)]
-        for v, c in enumerate(colors):
-            cells[c].append(v)
-        target = min((len(cell), c) for c, cell in enumerate(cells) if len(cell) > 1)[1]
-        if not twins:
-            twins[:] = twin_masks(adj)
-        # swapping twins is an automorphism, so one branch per twin class
-        cell = sum(1 << v for v in cells[target])
-        for v in cells[target]:
-            if twins[v] & cell & ((1 << v) - 1):
-                continue
-            branched = [c if c < target else c + 1 for c in colors]
-            branched[v] = target
-            descend(branched)
+        if k < n:
+            if not twins:
+                twins[:] = twin_masks(adj)
+            cells = [0] * k
+            for v, c in enumerate(colors):
+                cells[c] |= 1 << v
+            if any(twins[(cell & -cell).bit_length() - 1] & cell != cell
+                   for cell in cells if cell & (cell - 1)):
+                target = min((cell.bit_count(), c) for c, cell in enumerate(cells)
+                             if cell & (cell - 1))[1]
+                # swapping twins is an automorphism, so one branch per twin class
+                cell = cells[target]
+                for v in bits(cell):
+                    if twins[v] & cell & ((1 << v) - 1):
+                        continue
+                    branched = [c if c < target else c + 1 for c in colors]
+                    branched[v] = target
+                    descend(branched)
+                return
+            # every cell of several vertices is one twin class: the branching
+            # splits off its least vertex, which splits no other cell, so it
+            # reaches one leaf, that of each cell's vertices in ascending order
+            leaf = [0] * n
+            for i, v in enumerate(sorted(range(n), key=colors.__getitem__)):
+                leaf[v] = i
+            colors = leaf
+        code = _adjacency_code(nbrs, colors, bit)
+        if not best or code < best[0]:
+            best[:] = [code, colors]
+        elif code == best[0]:
+            # equal codes: the vertex labelled i here maps to the one
+            # labelled i at the first such leaf
+            first = [0] * n
+            for v, c in enumerate(best[1]):
+                first[c] = v
+            generators.append(tuple(first[c] for c in colors))
 
     degrees = [len(nb) for nb in nbrs]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}

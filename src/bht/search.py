@@ -298,6 +298,19 @@ def _grow_leaves(parents: list[_Class]) -> list[_Class]:
     return _with_tied(kept, tied)
 
 
+def _rest(x: int, y: int, u: int, v: int, adj: tuple[int, ...], rows: list[int],
+          nsum: list[int], cd: list[int]) -> tuple[int, int, int]:
+    """The rest of edge (x, y)'s key in the child that adds (u, v) to the
+    parent with rows ``adj``: its endpoints' common neighbours, then their
+    sorted neighbour-degree sums, from the child's ``rows`` and degrees
+    ``cd`` and the parent's neighbour-degree sums ``nsum``."""
+    sx = nsum[x] + (adj[x] >> u & 1) + (adj[x] >> v & 1)
+    sy = nsum[y] + (adj[y] >> u & 1) + (adj[y] >> v & 1)
+    sx += (x == u) * cd[v] + (x == v) * cd[u]
+    sy += (y == u) * cd[v] + (y == v) * cd[u]
+    return (rows[x] & rows[y]).bit_count(), max(sx, sy), min(sx, sy)
+
+
 def _grow_edges(parents: list[_Class]) -> list[_Class]:
     """The graphs with one edge more on the same vertices, one edge per
     Aut(parent) orbit of non-edges.  An edge's key is its sorted endpoint
@@ -305,9 +318,11 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
     neighbour-degree sums, computed only on a tie of the degrees.  A
     bridge of the parent stays one in the child iff the new edge's
     endpoints lie on the same side of it.  Every non-edge of the
-    unlabelled parent is tested; the accepted ones are cut to one per
-    orbit by ``_one_per_orbit``, with the sorted (degree, neighbour-degree
-    sum) pairs of the endpoints in the parent as the invariant."""
+    unlabelled parent is tested, and ``_rest`` reads the rest of the key
+    of the new edge and of each rival whose degrees tie with it; the
+    accepted ones are cut to one per orbit by ``_one_per_orbit``, with the
+    sorted (degree, neighbour-degree sum) pairs of the endpoints in the
+    parent as the invariant."""
     kept: list[_Class] = []
     tied: list[_Class] = []
     for i, c in enumerate(parents):
@@ -342,17 +357,8 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
                     rows = list(adj)  # the child's rows
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
-
-                    def rest(x: int, y: int) -> tuple[int, int, int]:
-                        # common neighbours, sorted neighbour-degree sums in the child
-                        sx = nsum[x] + (adj[x] >> u & 1) + (adj[x] >> v & 1)
-                        sy = nsum[y] + (adj[y] >> u & 1) + (adj[y] >> v & 1)
-                        sx += (x == u) * cd[v] + (x == v) * cd[u]
-                        sy += (y == u) * cd[v] + (y == v) * cd[u]
-                        return (rows[x] & rows[y]).bit_count(), max(sx, sy), min(sx, sy)
-
-                    best = rest(u, v)
-                    rests = [rest(x, y) for x, y in rivals]
+                    best = _rest(u, v, u, v, adj, rows, nsum, cd)
+                    rests = [_rest(x, y, u, v, adj, rows, nsum, cd) for x, y in rivals]
                     if max(rests) > best:
                         continue
                     tie = best in rests
@@ -654,12 +660,14 @@ def _isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-def _c6_regimes(m: int) -> tuple[Graph, Graph]:
-    """(claimed, alternative): the cone up to the crossover, the split after."""
+def _c6_regime(m: int, claimed: bool) -> Graph:
+    """The c6 claim's graph at m if ``claimed``, else the other regime's
+    graph, which it beats: the cone is claimed up to the crossover, the
+    split after.  Each call builds one graph."""
     cx = crossover_at(m)
-    cone = families.k1_join_candidate(m)
-    split = families.split_pendant_for_size(m, cx.split_t)
-    return (cone, split) if m <= cx.last_cone else (split, cone)
+    if (m <= cx.last_cone) == claimed:
+        return families.k1_join_candidate(m)
+    return families.split_pendant_for_size(m, cx.split_t)
 
 
 @dataclass(frozen=True)
@@ -692,8 +700,8 @@ CLAIMS = {
         22, ("c5",), _book_exclusion,
         lambda m: families.split_pendant_for_size(m, crossover_at(m).split_t), c5_extremal),
     "c6_runner_up": Claim(
-        22, ("c6",), _book_exclusion, lambda m: _c6_regimes(m)[0], c6_extremal,
-        rival=lambda m: _c6_regimes(m)[1]),
+        22, ("c6",), _book_exclusion, lambda m: _c6_regime(m, True), c6_extremal,
+        rival=lambda m: _c6_regime(m, False)),
     "theta_pair_runner_up": Claim(
         26, ("theta122", "theta123"), _complete_bipartite_exclusions,
         lambda m: families.star_matching(m, 1), star_matching_cubic),

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bht import families, search
+from bht import families, graphs, search
 from bht.graphs import (
     Graph,
+    bits,
     canonical_form,
     canonical_labelling,
     components,
@@ -25,6 +26,22 @@ from bht.graphs import (
     to_graph6,
 )
 from conftest import brute_automorphisms, brute_isomorphic, enumerate_connected, graph_of_form
+
+
+def _walk(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("mask", [0, 1, 0b101101, (1 << 13) - 1, 1 << 13, (1 << 13) + 5,
+                                  (1 << 20) - 3, (1 << 300) - 1,
+                                  sum(1 << i for i in range(0, 300, 7))])
+def test_bits_is_the_ascending_walk(monkeypatch, mask):
+    """``bits`` returns the ascending tuple of set positions, from the table
+    or walked, and tables only masks below 2^13."""
+    monkeypatch.setattr(graphs, "_BITS", {})
+    assert bits(mask) == _walk(mask)  # walked
+    assert bits(mask) == _walk(mask) and type(bits(mask)) is tuple  # read back, if tabled
+    assert list(graphs._BITS) == ([mask] if mask < 1 << 13 else [])
 
 
 def test_from_edge_list_triangle():

@@ -220,6 +220,74 @@ def test_layers_are_pinned(monkeypatch):
     assert h.hexdigest() == LAYER_ROWS_PIN
 
 
+# sha256 of (form, labelling, generators) of every class of every layer
+# (n, m), m <= 9, in the order grown from an empty cache, taken when every
+# labelling walked each twin cell down to its leaf one split at a time.
+LABELLING_PIN = (1069, "179b22de2d1a3a401cb19996c68603018fcfbfda4eff797e506717f43f864f73")
+
+
+def test_labellings_are_pinned(monkeypatch):
+    """Going straight to the one leaf of a colouring whose cells of several
+    vertices are twin classes keeps every form, labelling and generator
+    list of the layers up to m = 9."""
+    monkeypatch.setattr(SR, "_LAYERS", {})
+    h = hashlib.sha256()
+    count = 0
+    for m in range(0, 10):
+        for n in range(1, m + 2):
+            for c in SR._layer(n, m):
+                form, labelling, generators = graphs.labelling_and_automorphisms(c.graph)
+                h.update(f"{form.hex()} {labelling} {generators}\n".encode())
+                count += 1
+    assert (count, h.hexdigest()) == LABELLING_PIN
+
+
+def test_growth_refinements(monkeypatch):
+    """Growing every layer up to m = 10 from an empty cache makes at most
+    2,064 refinements: 3,034 when every twin cell was split one vertex at
+    a time, each split refined again."""
+    calls = [0]
+    refine = graphs._refine
+
+    def counted(*args):
+        calls[0] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(graphs, "_refine", counted)
+    monkeypatch.setattr(SR, "_LAYERS", {})
+    for m in range(0, 11):
+        for n in range(1, m + 2):
+            SR._layer(n, m)
+    assert 0 < calls[0] <= 2064, calls[0]
+
+
+def test_bit_table_holds_only_narrow_masks(monkeypatch):
+    """``verify`` at m = 400 walks the rows of graphs on 200 vertices and
+    more, and the bit table keeps none of them."""
+    monkeypatch.setattr(graphs, "_BITS", {})
+    for thm in SR.THEOREM_IDS:
+        assert SR.verify_theorem(thm, 400).status == "pass"
+    assert max(SR.CLAIMS["c6_runner_up"].graph(400).adj).bit_length() > 200
+    assert graphs._BITS and max(graphs._BITS) < graphs._BITS_BELOW == 1 << 13
+
+
+@pytest.mark.parametrize("m", [40, 100])
+def test_c6_verify_builds_each_regime_graph_once(monkeypatch, m):
+    """One ``verify`` of the c6 claim builds the cone and the split once
+    each, on either side of the crossover."""
+    calls = {"k1_join_candidate": 0, "split_pendant_for_size": 0}
+    for name in calls:
+        build = getattr(F, name)
+
+        def counted(*args, name=name, build=build):
+            calls[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(F, name, counted)
+    assert SR.verify_theorem("c6_runner_up", m).status == "pass"
+    assert calls == {"k1_join_candidate": 1, "split_pendant_for_size": 1}
+
+
 def _layer_rows(n: int, m: int) -> list[tuple[int, ...]]:
     return [c.graph.adj for c in SR._layer(n, m)]
 
