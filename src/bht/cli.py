@@ -2,9 +2,10 @@
 
 Exit codes follow the claim contract: 0 when the requested computation
 succeeds and every asserted claim holds, 1 when some claim is violated,
-2 for usage errors.  Machine-readable output (one JSON object per line,
-each carrying ``schema: 1``) sits behind ``--json``; the default output
-is a small human-readable table.
+2 for usage errors, among them a path that cannot be read or written
+(named with the system's reason).  Machine-readable output (one JSON
+object per line, each carrying ``schema: 1``) sits behind ``--json``; the
+default output is a small human-readable table.
 
 Exhaustive search runs up to ``search.DEFAULT_CAP`` edges unless
 ``--force`` is given.  Checkpoints go to ``--cache-dir`` when given, else
@@ -382,12 +383,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        return _usage_error(f"cannot read {exc.filename}")
     except ValueError as exc:
         return _usage_error(str(exc))
     except BrokenPipeError:
         return 0
+    except OSError as exc:  # an input, output or cache path that cannot be used
+        return _usage_error(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
 
 
 if __name__ == "__main__":

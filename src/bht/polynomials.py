@@ -14,9 +14,9 @@ in a cell of width at most 1e-13 of the grid that bisection from the Cauchy
 bound runs on: a float root, moved by one exact Newton step, names the cell
 and is reported, and one sign at its upper end and one sign variation after
 a Taylor shift to its lower end (Descartes' rule) certify it, on the
-squarefree part, which a coprimality test modulo a prime finds with no
-chain; else the root is isolated, bisected and reported as the cell's
-midpoint.
+squarefree part, p divided by gcd(p, p') when that is not a constant,
+which needs no chain; else the root is isolated, bisected and reported as
+the cell's midpoint.
 Grid points are integer numerators over one denominator, (the Cauchy
 bound's denominator) x 2^k, so no step takes a gcd.  Fractions are built
 only for output: a polynomial's coefficients and a root bracket's two ends
@@ -158,17 +158,8 @@ class Polynomial:
         return Polynomial([q * other.den for q in quot], den), Polynomial(rem, den)
 
     def squarefree(self) -> "Polynomial":
-        """p itself when it is squarefree, else p divided by gcd(p, p').
-
-        A repeated factor f^2 of p over Q divides p in Z[x] (Gauss's lemma),
-        so modulo a prime that does not divide lc(p) the image of f keeps its
-        degree and divides both p and p'.  p is thus its own squarefree part
-        when p and p' are coprime modulo _PRIME and lc(p) is a unit there,
-        with no gcd taken; else the gcd is taken."""
-        cs, ds = self.num, self.derivative().num
-        if cs and cs[-1] % _PRIME and _coprime_mod(cs, ds, _PRIME):
-            return self
-        g = _poly_gcd(cs, ds)
+        """p itself when gcd(p, p') is a constant, else p divided by it."""
+        g = _poly_gcd(self.num, self.derivative().num)
         return self if g.degree <= 0 else self.divmod(g)[0]
 
     def __str__(self) -> str:
@@ -513,28 +504,6 @@ def _seeded_bracket(p: Polynomial) -> tuple[tuple[int, ...], int, int, int, floa
     if _horner_sign(cs, hi, den) * cs[-1] < 0 or not _one_root_above(cs, lo, den):
         return None
     return cs, lo, hi, den, a / q
-
-
-_PRIME = 2**61 - 1  # the modulus of Polynomial.squarefree's test
-
-
-def _coprime_mod(a: Iterable[int], b: Iterable[int], prime: int) -> bool:
-    """Whether the integer polynomials a and b (ascending) have a nonzero
-    constant gcd modulo the prime, by Euclid's algorithm over GF(prime)."""
-    a, b = [c % prime for c in a], [c % prime for c in b]
-    for r in (a, b):
-        while r and not r[-1]:
-            r.pop()
-    while b:
-        inv, n = pow(b[-1], -1, prime), len(b) - 1
-        while len(a) > n:
-            f, shift = a[-1] * inv % prime, len(a) - 1 - n
-            for j, c in enumerate(b):
-                a[shift + j] = (a[shift + j] - f * c) % prime
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
 
 
 def _one_root_above(cs: tuple[int, ...], lo: int, den: int) -> bool:

@@ -2,20 +2,24 @@
 
 Enumeration is levelwise and isomorph-free by canonical augmentation
 (McKay 1998, "Isomorph-free exhaustive generation", J. Algorithms 26).
-Trees on n vertices grow from the trees on n - 1 by one leaf; a layer
-(n, m) with m >= n grows from layer (n, m - 1) by one edge, since a
-connected graph with a cycle stays connected when it loses a cycle edge.
-The canonical deletion of a graph C is chosen among its leaves (a tree)
-or its non-bridge edges (otherwise): those of the largest
-isomorphism-invariant key.  Every non-edge e of a parent P (or vertex,
-for a leaf) is tried on P unlabelled, and the child C = P + e is accepted
-only if e has the largest key in C.  That test reads only invariants of
-(P, e), so the accepted edits are a union of Aut(P) orbits, and the least
-edit of each orbit is kept.  P is labelled, which yields generators of
-Aut(P), only when two of its accepted edits share an invariant (the
-sorted degrees and neighbour-degree sums of their endpoints in P); an
-edit whose invariant is its own is alone in its orbit.  Each class is
-kept exactly once:
+The canonical deletion of a connected graph C is its leaf of the largest
+isomorphism-invariant key when C has a leaf, and otherwise its
+non-bridge edge of the largest key; either leaves C connected.  So a
+layer (n, m) holds the classes with a leaf, grown from layer
+(n - 1, m - 1) by one leaf, and, when m >= n, the leafless classes, grown
+from layer (n, m - 1) by one edge; no class is in both.  A leafless
+graph less one edge has leaves only at that edge's ends, so a parent
+with more than two leaves grows no edge, and the others grow only the
+non-edges whose ends cover all their leaves (``_leafless_sites``), a set
+that automorphisms keep.  Every such non-edge e of a parent P (or
+vertex, for a leaf) is tried on P unlabelled, and the child C = P + e is
+accepted only if e has the largest key in C.  That test reads only
+invariants of (P, e), so the accepted edits are a union of Aut(P) orbits,
+and the least edit of each orbit is kept.  P is labelled, which yields
+generators of Aut(P), only when two of its accepted edits share an
+invariant (the sorted degrees and neighbour-degree sums of their
+endpoints in P); an edit whose invariant is its own is alone in its
+orbit.  Each class is kept exactly once:
 
 - most children are rejected because e's key is not the largest, which
   per-parent degrees, neighbour-degree sums and bridge sides decide in a
@@ -107,11 +111,12 @@ class _Class(NamedTuple):
     """One class of a layer: a graph and, once it is labelled, its
     canonical form, a labelling that attains it and generators of its
     automorphism group (``form`` is None until then).  A class is
-    labelled when two of the edits it accepts while growing the next
-    layer collide, when it is a tied child that shares its signature with
-    another, or on demand (``connected_layer``, ``_scan``).  ``radius`` is the graph's spectral radius within
-    rounding, solved by the first scan that finds the class free and read
-    only to order the scans' walks (None until then)."""
+    labelled when two of the edits it accepts while it grows a layer by a
+    leaf or by an edge collide, when it is a tied child that shares its
+    signature with another, or on demand (``connected_layer``, ``_scan``).
+    ``radius`` is the graph's spectral radius within rounding, solved by
+    the first scan that finds the class free and read only to order the
+    scans' walks (None until then)."""
 
     graph: Graph
     form: bytes | None = None
@@ -138,17 +143,19 @@ def connected_layer(n: int, m: int) -> list[Graph]:
 
 
 def _layer(n: int, m: int) -> list[_Class]:
-    """The cached layer (n, m), grown from its parent layer on first use."""
+    """The cached layer (n, m), grown on first use: the classes with a leaf
+    from layer (n - 1, m - 1), then, when m >= n, the leafless classes from
+    layer (n, m - 1)."""
     if n < 1 or m < n - 1 or m > comb(n, 2):
         return []
     key = (n, m)
     if key not in _LAYERS:
         if n == 1:
             layer = [_Class(Graph(1, (0,)))]
-        elif m == n - 1:
-            layer = _grow_leaves(_layer(n - 1, n - 2))
         else:
-            layer = _grow_edges(_layer(n, m - 1))
+            layer = _grow_leaves(_layer(n - 1, m - 1))
+            if m >= n:
+                layer += _grow_edges(_layer(n, m - 1))
         _LAYERS[key] = layer
     return _LAYERS[key]
 
@@ -260,11 +267,13 @@ def _one_per_orbit(parents: list[_Class], i: int, accepted: list[tuple]) -> list
 
 
 def _grow_leaves(parents: list[_Class]) -> list[_Class]:
-    """The trees on one vertex more, one leaf per Aut(parent) orbit of
-    vertices.  A leaf's key is the degree and the neighbour-degree sum of
-    its neighbour.  Every vertex of the unlabelled parent is tested; the
-    accepted ones are cut to one per orbit by ``_one_per_orbit``, with the
-    vertex's degree and neighbour-degree sum as the invariant."""
+    """The graphs with one vertex and one edge more whose largest-key leaf
+    is the new one, one leaf per Aut(parent) orbit of vertices; the parents
+    are any connected graphs.  A leaf's key is the degree and the
+    neighbour-degree sum of its neighbour.  Every vertex of the unlabelled
+    parent is tested; the accepted ones are cut to one per orbit by
+    ``_one_per_orbit``, with the vertex's degree and neighbour-degree sum
+    as the invariant."""
     kept: list[_Class] = []
     tied: list[_Class] = []
     for i, c in enumerate(parents):
@@ -311,13 +320,34 @@ def _rest(x: int, y: int, u: int, v: int, adj: tuple[int, ...], rows: list[int],
     return (rows[x] & rows[y]).bit_count(), max(sx, sy), min(sx, sy)
 
 
+def _leafless_sites(adj: tuple[int, ...], deg: list[int]) -> list[tuple[int, int]]:
+    """The non-edges (u, v), u < v, in ascending order, that leave no leaf
+    once added to the connected graph with rows ``adj`` and degrees
+    ``deg``: those with every leaf among their ends, so none when it has
+    more than two leaves.  The set is closed under automorphisms."""
+    leaves = sum(1 << v for v, d in enumerate(deg) if d == 1)
+    if leaves.bit_count() > 2:
+        return []
+    full = (1 << len(adj)) - 1
+    sites = []
+    for u, row in enumerate(adj):
+        others = leaves & ~(1 << u)  # the leaves that v must be
+        if others & (others - 1):
+            continue
+        above = full & ~row & ~((2 << u) - 1)  # the non-edges (u, v), v > u
+        sites += [(u, v) for v in bits(above & others if others else above)]
+    return sites
+
+
 def _grow_edges(parents: list[_Class]) -> list[_Class]:
-    """The graphs with one edge more on the same vertices, one edge per
-    Aut(parent) orbit of non-edges.  An edge's key is its sorted endpoint
+    """The leafless graphs with one edge more on the same vertices, one
+    edge per Aut(parent) orbit of the non-edges that ``_leafless_sites``
+    returns; a parent with none is skipped before its neighbour-degree
+    sums and bridges are read.  An edge's key is its sorted endpoint
     degrees, then its endpoints' common neighbours and sorted
     neighbour-degree sums, computed only on a tie of the degrees.  A
     bridge of the parent stays one in the child iff the new edge's
-    endpoints lie on the same side of it.  Every non-edge of the
+    endpoints lie on the same side of it.  Each such non-edge of the
     unlabelled parent is tested, and ``_rest`` reads the rest of the key
     of the new edge and of each rival whose degrees tie with it; the
     accepted ones are cut to one per orbit by ``_one_per_orbit``, with the
@@ -329,11 +359,12 @@ def _grow_edges(parents: list[_Class]) -> list[_Class]:
         parent = c.graph
         adj, n = parent.adj, parent.n
         deg = [row.bit_count() for row in adj]
+        non_edges = _leafless_sites(adj, deg)
+        if not non_edges:
+            continue
         nsum = [sum(deg[w] for w in bits(row)) for row in adj]
         sides = _bridges(adj)
         edges = [(x, y, sides.get((x, y), 0)) for x, y in parent.edges()]
-        full = (1 << n) - 1
-        non_edges = [(u, v) for u in range(n) for v in bits(full & ~adj[u] & ~((2 << u) - 1))]
         accepted = []
         for u, v in non_edges:
             cd = deg[:]

@@ -419,6 +419,24 @@ def fraction_bisect(sf: Polynomial, lo: Fraction, hi: Fraction, width: Fraction)
     return lo, hi
 
 
+def refuse_overlap_gcd(monkeypatch) -> None:
+    """Make the gcd that ``compare_largest_roots`` takes of two overlapping
+    brackets' squarefree parts raise; every other gcd, such as the one that
+    takes a squarefree part, runs."""
+    import sys
+
+    from bht import polynomials
+
+    poly_gcd = polynomials._poly_gcd
+
+    def gcd(x, y):
+        if sys._getframe(1).f_code is polynomials.compare_largest_roots.__code__:
+            raise AssertionError("took the gcd of two overlapping brackets")
+        return poly_gcd(x, y)
+
+    monkeypatch.setattr(polynomials, "_poly_gcd", gcd)
+
+
 def fraction_largest_root_bracket(p: Polynomial) -> RootBracket:
     """The bracket of ``polynomials.largest_real_root``, bisected on Fractions."""
     sf, lo, hi = fraction_isolate(p)

@@ -129,6 +129,25 @@ def test_lambda_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["search", "verify", "lambda"])
+def test_unusable_paths_are_usage_errors(capsys, monkeypatch, tmp_path, command):
+    """A cache directory that is a file, given by flag or by BHT_CACHE_DIR,
+    and an input that is a directory exit 2 with one line naming the path
+    and the system's reason."""
+    path = tmp_path / "file"
+    path.write_text("")
+    if command == "search":
+        argv = ("search", "--m", "5", "--forbid", "c5", "--cache-dir", str(path))
+    elif command == "verify":
+        monkeypatch.setenv("BHT_CACHE_DIR", str(path))
+        argv = ("verify", "--thm", "theta123", "--m", "9")
+    else:
+        path = tmp_path
+        argv = ("lambda", "--input", str(path))
+    reason = "Is a directory" if command == "lambda" else "File exists"
+    assert run(capsys, *argv) == (2, "", f"error: {path}: {reason}\n")
+
+
 def test_free_command(capsys, tmp_path):
     path = tmp_path / "book.txt"
     path.write_text("\n".join(f"{u} {v}" for u, v in F.book(9).edges()))

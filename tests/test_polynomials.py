@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from bht import polynomials as P
 from conftest import (FractionPolynomial, fraction_compare_largest_roots, fraction_count_roots,
                       fraction_largest_root_bracket, fraction_sturm_chain,
-                      interval_nested_radical_below)
+                      interval_nested_radical_below, refuse_overlap_gcd)
 
 
 # -- polynomial arithmetic ---------------------------------------------------
@@ -381,12 +381,13 @@ def test_named_roots_are_reached_from_the_float_seed(monkeypatch):
 def test_orders_start_from_the_root_brackets(monkeypatch):
     """Both crossover scans over m = 22..400 and every certificate order row
     at m = 22..400 are decided on the brackets of largest_real_root: none
-    of them isolates, bisects or takes a gcd."""
+    of them isolates, bisects or takes the gcd of overlapping brackets."""
     def refuse(*args):
-        raise AssertionError("isolated, bisected or took a gcd")
+        raise AssertionError("isolated or bisected")
 
-    for name in ("_isolate", "_halve", "_poly_gcd"):
+    for name in ("_isolate", "_halve"):
         monkeypatch.setattr(P, name, refuse)
+    refuse_overlap_gcd(monkeypatch)
     for parity, cx in P.CROSSOVER.items():
         assert P.crossover_scan(cx.cone, cx.split, parity, (22, 400)).flips
     seen = 0
@@ -486,28 +487,13 @@ def test_seeded_brackets_on_real_roots_match_fraction_oracle(p):
 
 @settings(max_examples=100, deadline=None)
 @given(polys.filter(lambda p: p.degree >= 0), polys.filter(lambda f: f.degree >= 1))
-def test_squarefree_test_modulo_a_prime_never_passes_a_square(p, f):
+def test_squarefree_part_never_keeps_a_square(p, f):
     """p f^2 is never taken for its own squarefree part, and every
     polynomial's part is the one rational remainders give."""
     q = p * f * f
     assert q.squarefree() is not q
     for r in (q, p):
         assert r.squarefree() == P.Polynomial(FractionPolynomial(r.coeffs).squarefree().coeffs)
-
-
-def test_leading_coefficient_divisible_by_the_prime_takes_the_gcd(monkeypatch):
-    """Modulo the prime, (prime x + 1)^2 is the constant 1, coprime to its
-    derivative, yet it is a square: a leading coefficient that the prime
-    divides sends the test to the gcd."""
-    square = P.Polynomial([1, P._PRIME]) * P.Polynomial([1, P._PRIME])
-    assert P._coprime_mod(square.num, square.derivative().num, P._PRIME)
-    g = P._poly_gcd(square.num, square.derivative().num)
-    assert square.squarefree() == square.divmod(g)[0] and square.squarefree().degree == 1
-    gcds = []
-    poly_gcd = P._poly_gcd
-    monkeypatch.setattr(P, "_poly_gcd", lambda x, y: gcds.append(x) or poly_gcd(x, y))
-    squarefree = P.Polynomial([1, 0, P._PRIME])
-    assert squarefree.squarefree() is squarefree and gcds == [squarefree.num]
 
 
 def test_complex_roots_right_of_the_real_root_take_the_bisection():

@@ -27,7 +27,7 @@ from bht.polynomials import Polynomial, book_lambda, compare_largest_roots
 from bht.spectral import layer_radii, radius, spectral_radius
 from conftest import (
     enumerate_connected, extremal_vertex, fraction_count_roots, graph_of_form, random_connected,
-    seen_dict_layer, value_sign,
+    refuse_overlap_gcd, seen_dict_layer, value_sign,
 )
 
 # Totals per edge count, frozen from the oracle runs below (the Burnside
@@ -164,8 +164,9 @@ def _burnside_all_graph_classes(n: int, m: int) -> int:
 
 def test_layer_counts_against_burnside():
     """Joint validation: multisets of enumerated connected classes (plus
-    isolated vertices) must reproduce the Burnside count of all classes."""
-    n_top, m_top = 10, 10
+    isolated vertices) must reproduce the Burnside count of all classes,
+    over every layer that a search at m <= 11 grows."""
+    n_top, m_top = 12, 11
     layer_count = {
         (n, m): len(SR.connected_layer(n, m))
         for n in range(2, n_top + 1)
@@ -202,15 +203,16 @@ def test_layers_match_seen_dict_oracle():
 
 
 # sha256 of the rows of every layer (n, m), m <= 10, in the order grown
-# from an empty cache, taken when every parent was labelled to cut its
-# edits to one per orbit.
-LAYER_ROWS_PIN = "75539a856f0b6f570e35895a2927fdf6bc802d431590696b28a1d4d160752c7d"
+# from an empty cache, taken when a class with a leaf was first grown from
+# the class less its largest-key leaf, and a leafless one from the class
+# less its largest-key non-bridge edge.
+LAYER_ROWS_PIN = "7c18490e68c115a2549f0393cadf628f51da4d4fc1f50871adfa69648577efb4"
 
 
 def test_layers_are_pinned(monkeypatch):
-    """Labelling a parent only when two of its accepted edits collide keeps
-    every layer up to m = 10: the same graphs, with the same rows, in the
-    same order."""
+    """Every layer up to m = 10 holds the same graphs, with the same rows,
+    in the same order as when the pin was taken: a change of which parent
+    or edit represents a class shows here first."""
     monkeypatch.setattr(SR, "_LAYERS", {})
     h = hashlib.sha256()
     for m in range(0, 11):
@@ -221,15 +223,15 @@ def test_layers_are_pinned(monkeypatch):
 
 
 # sha256 of (form, labelling, generators) of every class of every layer
-# (n, m), m <= 9, in the order grown from an empty cache, taken when every
-# labelling walked each twin cell down to its leaf one split at a time.
-LABELLING_PIN = (1069, "179b22de2d1a3a401cb19996c68603018fcfbfda4eff797e506717f43f864f73")
+# (n, m), m <= 9, in the order grown from an empty cache, taken with the
+# layers of LAYER_ROWS_PIN.
+LABELLING_PIN = (1069, "3c9918a7f732436d966098ac4ed2059ff03eee446c007ffe0e66b12cea46fac7")
 
 
 def test_labellings_are_pinned(monkeypatch):
-    """Going straight to the one leaf of a colouring whose cells of several
-    vertices are twin classes keeps every form, labelling and generator
-    list of the layers up to m = 9."""
+    """Every form, labelling and generator list of the layers up to m = 9
+    is the one pinned: going straight to the one leaf of a colouring whose
+    cells of several vertices are twin classes keeps them."""
     monkeypatch.setattr(SR, "_LAYERS", {})
     h = hashlib.sha256()
     count = 0
@@ -244,7 +246,7 @@ def test_labellings_are_pinned(monkeypatch):
 
 def test_growth_refinements(monkeypatch):
     """Growing every layer up to m = 10 from an empty cache makes at most
-    2,064 refinements: 3,034 when every twin cell was split one vertex at
+    2,242 refinements: 3,263 when every twin cell is split one vertex at
     a time, each split refined again."""
     calls = [0]
     refine = graphs._refine
@@ -258,7 +260,41 @@ def test_growth_refinements(monkeypatch):
     for m in range(0, 11):
         for n in range(1, m + 2):
             SR._layer(n, m)
-    assert 0 < calls[0] <= 2064, calls[0]
+    assert 0 < calls[0] <= 2242, calls[0]
+
+
+def test_growth_key_tests_only_edits_that_leave_no_leaf(monkeypatch):
+    """Growing every layer up to m = 10 from an empty cache key-tests at
+    most 2,160 non-edges, those that ``_leafless_sites`` returns; testing
+    every non-edge of every parent, when every class with a cycle was
+    grown by one edge, took 21,836."""
+    tested = [0]
+    sites = SR._leafless_sites
+
+    def counted(adj, deg):
+        out = sites(adj, deg)
+        tested[0] += len(out)
+        return out
+
+    monkeypatch.setattr(SR, "_leafless_sites", counted)
+    monkeypatch.setattr(SR, "_LAYERS", {})
+    for m in range(0, 11):
+        for n in range(1, m + 2):
+            SR._layer(n, m)
+    assert 0 < tested[0] <= 2160, tested[0]
+
+
+def test_each_growth_keeps_its_own_classes(monkeypatch):
+    """Up to m = 10, every class that ``_grow_leaves`` keeps has a leaf and
+    every class that ``_grow_edges`` keeps is leafless, so no class comes
+    from both."""
+    monkeypatch.setattr(SR, "_LAYERS", {})
+    for m in range(1, 11):
+        for n in range(2, m + 2):
+            for c in SR._grow_leaves(SR._layer(n - 1, m - 1)):
+                assert min(map(int.bit_count, c.graph.adj)) == 1, (n, m, c.graph)
+            for c in SR._grow_edges(SR._layer(n, m - 1)):
+                assert min(map(int.bit_count, c.graph.adj)) >= 2, (n, m, c.graph)
 
 
 def test_bit_table_holds_only_narrow_masks(monkeypatch):
@@ -699,12 +735,14 @@ def test_versus_book_reads_the_root_bracket(q, sides, sign):
 
 def test_verify_takes_no_sturm_count(monkeypatch):
     """Every claim at m = 22..120 passes with no Sturm count, isolation,
-    bisection or gcd: its λ checks read the brackets of the largest roots."""
+    bisection or gcd of overlapping brackets: its λ checks read the
+    brackets of the largest roots."""
     def refuse(*args):
-        raise AssertionError("counted, isolated, bisected or took a gcd")
+        raise AssertionError("counted, isolated or bisected")
 
-    for name in ("count_roots", "_isolate", "_halve", "_poly_gcd"):
+    for name in ("count_roots", "_isolate", "_halve"):
         monkeypatch.setattr(P, name, refuse)
+    refuse_overlap_gcd(monkeypatch)
     seen = 0
     for thm, claim in SR.CLAIMS.items():
         for m in range(max(22, claim.start), 121):
